@@ -259,9 +259,12 @@ def run_file(path, command: str, options: dict):
     genus = options.get("genus", 2)
     arity = _ARITY[command]
     try:
-        raw = open(path, encoding="utf-8").read().splitlines()
+        with open(path, encoding="utf-8") as fh:
+            raw = fh.read().splitlines()
     except OSError as exc:
         return 1, "", f"error: {exc}"
+    except UnicodeDecodeError:
+        return 1, "", f"error: {path}: not valid UTF-8"
     docs = []
     lines = []
     ok = errors = 0

@@ -4,12 +4,16 @@ The class normal form of x is the least word among all words conjugate
 to x.  It is computed from the cyclically irreducible core W of x: the
 candidates are the rotations of W and, when W has the exceptional shape
 (b_{i+1}..b_{2g-1}b_1..b_i)^t for a relator-table entry, also the
-reversed rotations.  Every certificate returned from this module has
-been re-verified by normalization (normalize(z.x.z^-1) equals the class
-word), so an index or orientation slip cannot escape.
+reversed rotations.  No candidate is built: the least rotation is found
+by Duval's Lyndon factorisation over the rank-mapped core, once for W
+and once for W reversed, and only the winner is materialised, so a
+class normal form costs O(|x|).  Every certificate returned from this
+module has been re-verified by normalization (normalize(z.x.z^-1)
+equals the class word), so an index or orientation slip cannot escape.
 
-Roots are found by the divisor scan on W, and the conjugate-power
-decision reduces to conjugacy of primitive roots.
+Roots are found from the least period of W (a prefix-function scan),
+and the conjugate-power decision reduces to conjugacy of primitive
+roots.
 """
 
 from __future__ import annotations
@@ -25,9 +29,7 @@ from .group_core import (
     common_prefix_len,
     common_suffix_len,
     compare_words,
-    cyclic_rotations,
     invert_word,
-    word_sort_key,
 )
 from .powers import nf_power, power_decompose
 from .rewrite import is_irreducible, nf
@@ -64,6 +66,49 @@ def _verify_conjugation(ctx, z: Word, x: Word, target: Word) -> bool:
     return nf(ctx, z + x + invert_word(z)) == target
 
 
+def _period(s) -> int:
+    """Least p dividing len(s) with s = s[:p]^(len(s)/p), in O(len(s)).
+
+    The prefix function gives the least period n - border; a period
+    that does not divide n rules out every shorter divisor period
+    (Fine and Wilf), leaving n itself.
+    """
+    n = len(s)
+    border = [0] * n
+    k = 0
+    for i in range(1, n):
+        c = s[i]
+        while k and s[k] != c:
+            k = border[k - 1]
+        if s[k] == c:
+            k += 1
+        border[i] = k
+    p = n - k
+    return p if n % p == 0 else n
+
+
+def _least_rotations(s) -> range:
+    """Every k with s[k:] + s[:k] least among the rotations of s, ascending.
+
+    One least rotation comes from Duval's Lyndon factorisation of s.s;
+    the rotations equal to it lie exactly one period of s apart.  Linear
+    in len(s).
+    """
+    n = len(s)
+    ss = s + s
+    i = k0 = 0
+    while i < n:
+        k0 = i
+        j, k = i + 1, i
+        while j < 2 * n and ss[k] <= ss[j]:
+            k = i if ss[k] < ss[j] else k + 1
+            j += 1
+        while i <= k:
+            i += j - k
+    p = _period(s)
+    return range(k0 % p, n, p)
+
+
 def _exceptional_matches(ctx: GroupContext, w: Word) -> list:
     """All (entry, i, t) with w = (b_{i+1}..b_{2g-1}b_1..b_i)^t, 1 <= i <= 2g-1."""
     blk = ctx.n_gens - 1
@@ -90,6 +135,10 @@ def class_nf(ctx: GroupContext, x: Word) -> ConjugacyCertificate:
     the exceptional shape the reversed rotations are conjugate as well,
     via the relator identity b_2g^-1 (b_1..b_{2g-1})^t b_2g =
     (b_{2g-1}..b_1)^t, and the minimum is taken over both families.
+
+    Both minima come from _least_rotations on the letter ranks of W and
+    of W reversed, so the cost is O(|x|) and no rotation but the winner
+    is built.
     """
     n1 = nf(ctx, x)
     if not n1:
@@ -97,18 +146,19 @@ def class_nf(ctx: GroupContext, x: Word) -> ConjugacyCertificate:
     pd = power_decompose(ctx, n1)
     w = pd.core
     suffix = pd.suffix
-    n = len(w)
-    rotations = cyclic_rotations(w)
-    k0 = min(range(n), key=lambda k: word_sort_key(ctx, rotations[k]))
-    best = rotations[k0]
+    ranks = [ctx.lex_rank[a] for a in w]
+    k0 = _least_rotations(ranks)[0]
+    best = w[k0:] + w[:k0]
     conj = nf(ctx, w[k0:] + suffix)
     matches = _exceptional_matches(ctx, w)
     exceptional = bool(matches)
     if matches:
-        reversed_family = [tuple(reversed(r)) for r in rotations]
-        alt = min(reversed_family, key=lambda v: word_sort_key(ctx, v))
+        rw = w[::-1]
+        rev_rotations = _least_rotations(ranks[::-1])
+        kr = rev_rotations[0]
+        alt = rw[kr:] + rw[:kr]
         if compare_words(ctx, alt, best) < 0:
-            for cand in _reversed_conjugators(ctx, w, alt, suffix, matches):
+            for cand in _reversed_conjugators(ctx, w, alt, rev_rotations, suffix, matches):
                 candidate = nf(ctx, cand)
                 if _verify_conjugation(ctx, candidate, n1, alt):
                     best, conj = alt, candidate
@@ -120,20 +170,20 @@ def class_nf(ctx: GroupContext, x: Word) -> ConjugacyCertificate:
     return ConjugacyCertificate(best, conj, exceptional)
 
 
-def _reversed_conjugators(ctx: GroupContext, w, alt, suffix, matches):
+def _reversed_conjugators(ctx: GroupContext, w, alt, rev_rotations, suffix, matches):
     """Candidate conjugators carrying x onto the reversed-family minimum.
 
-    Tries the direct table formula first, then a chained construction
-    rotation to block form, relator identity, rotation to the target;
-    class_nf keeps whichever verifies.
+    rev_rotations holds the k with rotation k of w reversed equal to
+    alt.  Tries the direct table formula first, then a chained
+    construction rotation to block form, relator identity, rotation to
+    the target; class_nf keeps whichever verifies.
     """
     g2 = ctx.n_gens
     n4 = ctx.alphabet_size
     n = len(w)
-    positions = [
-        j for j in range(n)
-        if tuple(reversed(w[j:] + w[:j])) == alt
-    ]
+    # reversing rotation j of w gives rotation (n - j) mod n of w reversed
+    p = rev_rotations.step
+    positions = range(-rev_rotations[0] % p, n, p)
     for eidx, i, t in matches:
         entry = ctx.relator_table[eidx]
         for j in positions:
@@ -146,9 +196,12 @@ def _reversed_conjugators(ctx: GroupContext, w, alt, suffix, matches):
         base = entry[:g2 - 1] * t
         u1 = w[(n - i) % n:]
         rev_base = tuple(reversed(base))
-        for a in range(n):
-            if rev_base[a:] + rev_base[:a] == alt:
-                yield rev_base[a:] + (-entry[g2 - 1],) + u1 + suffix
+        starts = _least_rotations([ctx.lex_rank[a] for a in rev_base])
+        a0 = starts[0]
+        if rev_base[a0:] + rev_base[:a0] != alt:
+            continue
+        for a in starts:
+            yield rev_base[a:] + (-entry[g2 - 1],) + u1 + suffix
 
 
 def are_conjugate(ctx: GroupContext, x: Word, y: Word):
@@ -186,11 +239,8 @@ def root(ctx: GroupContext, x: Word) -> RootResult:
         raise DomainError("root of the trivial element")
     pd = power_decompose(ctx, n1)
     w = pd.core
-    n = len(w)
-    for d in range(1, n + 1):
-        if n % d == 0 and w == w[:d] * (n // d):
-            break
-    r = n // d
+    d = _period(w)
+    r = len(w) // d
     y = nf(ctx, pd.prefix + w[:d] + invert_word(pd.prefix))
     if nf_power(ctx, y, r) != n1:
         raise AssertionError("root reassembly failed verification")

@@ -201,9 +201,15 @@ def load_descriptor(path) -> PresentationDescriptor:
     (a1 A2 .., or c1 C2 ..).
     """
     path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise DomainError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError:
+        raise DomainError(f"{path}: not valid UTF-8") from None
     lines = [
         ln.strip()
-        for ln in path.read_text().splitlines()
+        for ln in text.splitlines()
         if ln.strip() and not ln.strip().startswith("#")
     ]
     if len(lines) < 2:

@@ -2,9 +2,9 @@
 
 import itertools
 
-from surfgroup.group_core import free_reduce
+from surfgroup.group_core import cyclic_rotations, free_reduce, invert_word, word_sort_key
 from surfgroup.powers import SpecialTypeTag, build_special, build_type_a
-from surfgroup.rewrite import is_irreducible, nf
+from surfgroup.rewrite import ReductionStep, RuleId, is_irreducible, nf
 
 
 def random_freely_reduced(ctx, length, rng):
@@ -16,6 +16,25 @@ def random_freely_reduced(ctx, length, rng):
             x = rng.choice(ctx.letters)
         w.append(x)
     return tuple(w)
+
+
+def random_cyclic_core(ctx, length, rng):
+    """A cyclically irreducible word of exactly `length` letters.
+
+    No two cyclically adjacent letters cancel or lie next to each other
+    in a relator, so no rule can match in any power of the word.
+    """
+    def fits(a, b):
+        return a != -b and ctx.pair_ambient(a, b) is None
+
+    while True:
+        w = [rng.choice(ctx.letters)]
+        while len(w) < length:
+            x = rng.choice(ctx.letters)
+            if fits(w[-1], x):
+                w.append(x)
+        if fits(w[-1], w[0]):
+            return tuple(w)
 
 
 def random_nontrivial(ctx, max_length, rng):
@@ -95,3 +114,91 @@ def special_instances(ctx, t_values=(1, 2), t_sums=(0, 1)):
         (tag, w) for tag, w in out
         if w[0] != -w[-1] and is_irreducible(ctx, w)
     ]
+
+
+def least_rotation_reference(ctx, w, reversed_family):
+    """(indices, word) by materialising every candidate rotation.
+
+    indices lists every k, ascending, with w[k:] + w[:k] least among the
+    rotations of w; word is the least candidate overall, the reversed
+    rotations included when reversed_family is set.  Quadratic; the
+    reference that class_nf's linear scan is held against.
+    """
+    rotations = cyclic_rotations(w)
+    keys = [word_sort_key(ctx, r) for r in rotations]
+    least = min(keys)
+    indices = [k for k, key in enumerate(keys) if key == least]
+    candidates = list(rotations)
+    if reversed_family:
+        candidates += [tuple(reversed(r)) for r in rotations]
+    return indices, min(candidates, key=lambda v: word_sort_key(ctx, v))
+
+
+def is_exceptional_reference(ctx, w):
+    """True when w is a power of a rotation of b_1..b_{2g-1} for some entry."""
+    blk = ctx.n_gens - 1
+    if not w or len(w) % blk:
+        return False
+    t = len(w) // blk
+    return any(
+        w == head * t
+        for E in ctx.relator_table
+        for head in cyclic_rotations(E[:blk])
+    )
+
+
+def find_reducible_reference(ctx, w):
+    """Leftmost maximal reducing operation, rescanning every block run.
+
+    Quadratic on periodic words; the reference that rewrite.find_reducible
+    is held against.
+    """
+    ctx.check_word(w)
+    n = len(w)
+    g2 = ctx.n_gens
+    n4 = ctx.alphabet_size
+    for p in range(n - 1):
+        a, b = w[p], w[p + 1]
+        if a == -b:
+            return ReductionStep(RuleId("S1"), p, (a, b), ())
+        amb = ctx.pair_ambient(a, b)
+        if amb is None:
+            continue
+        cl, _ = ctx.chain_forward(w, p, n4)
+        E = ctx.entry_at(a, amb)
+        eidx = ctx.entry_index(a, amb)
+        if cl >= g2 + 1:
+            return ReductionStep(
+                RuleId("S2", cl, eidx), p, w[p:p + cl], invert_word(E[cl:])
+            )
+        blk = E[1:g2]
+        t1 = 0
+        q = p + 1
+        while w[q:q + g2 - 1] == blk:
+            t1 += 1
+            q += g2 - 1
+        if t1 >= 2 and q < n and w[q] == E[g2]:
+            return ReductionStep(
+                RuleId("S3", t1, eidx), p, w[p:q + 1], tuple(reversed(blk)) * t1
+            )
+        s4 = None
+        if t1 >= 1 and ctx.greater(E[0], E[g2 - 1]):
+            s4 = ReductionStep(
+                RuleId("S4a", t1, eidx), p, w[p:q], tuple(reversed(blk)) * t1 + (E[0],)
+            )
+        blk2 = E[:g2 - 1]
+        t2 = 0
+        q2 = p
+        while w[q2:q2 + g2 - 1] == blk2:
+            t2 += 1
+            q2 += g2 - 1
+        if t2 >= 1 and q2 < n and w[q2] == E[g2 - 1] and ctx.greater(E[0], E[g2 - 1]):
+            cand = ReductionStep(
+                RuleId("S4b", t2, eidx), p, w[p:q2 + 1],
+                (E[g2 - 1],) + tuple(reversed(blk2)) * t2,
+            )
+            if s4 is None or len(cand.matched) > len(s4.matched):
+                s4 = cand
+        if s4 is not None:
+            return s4
+    return None

@@ -204,3 +204,23 @@ def test_main_batch(tmp_path, capsys):
     assert main(["len", "--file", str(f)]) == 0
     out = capsys.readouterr().out
     assert out.splitlines() == ["1", "1", "processed 2 ok 2 errors 0"]
+
+
+def test_main_batch_not_utf8(tmp_path, capsys):
+    f = tmp_path / "latin1.txt"
+    f.write_bytes(b"c1 c2\n\xe9\xff\n")
+    assert main(["nf", "--file", str(f)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {f}: not valid UTF-8\n"
+
+
+def test_main_missing_presentation_file(tmp_path, capsys):
+    missing = tmp_path / "missing.pres"
+    assert main(["translate", "--presentation", f"file:{missing}", "a1"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {missing}: No such file or directory\n"
+    bad = tmp_path / "bad.pres"
+    bad.write_bytes(b"genus 2\n\xff\n")
+    assert main(["check", "--presentation", f"file:{bad}", "a1"]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: not valid UTF-8\n"

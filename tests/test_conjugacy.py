@@ -2,13 +2,23 @@
 
 import math
 import random
+import tracemalloc
 
 import pytest
 
-from helpers import random_nontrivial
+from helpers import (
+    is_exceptional_reference,
+    least_rotation_reference,
+    random_cyclic_core,
+    random_nontrivial,
+)
 from surfgroup.conjugacy import (
     ConjPowerResult,
     RootResult,
+    _exceptional_matches,
+    _least_rotations,
+    _reversed_conjugators,
+    _verify_conjugation,
     are_conjugate,
     class_nf,
     conj_power,
@@ -17,11 +27,12 @@ from surfgroup.conjugacy import (
 )
 from surfgroup.group_core import (
     DomainError,
+    GroupContext,
     cyclic_rotations,
     invert_word,
     word_sort_key,
 )
-from surfgroup.powers import ci, nf_power
+from surfgroup.powers import ci, nf_power, power_decompose
 from surfgroup.rewrite import nf
 
 
@@ -81,6 +92,90 @@ def test_class_nf_minimal_over_core_rotations(ctx2):
             assert cert.class_nf == min(
                 rotations, key=lambda w: word_sort_key(ctx2, w)
             )
+
+
+def check_least_rotation(ctx, x):
+    """class_nf and _least_rotations on x's core agree with the quadratic reference."""
+    core = ci(ctx, x)
+    exceptional = is_exceptional_reference(ctx, core)
+    indices, word = least_rotation_reference(ctx, core, exceptional)
+    assert list(_least_rotations([ctx.lex_rank[a] for a in core])) == indices
+    cert = class_nf(ctx, x)
+    assert cert.exceptional == exceptional
+    assert cert.class_nf == word
+    return indices, cert
+
+
+@pytest.mark.parametrize("genus", [2, 3, 5, 8])
+def test_least_rotation_matches_reference_on_random_cores(genus):
+    ctx = GroupContext(genus)
+    rng = random.Random(200 + genus)
+    for _ in range(40):
+        check_least_rotation(ctx, random_nontrivial(ctx, 40, rng))
+
+
+@pytest.mark.parametrize("genus", [2, 3, 5, 8])
+def test_least_rotation_matches_reference_on_powers(genus):
+    """Powers u^k tie k or more rotations for least: the period is below |core|."""
+    ctx = GroupContext(genus)
+    rng = random.Random(300 + genus)
+    for _ in range(25):
+        k = rng.randrange(2, 6)
+        x = random_nontrivial(ctx, 8, rng) * k
+        indices, _ = check_least_rotation(ctx, x)
+        assert len(indices) == root(ctx, x).exponent
+        assert len(indices) % k == 0
+
+
+@pytest.mark.parametrize("genus", [2, 3, 5, 8])
+def test_least_rotation_matches_reference_on_exceptional_cores(genus):
+    ctx = GroupContext(genus)
+    rng = random.Random(400 + genus)
+    blk = ctx.n_gens - 1
+    reversed_won = 0
+    for E in ctx.relator_table:
+        i = rng.randrange(1, blk + 1)
+        t = rng.randrange(1, 4)
+        w = (E[i:blk] + E[:i]) * t
+        z = random_nontrivial(ctx, 6, rng)
+        for x in (w, z + w + invert_word(z)):
+            _, cert = check_least_rotation(ctx, x)
+            assert cert.exceptional
+            reversed_won += cert.class_nf not in cyclic_rotations(ci(ctx, x))
+    assert reversed_won
+
+
+@pytest.mark.parametrize("genus", [2, 3])
+def test_reversed_minimum_is_reached_by_the_table_formula(genus):
+    """The first reversed-family candidate, the table formula at the first
+    rotation whose reversal is the minimum, verifies on its own."""
+    ctx = GroupContext(genus)
+    rng = random.Random(500 + genus)
+    blk = ctx.n_gens - 1
+    for E in ctx.relator_table:
+        for i in range(1, blk + 1):
+            z = random_nontrivial(ctx, 5, rng)
+            x = nf(ctx, z + (E[i:blk] + E[:i]) * rng.randrange(1, 4) + invert_word(z))
+            pd = power_decompose(ctx, x)
+            rev_rotations = _least_rotations([ctx.lex_rank[a] for a in pd.core[::-1]])
+            alt = least_rotation_reference(ctx, pd.core[::-1], False)[1]
+            first = next(_reversed_conjugators(
+                ctx, pd.core, alt, rev_rotations, pd.suffix,
+                _exceptional_matches(ctx, pd.core)))
+            assert _verify_conjugation(ctx, nf(ctx, first), x, alt)
+
+
+def test_class_nf_memory_is_linear(ctx2):
+    """No table of rotations: a 3200-letter core stays far below n^2 words."""
+    core = random_cyclic_core(ctx2, 3200, random.Random(3200))
+    tracemalloc.start()
+    try:
+        cert = class_nf(ctx2, core)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(cert.class_nf) == 3200
+    assert peak < 8 * 2**20
 
 
 def test_exceptional_blocks_conjugate_to_their_reversals(ctx2):

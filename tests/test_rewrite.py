@@ -5,9 +5,16 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import all_words, random_freely_reduced
+from helpers import (
+    all_freely_reduced,
+    all_words,
+    find_reducible_reference,
+    random_freely_reduced,
+    special_instances,
+)
 from surfgroup.group_core import GroupContext, compare_words, cyclic_rotations, invert_word
 from surfgroup.rewrite import (
+    _block_run,
     append_letter_nf,
     apply_step,
     d_basis_normalize,
@@ -203,3 +210,55 @@ def test_find_reducible_is_none_only_when_irreducible(ctx2):
             assert nf(ctx2, w) == w
         else:
             assert apply_step(w, step) != w
+
+
+def test_find_reducible_matches_reference_exhaustive(ctx2):
+    for w in all_freely_reduced(ctx2, 6):
+        assert find_reducible(ctx2, w) == find_reducible_reference(ctx2, w)
+
+
+def test_find_reducible_matches_reference_on_special_shapes(ctx2, ctx3):
+    """Type A/B/C words with long block runs, alone, squared and framed."""
+    rng = random.Random(41)
+    for ctx in (ctx2, ctx3):
+        shapes = special_instances(ctx, t_values=(1, 4, 9), t_sums=(0, 3, 8))
+        for _, w in rng.sample(shapes, 150):
+            a = rng.choice(ctx.letters)
+            for v in (w, w + w, (a,) + w, w + (a,) + w):
+                assert find_reducible(ctx, v) == find_reducible_reference(ctx, v)
+
+
+def test_find_reducible_matches_reference_on_block_runs(ctx2, ctx3):
+    """Random concatenations of relator-block powers reach S3/S4 with large t."""
+    rng = random.Random(43)
+    for ctx in (ctx2, ctx3):
+        g2 = ctx.n_gens
+        for _ in range(300):
+            pieces = []
+            for _ in range(rng.randrange(1, 5)):
+                E = rng.choice(ctx.relator_table)
+                t = rng.randrange(1, 8)
+                pieces.append(rng.choice((
+                    (E[0],) + E[1:g2] * t + (E[g2],),
+                    (E[0],) + E[1:g2] * t,
+                    E[:g2 - 1] * t + (E[g2 - 1],),
+                    E[:g2 - 1] * t,
+                    (rng.choice(ctx.letters),),
+                )))
+            w = sum(pieces, ())
+            assert find_reducible(ctx, w) == find_reducible_reference(ctx, w)
+
+
+def test_block_run_counts_through_a_shared_memo(ctx2):
+    """Memoised counts equal a fresh count, whatever order starts are asked in."""
+    rng = random.Random(47)
+    E = ctx2.relator_table[3]
+    blk = E[:ctx2.n_gens - 1]
+    w = blk * 6 + E[3:5] + blk * 3 + (E[0],) + blk * 4
+    for _ in range(20):
+        runs = {}
+        for q in rng.sample(range(len(w) + 1), len(w) + 1):
+            t = 0
+            while w[q + t * len(blk):q + (t + 1) * len(blk)] == blk:
+                t += 1
+            assert _block_run(w, q, blk, runs) == t
