@@ -91,7 +91,7 @@ def _execute(command: str, genus: int, words, options: dict) -> dict:
     opt = options.get
 
     if command == "nf":
-        final, trace = normalize(ctx, parse_word(words[0], genus))
+        final, trace = normalize(ctx, parse_word(words[0], genus), trace=opt("trace"))
         doc = {"result": format_word(final), "length": len(final)}
         if opt("trace"):
             doc["trace"] = [

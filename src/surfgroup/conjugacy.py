@@ -32,7 +32,7 @@ from .group_core import (
     invert_word,
 )
 from .powers import nf_power, power_decompose
-from .rewrite import is_irreducible, nf
+from .rewrite import _nf_concat, is_irreducible, nf
 
 
 @dataclass(frozen=True)
@@ -109,8 +109,32 @@ def _least_rotations(s) -> range:
     return range(k0 % p, n, p)
 
 
+def _block_rotations(ctx: GroupContext) -> dict:
+    """(first letter, second letter) -> every (entry, i), ascending, whose
+    block rotation b_{i+1}..b_{2g-1}b_1..b_i starts with those letters.
+
+    Cached on the context.  Built in O(g^2) without materialising a
+    rotation; a key holds at most 2g-2 pairs.
+    """
+    if "block_rotations" in ctx._cache:
+        return ctx._cache["block_rotations"]
+    blk = ctx.n_gens - 1
+    index: dict = {}
+    for eidx, entry in enumerate(ctx.relator_table):
+        for i in range(1, blk + 1):
+            key = (entry[i % blk], entry[(i + 1) % blk])
+            index.setdefault(key, []).append((eidx, i))
+    ctx._cache["block_rotations"] = index
+    return index
+
+
 def _exceptional_matches(ctx: GroupContext, w: Word) -> list:
-    """All (entry, i, t) with w = (b_{i+1}..b_{2g-1}b_1..b_i)^t, 1 <= i <= 2g-1."""
+    """All (entry, i, t) with w = (b_{i+1}..b_{2g-1}b_1..b_i)^t, 1 <= i <= 2g-1.
+
+    The first two letters of the block narrow the (entry, i) pairs to
+    one index lookup, and each candidate is confirmed by comparing the
+    whole block.
+    """
     blk = ctx.n_gens - 1
     n = len(w)
     if n == 0 or n % blk:
@@ -119,12 +143,12 @@ def _exceptional_matches(ctx: GroupContext, w: Word) -> list:
     head = w[:blk]
     if w != head * t:
         return []
-    out = []
-    for eidx, entry in enumerate(ctx.relator_table):
-        for i in range(1, blk + 1):
-            if head == entry[i:blk] + entry[:i]:
-                out.append((eidx, i, t))
-    return out
+    table = ctx.relator_table
+    return [
+        (eidx, i, t)
+        for eidx, i in _block_rotations(ctx).get(head[:2], ())
+        if head == table[eidx][i:blk] + table[eidx][:i]
+    ]
 
 
 def class_nf(ctx: GroupContext, x: Word) -> ConjugacyCertificate:
@@ -143,13 +167,19 @@ def class_nf(ctx: GroupContext, x: Word) -> ConjugacyCertificate:
     n1 = nf(ctx, x)
     if not n1:
         raise DomainError("class normal form of the trivial element")
-    pd = power_decompose(ctx, n1)
+    return _class_of_normal(ctx, n1)
+
+
+def _class_of_normal(ctx: GroupContext, n1: Word) -> ConjugacyCertificate:
+    """class_nf for a nontrivial word n1 that is already in normal form."""
+    pd = power_decompose(ctx, n1, normal=True)
     w = pd.core
     suffix = pd.suffix
     ranks = [ctx.lex_rank[a] for a in w]
     k0 = _least_rotations(ranks)[0]
     best = w[k0:] + w[:k0]
-    conj = nf(ctx, w[k0:] + suffix)
+    # w is cyclically irreducible, so its suffix w[k0:] is irreducible
+    conj = _nf_concat(ctx, w[k0:], suffix)
     matches = _exceptional_matches(ctx, w)
     exceptional = bool(matches)
     if matches:
@@ -218,8 +248,8 @@ def are_conjugate(ctx: GroupContext, x: Word, y: Word):
         return None
     if abelianize(ctx, nx) != abelianize(ctx, ny):
         return None
-    cx = class_nf(ctx, nx)
-    cy = class_nf(ctx, ny)
+    cx = _class_of_normal(ctx, nx)
+    cy = _class_of_normal(ctx, ny)
     if cx.class_nf != cy.class_nf:
         return None
     z = nf(ctx, invert_word(cx.conjugator) + cy.conjugator)
@@ -237,7 +267,7 @@ def root(ctx: GroupContext, x: Word) -> RootResult:
     n1 = nf(ctx, x)
     if not n1:
         raise DomainError("root of the trivial element")
-    pd = power_decompose(ctx, n1)
+    pd = power_decompose(ctx, n1, normal=True)
     w = pd.core
     d = _period(w)
     r = len(w) // d

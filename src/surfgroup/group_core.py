@@ -33,6 +33,8 @@ Word = tuple  # tuple of signed ints
 #: O(g^2) so this is a safety valve, not a tight bound
 MAX_GENUS = 64
 
+_INT_ONLY = frozenset((int,))
+
 
 class WordParseError(ValueError):
     """Raised when word text does not match the grammar."""
@@ -136,6 +138,13 @@ class GroupContext:
         self._pred = tuple(
             {x: c[(i - 1) % n4] for i, x in enumerate(c)} for c in self._cycles
         )
+        # the letters that can fire a rule when appended after x: its
+        # inverse and its two successors; key 0 stands for the empty word
+        self._live = {
+            x: frozenset((-x, self._succ[0][x], self._succ[1][x])) for x in self.letters
+        }
+        self._live[0] = frozenset()
+        self._letter_set = frozenset(self.letters)
         self._cache = {}
 
     def __repr__(self):
@@ -143,6 +152,12 @@ class GroupContext:
 
     def check_word(self, w) -> None:
         """Raise ValueError unless every letter lies in the alphabet."""
+        # accept at C speed; anything else takes the loop, which names
+        # the first bad letter.  The type test comes first, so that the
+        # set test only ever hashes ints, and it is exact because True
+        # and 1.0 compare equal to the letter 1.
+        if _INT_ONLY.issuperset(map(type, w)) and self._letter_set.issuperset(w):
+            return
         g2 = self.n_gens
         for i, x in enumerate(w):
             if not isinstance(x, int) or x == 0 or abs(x) > g2:

@@ -14,6 +14,10 @@ cyclically irreducible core.
 The three special shapes (types A, B, C) are the words whose square
 reduces but which admit no two-piece splice; they are the reason the
 decomposition needs nf(x^3) and not just nf(x^2).
+
+nf(x^2) and nf(x^3) are not normalized from scratch: nf(x) is
+irreducible, so nf(x^2) is nf(x) extended by the letters of nf(x), and
+nf(x^3) is nf(x^2) extended by them once more, |nf(x)| appends each.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from .group_core import (
     Word,
     common_prefix_len,
 )
-from .rewrite import is_cyclically_irreducible, is_irreducible, nf
+from .rewrite import _nf_concat, is_cyclically_irreducible, is_irreducible, nf
 
 
 @dataclass(frozen=True)
@@ -68,20 +72,15 @@ class SpecialTypeTag:
     inner: "SpecialTypeTag | None" = None
 
 
-def word_length(ctx: GroupContext, x: Word) -> int:
-    """Geodesic length of the element represented by x."""
-    return len(nf(ctx, x))
-
-
 def translation_number(ctx: GroupContext, x: Word) -> int:
     """tau(x) = |x^2| - |x|; zero for the trivial element."""
     n1 = nf(ctx, x)
     if not n1:
         return 0
-    return len(nf(ctx, n1 + n1)) - len(n1)
+    return len(_nf_concat(ctx, n1, n1)) - len(n1)
 
 
-def power_decompose(ctx: GroupContext, x: Word) -> PowerDecomposition:
+def power_decompose(ctx: GroupContext, x: Word, *, normal: bool = False) -> PowerDecomposition:
     """Splice decomposition of x from nf(x), nf(x^2), nf(x^3).
 
     Scans the outer splice point p downward from the longest common
@@ -90,12 +89,15 @@ def power_decompose(ctx: GroupContext, x: Word) -> PowerDecomposition:
     inserted block is cyclically irreducible and splices consistently
     into nf(x^3) wins.  This is the maximal splice pair, so the core is
     the canonical cyclically irreducible word conjugate to x.
+
+    normal=True states that x is already nf(x), as it is for the callers
+    in this package that have just normalized it, and skips that pass.
     """
-    n1 = nf(ctx, x)
+    n1 = x if normal else nf(ctx, x)
     if not n1:
         raise DomainError("power decomposition of the trivial element")
-    n2 = nf(ctx, n1 + n1)
-    n3 = nf(ctx, n2 + n1)
+    n2 = _nf_concat(ctx, n1, n1)
+    n3 = _nf_concat(ctx, n2, n1)
     tau = len(n2) - len(n1)
     if tau <= 0 or len(n3) != len(n1) + 2 * tau:
         raise AssertionError("power lengths violate the growth formula")
@@ -130,7 +132,7 @@ def nf_power(ctx: GroupContext, x: Word, k: int) -> Word:
         return ()
     if k == 1:
         return n1
-    return power_decompose(ctx, n1).assemble(k)
+    return power_decompose(ctx, n1, normal=True).assemble(k)
 
 
 def ci(ctx: GroupContext, x: Word) -> Word:

@@ -21,10 +21,15 @@ deliberately separate code path so the two engines can cross-check each
 other.
 
 `normalize` reduces incrementally: it appends one letter at a time to an
-irreducible accumulator, and a single table lookup decides which of five
-cases applies (at most one rule fires per appended letter).  The steps
-recorded in the trace are genuine S-rule applications on the evolving
-word, so replaying them by splicing reproduces the normal form.
+irreducible accumulator, and at most one rule fires per appended letter.
+A rule can fire only when the letter is the inverse of the last one or
+one of its two successors in a relator; one set lookup per letter rules
+that out, and such a letter is appended inline.  The others go through
+a table lookup that decides which of five cases applies.  The trace is
+built only on request; its steps are genuine S-rule applications on the
+evolving word, so replaying them by splicing reproduces the normal form.
+Because an irreducible word passes through unchanged, nf(u v) for an
+irreducible u starts from u and costs only the letters of v.
 """
 
 from __future__ import annotations
@@ -310,33 +315,63 @@ def prepend_letter_nf(ctx: GroupContext, letter: int, x: Word):
     return (letter,) + x, 5
 
 
-def normalize(ctx: GroupContext, w: Word):
+def _extend(ctx: GroupContext, acc: list, letters, steps) -> None:
+    """Append letters one at a time to the irreducible list acc, in place.
+
+    A letter that is neither the inverse of acc[-1] nor one of its two
+    successors cannot fire a rule, so it is appended inline; every other
+    letter goes through _append_step.  Each rule that fires is recorded
+    in steps, unless steps is None.
+    """
+    live = ctx._live
+    last = acc[-1] if acc else 0
+    for letter in letters:
+        if letter not in live[last]:
+            acc.append(letter)
+            last = letter
+            continue
+        case, rule, n_pop, tail = _append_step(ctx, acc, letter)
+        if case != 5 and steps is not None:
+            matched = tuple(acc[len(acc) - n_pop:]) + (letter,)
+            steps.append(ReductionStep(rule, len(acc) - n_pop, matched, tail))
+        if n_pop:
+            del acc[len(acc) - n_pop:]
+        acc.extend(tail)
+        last = acc[-1] if acc else 0
+
+
+def normalize(ctx: GroupContext, w: Word, *, trace: bool = True):
     """Normal form of w together with the trace of rule applications.
 
     The word is consumed left to right; by the one-letter extension
     property each appended letter triggers at most one S rule, recorded
-    against its position in the evolving word.
+    against its position in the evolving word.  With trace=False no
+    trace is built and (final, None) is returned.
     """
     ctx.check_word(w)
     acc: list = []
-    steps = []
-    for idx, letter in enumerate(w):
-        case, rule, n_pop, tail = _append_step(ctx, acc, letter)
-        if case != 5:
-            matched = tuple(acc[len(acc) - n_pop:]) + (letter,)
-            steps.append(
-                ReductionStep(rule, len(acc) - n_pop, matched, tail)
-            )
-        if n_pop:
-            del acc[len(acc) - n_pop:]
-        acc.extend(tail)
+    steps = [] if trace else None
+    _extend(ctx, acc, w, steps)
     final = tuple(acc)
+    if steps is None:
+        return final, None
     return final, ReductionTrace(w, tuple(steps), final)
 
 
 def nf(ctx: GroupContext, w: Word) -> Word:
-    """Normal form of w (trace discarded)."""
-    return normalize(ctx, w)[0]
+    """Normal form of w, without a trace."""
+    return normalize(ctx, w, trace=False)[0]
+
+
+def _nf_concat(ctx: GroupContext, u: Word, v: Word) -> Word:
+    """nf(u + v) for u already irreducible.
+
+    No rule fires while normalize consumes an irreducible word, so its
+    state after u is list(u); only the letters of v are appended.
+    """
+    acc = list(u)
+    _extend(ctx, acc, v, None)
+    return tuple(acc)
 
 
 def normalize_leftmost(ctx: GroupContext, w: Word):

@@ -202,3 +202,52 @@ def find_reducible_reference(ctx, w):
         if s4 is not None:
             return s4
     return None
+
+
+def exceptional_matches_reference(ctx, w):
+    """All (entry, i, t) with w = (b_{i+1}..b_{2g-1}b_1..b_i)^t, by building
+    the block rotation of every entry at every i.
+
+    O(g^3) per periodic word; the reference that conjugacy's indexed
+    _exceptional_matches is held against.
+    """
+    blk = ctx.n_gens - 1
+    n = len(w)
+    if n == 0 or n % blk:
+        return []
+    t = n // blk
+    head = w[:blk]
+    if w != head * t:
+        return []
+    out = []
+    for eidx, entry in enumerate(ctx.relator_table):
+        for i in range(1, blk + 1):
+            if head == entry[i:blk] + entry[:i]:
+                out.append((eidx, i, t))
+    return out
+
+
+def random_relator_heavy(ctx, length, rng):
+    """A random word of about `length` letters, built mostly from pieces
+    of relator-table entries and their inverses.
+
+    At high genus a uniformly random word almost never contains a
+    successor chain long enough for S2, S3 or S4 to fire; these pieces
+    make every rule family appear at every genus.
+    """
+    n4 = ctx.alphabet_size
+    w = []
+    while len(w) < length:
+        if rng.random() < 0.3:
+            w.append(rng.choice(ctx.letters))
+            continue
+        E = rng.choice(ctx.relator_table)
+        k = rng.randrange(2, n4 + 1)
+        piece = E[:k]
+        if rng.random() < 0.2:
+            # a repeated block, with or without the closing letter: the
+            # shapes S3 and S4 match
+            g2 = ctx.n_gens
+            piece = E[:1] + E[1:g2] * rng.randrange(1, 4) + E[g2:g2 + rng.randrange(2)]
+        w.extend(invert_word(piece) if rng.random() < 0.3 else piece)
+    return tuple(w)

@@ -7,6 +7,7 @@ import tracemalloc
 import pytest
 
 from helpers import (
+    exceptional_matches_reference,
     is_exceptional_reference,
     least_rotation_reference,
     random_cyclic_core,
@@ -163,6 +164,70 @@ def test_reversed_minimum_is_reached_by_the_table_formula(genus):
                 ctx, pd.core, alt, rev_rotations, pd.suffix,
                 _exceptional_matches(ctx, pd.core)))
             assert _verify_conjugation(ctx, nf(ctx, first), x, alt)
+
+
+@pytest.mark.parametrize("genus", [2, 3, 5])
+def test_every_chained_reversed_conjugator_verifies(genus):
+    """Run _reversed_conjugators to exhaustion: every candidate of the
+    chained construction, which follows the table-formula ones, carries
+    x onto the reversed minimum."""
+    ctx = GroupContext(genus)
+    rng = random.Random(600 + genus)
+    blk = ctx.n_gens - 1
+    chained = 0
+    for E in ctx.relator_table:
+        for framed in (False, True):
+            i = rng.randrange(1, blk + 1)
+            w = (E[i:blk] + E[:i]) * rng.randrange(1, 4)
+            if framed:
+                z = random_nontrivial(ctx, 6, rng)
+                w = z + w + invert_word(z)
+            x = nf(ctx, w)
+            # the arguments class_nf derives from x
+            pd = power_decompose(ctx, x)
+            rw = pd.core[::-1]
+            rev_rotations = _least_rotations([ctx.lex_rank[a] for a in rw])
+            alt = rw[rev_rotations[0]:] + rw[:rev_rotations[0]]
+            matches = _exceptional_matches(ctx, pd.core)
+            assert matches
+            candidates = list(_reversed_conjugators(
+                ctx, pd.core, alt, rev_rotations, pd.suffix, matches))
+            n_table = len(matches) * len(rev_rotations)
+            for cand in candidates[n_table:]:
+                assert _verify_conjugation(ctx, nf(ctx, cand), x, alt)
+            chained += len(candidates) - n_table
+    assert chained
+
+
+@pytest.mark.parametrize("genus", [2, 3, 5, 16, 64])
+def test_exceptional_matches_agree_with_the_full_scan(genus):
+    """The indexed lookup returns the reference's list, content and order,
+    on exceptional cores, near misses and random periodic words."""
+    ctx = GroupContext(genus)
+    rng = random.Random(700 + genus)
+    blk = ctx.n_gens - 1
+    pairs = [(e, i) for e in range(len(ctx.relator_table)) for i in range(1, blk + 1)]
+    # the reference is cubic in g, so fewer samples at the top genus
+    pairs = rng.sample(pairs, min(len(pairs), 640 // genus))
+    words = []
+    for e, i in pairs:
+        E = ctx.relator_table[e]
+        head = E[i:blk] + E[:i]
+        t = rng.randrange(1, 4)
+        words.append(head * t)
+        j = rng.randrange(2, blk)  # the same first two letters, one wrong later
+        near = head[:j] + (rng.choice([a for a in ctx.letters if a != head[j]]),) + head[j + 1:]
+        words.append(near * t)
+        words.append(head * t + head[:1])
+    for _ in range(10):
+        words.append(random_cyclic_core(ctx, blk, rng) * rng.randrange(1, 3))
+        words.append(random_nontrivial(ctx, 3 * blk, rng))
+    found = 0
+    for w in words:
+        got = _exceptional_matches(ctx, w)
+        assert got == exceptional_matches_reference(ctx, w)
+        found += bool(got)
+    assert found >= len(pairs)
 
 
 def test_class_nf_memory_is_linear(ctx2):

@@ -194,9 +194,22 @@ def test_abelianize(ctx2):
 
 def test_check_word(ctx2):
     ctx2.check_word((1, -4, 2))
-    for bad in ((0,), (5,), (-5,), (1.5,), ("c1",)):
-        with pytest.raises(ValueError):
+    ctx2.check_word(())
+    ctx2.check_word([4, -1])
+    # bool is a subclass of int, so the letter loop has always taken True
+    # for c1; the set test alone would too, since True == 1
+    ctx2.check_word((2, True))
+    top = 2 * ctx2.genus + 1
+    for bad, letter, pos in (
+        ((0,), "0", 1), ((5,), "5", 1), ((-5,), "-5", 1), ((1.5,), "1.5", 1),
+        ((2, 1.0), "1.0", 2), ((1, -2, 0), "0", 3), ((3, top), str(top), 2),
+        (("c1",), "'c1'", 1), ((1, [1]), "[1]", 2),
+    ):
+        with pytest.raises(ValueError) as exc:
             ctx2.check_word(bad)
+        assert str(exc.value) == (
+            f"letter {letter} at position {pos} is outside the alphabet for genus 2"
+        )
 
 
 def test_parse_word_basics():

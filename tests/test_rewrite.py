@@ -10,11 +10,14 @@ from helpers import (
     all_words,
     find_reducible_reference,
     random_freely_reduced,
+    random_relator_heavy,
     special_instances,
 )
+from surfgroup.oracle import dehn_equal
 from surfgroup.group_core import GroupContext, compare_words, cyclic_rotations, invert_word
 from surfgroup.rewrite import (
     _block_run,
+    _nf_concat,
     append_letter_nf,
     apply_step,
     d_basis_normalize,
@@ -262,3 +265,46 @@ def test_block_run_counts_through_a_shared_memo(ctx2):
             while w[q + t * len(blk):q + (t + 1) * len(blk)] == blk:
                 t += 1
             assert _block_run(w, q, blk, runs) == t
+
+
+HIGH_GENERA = [5, 8, 16, 64]
+
+
+def high_genus_words(ctx, rng, count, length):
+    """Half relator-heavy words, half uniformly random freely reduced ones."""
+    for k in range(count):
+        n = rng.randrange(0, length + 1)
+        if k % 2:
+            yield random_freely_reduced(ctx, n, rng)
+        else:
+            yield random_relator_heavy(ctx, n, rng)
+
+
+@pytest.mark.parametrize("genus", HIGH_GENERA)
+def test_engines_and_oracle_agree_at_high_genus(genus):
+    """S engine, D engine and the Dehn oracle over the genus range MAX_GENUS admits."""
+    ctx = GroupContext(genus)
+    rng = random.Random(800 + genus)
+    fired = set()
+    for w in high_genus_words(ctx, rng, 60, 6 * genus):
+        final, trace = normalize(ctx, w)
+        fired |= {step.rule.family for step in trace.steps}
+        assert d_basis_normalize(ctx, w) == nf(ctx, w) == final
+        assert dehn_equal(ctx, w, final)
+        assert is_irreducible(ctx, final)
+    assert fired >= {"S1", "S2", "S3", "S4b"}
+
+
+@pytest.mark.parametrize("genus", HIGH_GENERA)
+def test_untraced_normalize_and_prefix_extension_at_high_genus(genus):
+    """normalize without a trace returns the traced final word, and
+    extending an irreducible u by v gives nf(u + v)."""
+    ctx = GroupContext(genus)
+    rng = random.Random(900 + genus)
+    words = list(high_genus_words(ctx, rng, 80, 12 * genus))
+    for w, v in zip(words, reversed(words)):
+        final, trace = normalize(ctx, w)
+        assert normalize(ctx, w, trace=False) == (final, None)
+        assert trace.replay() == final
+        assert _nf_concat(ctx, final, v) == nf(ctx, final + v) == nf(ctx, w + v)
+        assert _nf_concat(ctx, final, final) == nf(ctx, w + w)
