@@ -188,7 +188,7 @@ def _class_of_normal(ctx: GroupContext, n1: Word) -> ConjugacyCertificate:
         kr = rev_rotations[0]
         alt = rw[kr:] + rw[:kr]
         if compare_words(ctx, alt, best) < 0:
-            for cand in _reversed_conjugators(ctx, w, alt, rev_rotations, suffix, matches):
+            for cand in _reversed_conjugators(ctx, w, rev_rotations, suffix, matches):
                 candidate = nf(ctx, cand)
                 if _verify_conjugation(ctx, candidate, n1, alt):
                     best, conj = alt, candidate
@@ -200,11 +200,11 @@ def _class_of_normal(ctx: GroupContext, n1: Word) -> ConjugacyCertificate:
     return ConjugacyCertificate(best, conj, exceptional)
 
 
-def _reversed_conjugators(ctx: GroupContext, w, alt, rev_rotations, suffix, matches):
+def _reversed_conjugators(ctx: GroupContext, w, rev_rotations, suffix, matches):
     """Candidate conjugators carrying x onto the reversed-family minimum.
 
-    rev_rotations holds the k with rotation k of w reversed equal to
-    alt.  Tries the direct table formula first, then a chained
+    rev_rotations holds the k with rotation k of w reversed least, the
+    target alt.  Tries the direct table formula first, then a chained
     construction rotation to block form, relator identity, rotation to
     the target; class_nf keeps whichever verifies.
     """
@@ -227,9 +227,7 @@ def _reversed_conjugators(ctx: GroupContext, w, alt, rev_rotations, suffix, matc
         u1 = w[(n - i) % n:]
         rev_base = tuple(reversed(base))
         starts = _least_rotations([ctx.lex_rank[a] for a in rev_base])
-        a0 = starts[0]
-        if rev_base[a0:] + rev_base[:a0] != alt:
-            continue
+        # rev_base is a rotation of the core reversed, so its least rotation is alt
         for a in starts:
             yield rev_base[a:] + (-entry[g2 - 1],) + u1 + suffix
 

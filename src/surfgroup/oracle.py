@@ -11,6 +11,25 @@ far stronger than the C'(1/6) needed for Greendlinger's lemma.  The
 oracle shares only the relator table with the rewriting engine, so
 agreement between the two is meaningful evidence.
 
+dehn_reduce applies one rule, leftmost-maximal: at the leftmost
+position where a successor chain of 2g+1 or more letters starts, take
+that chain up to a whole relator (4g letters), replace it by the
+inverse of the rest of its relator, and cancel freely where the new
+letters meet the old ones.  Letters left of the leftmost changed index
+s are as before, and the previous scan found no such chain starting
+among them.  A chain starting before s - 2g decides its first 2g+1
+letters inside that unchanged prefix, so it still falls short, and
+the scan resumes at s - 2g instead of 0 with the same result as a
+rescan.  Each replacement removes at least 2 letters and moves the
+scan back at most 2g positions beyond the letters it cancels, so at
+most O(g|w|) positions are tested, each in O(g) steps: linear in |w|
+at a fixed genus (Lyndon-Schupp, ch. V; Domanski-Anshel 1985).  The
+word is held as the scanned list and the unread rest reversed, so a
+replacement changes only their two ends and moves a bounded number of
+letters between them.  Whether every rotation of the result is reduced
+as well is decided by the chains that start in its last 2g letters and
+run across its end; no other chain of a rotation can be long.
+
 enumerate_ball generates every normal form up to a given length by
 breadth-first letter extension, for exhaustive small-radius checks.
 """
@@ -18,6 +37,7 @@ breadth-first letter extension, for exhaustive small-radius checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import neg
 
 from .group_core import (
     DomainError,
@@ -29,6 +49,10 @@ from .group_core import (
     invert_word,
 )
 from .rewrite import _append_step
+
+# letters moved at a time from the unread rest into the scanned list; a
+# replacement moves back at most this many plus 4g
+_WINDOW = 256
 
 
 @dataclass(frozen=True)
@@ -60,16 +84,48 @@ def dehn_reduce(ctx: GroupContext, w: Word) -> DehnForm:
     The result is empty exactly when w represents the identity.
     """
     ctx.check_word(w)
-    cur = free_reduce(w)
-    cap = ctx.alphabet_size
+    cap, back = ctx.alphabet_size, ctx.n_gens
+    # the word is head + reversed(tail); chains are sought in head, which
+    # starts as the whole word, so a word with no long chain is scanned once
+    head, tail = list(free_reduce(w)), []
+    start = 0
     while True:
-        hit = _find_long_run(ctx, cur, 0, len(cur), cap)
-        if hit is None:
+        # a chain reads at most cap letters, so one starting before stop lies in head
+        stop = len(head) - cap + 1 if tail else len(head)
+        hit = _find_long_run(ctx, head, start, stop, cap)
+        if hit is not None:
+            p, length, amb = hit
+            tail += reversed(head[p + length:])
+            # the chain is maximal, so its replacement cannot cancel against
+            # the suffix; only the prefix can cancel against what follows it
+            tail += map(neg, ctx.entry_at(head[p], amb)[length:])
+            del head[p:]
+            while head and tail and head[-1] == -tail[-1]:
+                head.pop()
+                tail.pop()
+            # head is now exactly the unchanged prefix
+            start = max(0, len(head) - back)
+        elif tail:
+            start = stop
+        else:
             break
-        p, length, amb = hit
-        entry = ctx.entry_at(cur[p], amb)
-        cur = free_reduce(cur[:p] + invert_word(entry[length:]) + cur[p + length:])
-    return DehnForm(cur, _cyclically_dehn_reduced(ctx, cur))
+        m = min(start + cap + _WINDOW - len(head), len(tail))
+        if m > 0:
+            head += reversed(tail[-m:])
+            del tail[-m:]
+    word = tuple(head)
+    return DehnForm(word, _cyclically_dehn_reduced(ctx, word))
+
+
+def _wrapped_long_run(ctx: GroupContext, w: Word):
+    """_find_long_run over the rotations of a Dehn-reduced w of more than
+    2g letters: the first long chain of w.w starting inside w.
+
+    A chain starting before n - 2g would have its first 2g+1 letters
+    inside w, which has no long chain, so the scan starts there.
+    """
+    n = len(w)
+    return _find_long_run(ctx, w + w, n - ctx.n_gens, n, min(ctx.alphabet_size, n))
 
 
 def _cyclically_dehn_reduced(ctx: GroupContext, w: Word) -> bool:
@@ -81,8 +137,7 @@ def _cyclically_dehn_reduced(ctx: GroupContext, w: Word) -> bool:
         return False
     if n <= ctx.n_gens:
         return True
-    doubled = w + w
-    return _find_long_run(ctx, doubled, 0, n, min(ctx.alphabet_size, n)) is None
+    return _wrapped_long_run(ctx, w) is None
 
 
 def dehn_reduce_cyclic(ctx: GroupContext, w: Word) -> Word:
@@ -95,13 +150,14 @@ def dehn_reduce_cyclic(ctx: GroupContext, w: Word) -> Word:
     cur = dehn_reduce(ctx, w).word
     while True:
         if len(cur) >= 2 and cur[0] == -cur[-1]:
-            while len(cur) >= 2 and cur[0] == -cur[-1]:
-                cur = cur[1:-1]
-            cur = dehn_reduce(ctx, cur).word
+            k = 1
+            while 2 * k + 2 <= len(cur) and cur[k] == -cur[-1 - k]:
+                k += 1
+            cur = dehn_reduce(ctx, cur[k:len(cur) - k]).word
             continue
         n = len(cur)
         if n > ctx.n_gens:
-            hit = _find_long_run(ctx, cur + cur, 0, n, min(ctx.alphabet_size, n))
+            hit = _wrapped_long_run(ctx, cur)
             if hit is not None:
                 cur = dehn_reduce(ctx, cur[hit[0]:] + cur[:hit[0]]).word
                 continue

@@ -3,6 +3,7 @@
 import itertools
 
 from surfgroup.group_core import cyclic_rotations, free_reduce, invert_word, word_sort_key
+from surfgroup.oracle import DehnForm, _find_long_run
 from surfgroup.powers import SpecialTypeTag, build_special, build_type_a
 from surfgroup.rewrite import ReductionStep, RuleId, is_irreducible, nf
 
@@ -251,3 +252,49 @@ def random_relator_heavy(ctx, length, rng):
             piece = E[:1] + E[1:g2] * rng.randrange(1, 4) + E[g2:g2 + rng.randrange(2)]
         w.extend(invert_word(piece) if rng.random() < 0.3 else piece)
     return tuple(w)
+
+
+def dehn_reduce_reference(ctx, w):
+    """Dehn reduction that rescans from position 0 after every
+    replacement, freely reduces the whole word each time, and tests
+    every rotation of the result in full: quadratic, with the same
+    leftmost-maximal rule as oracle.dehn_reduce."""
+    ctx.check_word(w)
+    cur = free_reduce(w)
+    cap = ctx.alphabet_size
+    while True:
+        hit = _find_long_run(ctx, cur, 0, len(cur), cap)
+        if hit is None:
+            break
+        p, length, amb = hit
+        entry = ctx.entry_at(cur[p], amb)
+        cur = free_reduce(cur[:p] + invert_word(entry[length:]) + cur[p + length:])
+    n = len(cur)
+    if n == 0:
+        cyclic = True
+    elif cur[0] == -cur[-1]:
+        cyclic = False
+    elif n <= ctx.n_gens:
+        cyclic = True
+    else:
+        cyclic = _find_long_run(ctx, cur + cur, 0, n, min(cap, n)) is None
+    return DehnForm(cur, cyclic)
+
+
+def dehn_reduce_cyclic_reference(ctx, w):
+    """oracle.dehn_reduce_cyclic on top of dehn_reduce_reference, with
+    the wrap-around run sought from position 0."""
+    cur = dehn_reduce_reference(ctx, w).word
+    while True:
+        if len(cur) >= 2 and cur[0] == -cur[-1]:
+            while len(cur) >= 2 and cur[0] == -cur[-1]:
+                cur = cur[1:-1]
+            cur = dehn_reduce_reference(ctx, cur).word
+            continue
+        n = len(cur)
+        if n > ctx.n_gens:
+            hit = _find_long_run(ctx, cur + cur, 0, n, min(ctx.alphabet_size, n))
+            if hit is not None:
+                cur = dehn_reduce_reference(ctx, cur[hit[0]:] + cur[:hit[0]]).word
+                continue
+        return cur

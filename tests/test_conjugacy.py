@@ -161,7 +161,7 @@ def test_reversed_minimum_is_reached_by_the_table_formula(genus):
             rev_rotations = _least_rotations([ctx.lex_rank[a] for a in pd.core[::-1]])
             alt = least_rotation_reference(ctx, pd.core[::-1], False)[1]
             first = next(_reversed_conjugators(
-                ctx, pd.core, alt, rev_rotations, pd.suffix,
+                ctx, pd.core, rev_rotations, pd.suffix,
                 _exceptional_matches(ctx, pd.core)))
             assert _verify_conjugation(ctx, nf(ctx, first), x, alt)
 
@@ -191,7 +191,7 @@ def test_every_chained_reversed_conjugator_verifies(genus):
             matches = _exceptional_matches(ctx, pd.core)
             assert matches
             candidates = list(_reversed_conjugators(
-                ctx, pd.core, alt, rev_rotations, pd.suffix, matches))
+                ctx, pd.core, rev_rotations, pd.suffix, matches))
             n_table = len(matches) * len(rev_rotations)
             for cand in candidates[n_table:]:
                 assert _verify_conjugation(ctx, nf(ctx, cand), x, alt)

@@ -4,9 +4,17 @@ import random
 
 import pytest
 
-from helpers import all_words, random_freely_reduced, random_nontrivial
+from helpers import (
+    all_words,
+    dehn_reduce_cyclic_reference,
+    dehn_reduce_reference,
+    random_freely_reduced,
+    random_nontrivial,
+    random_relator_heavy,
+)
+from surfgroup import oracle
 from surfgroup.conjugacy import are_conjugate
-from surfgroup.group_core import DomainError, abelianize, free_reduce, invert_word
+from surfgroup.group_core import DomainError, GroupContext, abelianize, free_reduce, invert_word
 from surfgroup.oracle import (
     DehnForm,
     dehn_conjugate,
@@ -89,6 +97,55 @@ def test_dehn_conjugate_edges(ctx2):
     assert not dehn_conjugate(ctx2, (), (1,))
     assert not dehn_conjugate(ctx2, (1,), (2,))
     assert dehn_conjugate(ctx2, (1, 2), (2, 1))  # rotation
+
+
+def word_problem_word(ctx, n, rng, changed):
+    """u.v^-1 with v = u plus relator-table entries inserted, and with one
+    letter of v changed when `changed`, as a word-problem pair reaches
+    dehn_equal."""
+    u = random_freely_reduced(ctx, n, rng)
+    v = list(u)
+    for _ in range(1 + n // 20):
+        cut = rng.randrange(len(v) + 1)
+        v[cut:cut] = rng.choice(ctx.relator_table)
+    if changed:
+        i = rng.randrange(len(v))
+        v[i] = rng.choice([a for a in ctx.letters if a != v[i]])
+    return u + invert_word(tuple(v))
+
+
+@pytest.mark.parametrize("genus", [2, 3, 5, 8, 16, 64])
+def test_dehn_reduce_matches_the_rescanning_reference(genus, monkeypatch):
+    """The resuming scan returns the reference's DehnForm, flag included,
+    at the default window and at the narrowest, and dehn_reduce_cyclic
+    returns the reference's word."""
+    ctx = GroupContext(genus)
+    rng = random.Random(800 + genus)
+    n4 = ctx.alphabet_size
+    # the reference is quadratic, so fewer and shorter words at high genus
+    count = 150 if genus <= 3 else 25
+    size = min(12 * n4, 600)
+    words = [random_relator_heavy(ctx, rng.randrange(0, size), rng) for _ in range(count)]
+    words += [E * k for E in rng.sample(ctx.relator_table, 4) for k in range(1, 5)]
+    words += [word_problem_word(ctx, rng.randrange(1, size // 2), rng, changed)
+              for changed in (False, True) for _ in range(count // 5)]
+    # conjugates, whose cyclic reduction strips many inverse end pairs
+    for _ in range(count // 5):
+        z = random_freely_reduced(ctx, rng.randrange(1, size // 2), rng)
+        words.append(z + random_relator_heavy(ctx, rng.randrange(1, size // 4), rng) + invert_word(z))
+    got = [(dehn_reduce(ctx, w), dehn_reduce_cyclic(ctx, w)) for w in words]
+    with monkeypatch.context() as m:
+        # a one-letter window puts a window edge at every position a
+        # replacement can reach, on words of any length
+        m.setattr(oracle, "_WINDOW", 1)
+        narrow = [(dehn_reduce(ctx, w), dehn_reduce_cyclic(ctx, w)) for w in words]
+    want = [(dehn_reduce_reference(ctx, w), dehn_reduce_cyclic_reference(ctx, w)) for w in words]
+    for w, a, b, c in zip(words, got, narrow, want):
+        assert a == c, w
+        assert b == c, w
+    # the inputs do reach the replacement and the flag both ways
+    assert any(len(f.word) < len(free_reduce(w)) for w, (f, _) in zip(words, got))
+    assert {f.cyclically_reduced for f, _ in got} == {True, False}
 
 
 def test_ball_counts_match_brute_force(ctx2):
