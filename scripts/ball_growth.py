@@ -7,8 +7,7 @@ quickly toward the growth rate of the group.
 
 import argparse
 
-from surfgroup.group_core import GroupContext
-from surfgroup.oracle import enumerate_ball
+from surfgroup import GroupContext, enumerate_ball
 
 
 def main() -> None:

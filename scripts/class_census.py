@@ -9,9 +9,7 @@ exceptional (reversal) marker.
 import argparse
 from collections import Counter
 
-from surfgroup.conjugacy import class_nf
-from surfgroup.group_core import GroupContext, format_word
-from surfgroup.oracle import enumerate_ball
+from surfgroup import GroupContext, class_nf, enumerate_ball, format_word
 
 
 def main() -> None:

@@ -10,9 +10,7 @@ import argparse
 import random
 from collections import Counter
 
-from surfgroup.group_core import GroupContext
-from surfgroup.powers import power_decompose
-from surfgroup.rewrite import nf
+from surfgroup import GroupContext, nf, power_decompose
 
 
 def sample_word(ctx, max_length, rng):

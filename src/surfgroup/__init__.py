@@ -26,6 +26,7 @@ from .rewrite import (
     RuleId,
     append_letter_nf,
     d_basis_normalize,
+    enumerate_ball,
     find_reducible,
     is_cyclically_irreducible,
     is_irreducible,
@@ -54,7 +55,6 @@ from .oracle import (
     dehn_conjugate,
     dehn_equal,
     dehn_reduce,
-    enumerate_ball,
 )
 from .presentations import (
     PresentationDescriptor,
@@ -85,6 +85,7 @@ __all__ = [
     "RuleId",
     "append_letter_nf",
     "d_basis_normalize",
+    "enumerate_ball",
     "find_reducible",
     "is_cyclically_irreducible",
     "is_irreducible",
@@ -107,7 +108,6 @@ __all__ = [
     "dehn_conjugate",
     "dehn_equal",
     "dehn_reduce",
-    "enumerate_ball",
     "PresentationDescriptor",
     "canonical_descriptor",
     "load_descriptor",

@@ -1,10 +1,13 @@
 """Command-line front end.
 
 One subcommand per engine operation, plus an `oracle` group for the
-independent Dehn-algorithm checks.  Words use the grammar of
-parse_word: whitespace- or '*'-separated tokens c1, c2^-1, C2, with e
-for the empty word.  Output is plain text or a JSON document with the
-stable fields {command, genus, input, result, length, trace?,
+independent Dehn-algorithm checks.  Every command is one entry of the
+table _COMMANDS: its arity, help text, extra flags, executor and text
+renderer.  The argument parser, single requests and batch files are all
+driven by that table, so a new command is one new entry.  Words use the
+grammar of parse_word: whitespace- or '*'-separated tokens c1, c2^-1,
+C2, with e for the empty word.  Output is plain text or a JSON document
+with the stable fields {command, genus, input, result, length, trace?,
 certificate?}.
 
 Exit codes: 0 success, 1 domain error (trivial element where one is
@@ -18,6 +21,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .conjugacy import are_conjugate, class_nf, conj_power, reducing_pair, root
 from .group_core import (
@@ -28,7 +32,7 @@ from .group_core import (
     format_word,
     parse_word,
 )
-from .oracle import dehn_conjugate, dehn_equal, enumerate_ball
+from .oracle import dehn_conjugate, dehn_equal
 from .powers import ci, nf_power, translation_number
 from .presentations import (
     canonical_descriptor,
@@ -38,25 +42,7 @@ from .presentations import (
     t_parameter,
     translate,
 )
-from .rewrite import nf, normalize
-
-_ARITY = {
-    "nf": 1,
-    "len": 1,
-    "power": 1,
-    "tau": 1,
-    "ci": 1,
-    "root": 1,
-    "class-nf": 1,
-    "translate": 1,
-    "check": 1,
-    "conj": 2,
-    "conj-power": 2,
-    "rp": 2,
-    "oracle-equal": 2,
-    "oracle-conj": 2,
-    "oracle-ball": 0,
-}
+from .rewrite import enumerate_ball, nf, normalize
 
 
 @dataclass(frozen=True)
@@ -65,6 +51,13 @@ class Request:
     genus: int = 2
     words: tuple = ()
     options: dict = field(default_factory=dict)
+
+
+def _context(genus: int) -> GroupContext:
+    """The context of one request or batch file; DomainError off range."""
+    if not 2 <= genus <= MAX_GENUS:
+        raise DomainError(f"genus must be between 2 and {MAX_GENUS}, got {genus}")
+    return GroupContext(genus)
 
 
 def _descriptor(name: str, genus: int):
@@ -83,147 +76,199 @@ def _parse_auto(text: str, genus: int):
     return parse_word(text, genus, base=base.lower())
 
 
-def _execute(command: str, genus: int, words, options: dict) -> dict:
-    """Run one request; returns the document fields beyond command/genus/input."""
-    if not 2 <= genus <= MAX_GENUS:
-        raise DomainError(f"genus must be between 2 and {MAX_GENUS}, got {genus}")
-    ctx = GroupContext(genus)
-    opt = options.get
+def _parse(ctx, words) -> tuple:
+    return tuple(parse_word(text, ctx.genus) for text in words)
 
-    if command == "nf":
-        final, trace = normalize(ctx, parse_word(words[0], genus), trace=opt("trace"))
-        doc = {"result": format_word(final), "length": len(final)}
-        if opt("trace"):
-            doc["trace"] = [
-                {
-                    "rule": str(step.rule),
-                    "start": step.start,
-                    "matched": format_word(step.matched),
-                    "replacement": format_word(step.replacement),
-                }
-                for step in trace.steps
-            ]
-        return doc
-    if command == "len":
-        n = len(nf(ctx, parse_word(words[0], genus)))
-        return {"result": n, "length": n}
-    if command == "power":
-        out = nf_power(ctx, parse_word(words[0], genus), opt("k", 2))
-        return {"result": format_word(out), "length": len(out)}
-    if command == "tau":
-        return {"result": translation_number(ctx, parse_word(words[0], genus)),
-                "length": None}
-    if command == "ci":
-        core = ci(ctx, parse_word(words[0], genus))
-        return {"result": format_word(core), "length": len(core)}
-    if command == "root":
-        res = root(ctx, parse_word(words[0], genus))
-        return {"result": {"root": format_word(res.root), "exponent": res.exponent},
-                "length": len(res.root)}
-    if command == "class-nf":
-        cert = class_nf(ctx, parse_word(words[0], genus))
-        return {
-            "result": format_word(cert.class_nf),
-            "length": len(cert.class_nf),
-            "certificate": {
-                "class_nf": format_word(cert.class_nf),
-                "conjugator": format_word(cert.conjugator),
-                "exceptional": cert.exceptional,
-            },
-        }
-    if command == "conj":
-        z = are_conjugate(ctx, parse_word(words[0], genus), parse_word(words[1], genus))
-        result = {"conjugate": z is not None}
-        if z is not None:
-            result["conjugator"] = format_word(z)
-        return {"result": result, "length": None}
-    if command == "conj-power":
-        res = conj_power(ctx, parse_word(words[0], genus), parse_word(words[1], genus))
-        result = {"found": res.found}
-        if res.found:
-            result.update(m=res.m, n=res.n, conjugator=format_word(res.conjugator))
-        return {"result": result, "length": None}
-    if command == "rp":
-        c1, c2 = reducing_pair(ctx, parse_word(words[0], genus),
-                               parse_word(words[1], genus))
-        return {"result": [format_word(c1), format_word(c2)], "length": None}
-    if command == "translate":
-        pres = _descriptor(opt("presentation", "canonical"), genus)
-        out = translate(pres, _parse_auto(words[0], pres.genus))
-        return {"result": format_word(out), "length": len(out)}
-    if command == "check":
-        pres = _descriptor(opt("presentation", "canonical"), genus)
-        holds = check_coarse_formulae(pres, _parse_auto(words[0], pres.genus),
-                                      opt("k_max", 3))
-        return {"result": {"holds": holds, "t": t_parameter(pres)}, "length": None}
-    if command == "oracle-equal":
-        return {"result": dehn_equal(ctx, parse_word(words[0], genus),
-                                     parse_word(words[1], genus)),
-                "length": None}
-    if command == "oracle-conj":
-        return {"result": dehn_conjugate(ctx, parse_word(words[0], genus),
-                                         parse_word(words[1], genus)),
-                "length": None}
-    if command == "oracle-ball":
-        ball = enumerate_ball(ctx, opt("radius", 2))
-        result = {"count": len(ball)}
-        if not opt("count_only"):
-            result["words"] = [format_word(w) for w in ball]
-        return {"result": result, "length": None}
-    raise DomainError(f"unknown command {command!r}")
+
+def _word_doc(w) -> dict:
+    return {"result": format_word(w), "length": len(w)}
+
+
+def _value_doc(result) -> dict:
+    return {"result": result, "length": None}
 
 
 def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-def _text_lines(command: str, doc: dict) -> list:
-    """Multi-line rendering for single-request output."""
-    result = doc["result"]
-    if command in ("nf", "power", "ci", "translate"):
-        lines = [result, f"length {doc['length']}"]
-        for step in doc.get("trace", ()):
-            lines.append(
-                f"{step['rule']}@{step['start']}: "
-                f"{step['matched']} -> {step['replacement']}"
-            )
-        return lines
-    if command in ("len", "tau"):
-        return [str(result)]
-    if command == "root":
-        return [result["root"], f"exponent {result['exponent']}"]
-    if command == "class-nf":
-        cert = doc["certificate"]
-        return [result,
-                f"conjugator {cert['conjugator']}",
-                f"exceptional {_yesno(cert['exceptional'])}"]
-    if command == "conj":
-        lines = [f"conjugate: {_yesno(result['conjugate'])}"]
-        if result["conjugate"]:
-            lines.append(f"conjugator {result['conjugator']}")
-        return lines
-    if command == "conj-power":
-        lines = [f"found: {_yesno(result['found'])}"]
-        if result["found"]:
-            lines += [f"m {result['m']}", f"n {result['n']}",
-                      f"conjugator {result['conjugator']}"]
-        return lines
-    if command == "rp":
-        return [f"C1 {result[0]}", f"C2 {result[1]}"]
-    if command == "check":
-        return [f"holds: {_yesno(result['holds'])}", f"t {result['t']}"]
-    if command in ("oracle-equal", "oracle-conj"):
-        label = "equal" if command == "oracle-equal" else "conjugate"
-        return [f"{label}: {_yesno(result)}"]
-    if command == "oracle-ball":
-        lines = [f"count {result['count']}"]
-        lines += result.get("words", ())
-        return lines
-    raise DomainError(f"unknown command {command!r}")
+def _nf(ctx, words, opt):
+    final, trace = normalize(ctx, *_parse(ctx, words), trace=opt("trace"))
+    doc = _word_doc(final)
+    if opt("trace"):
+        doc["trace"] = [
+            {
+                "rule": str(step.rule),
+                "start": step.start,
+                "matched": format_word(step.matched),
+                "replacement": format_word(step.replacement),
+            }
+            for step in trace.steps
+        ]
+    return doc
 
 
-def _text_line(command: str, doc: dict) -> str:
-    return "; ".join(_text_lines(command, doc))
+def _len(ctx, words, opt):
+    n = len(nf(ctx, *_parse(ctx, words)))
+    return {"result": n, "length": n}
+
+
+def _root(ctx, words, opt):
+    res = root(ctx, *_parse(ctx, words))
+    return {"result": {"root": format_word(res.root), "exponent": res.exponent},
+            "length": len(res.root)}
+
+
+def _class_nf(ctx, words, opt):
+    cert = class_nf(ctx, *_parse(ctx, words))
+    return {
+        "result": format_word(cert.class_nf),
+        "length": len(cert.class_nf),
+        "certificate": {
+            "class_nf": format_word(cert.class_nf),
+            "conjugator": format_word(cert.conjugator),
+            "exceptional": cert.exceptional,
+        },
+    }
+
+
+def _conj(ctx, words, opt):
+    z = are_conjugate(ctx, *_parse(ctx, words))
+    result = {"conjugate": z is not None}
+    if z is not None:
+        result["conjugator"] = format_word(z)
+    return _value_doc(result)
+
+
+def _conj_power(ctx, words, opt):
+    res = conj_power(ctx, *_parse(ctx, words))
+    result = {"found": res.found}
+    if res.found:
+        result.update(m=res.m, n=res.n, conjugator=format_word(res.conjugator))
+    return _value_doc(result)
+
+
+def _translate(ctx, words, opt):
+    pres = _descriptor(opt("presentation", "canonical"), ctx.genus)
+    return _word_doc(translate(pres, _parse_auto(words[0], pres.genus)))
+
+
+def _check(ctx, words, opt):
+    pres = _descriptor(opt("presentation", "canonical"), ctx.genus)
+    holds = check_coarse_formulae(pres, _parse_auto(words[0], pres.genus),
+                                  opt("k_max", 3))
+    return _value_doc({"holds": holds, "t": t_parameter(pres)})
+
+
+def _oracle_ball(ctx, words, opt):
+    ball = enumerate_ball(ctx, opt("radius", 2))
+    result = {"count": len(ball)}
+    if not opt("count_only"):
+        result["words"] = [format_word(w) for w in ball]
+    return _value_doc(result)
+
+
+def _word_lines(doc):
+    lines = [doc["result"], f"length {doc['length']}"]
+    for step in doc.get("trace", ()):
+        lines.append(
+            f"{step['rule']}@{step['start']}: "
+            f"{step['matched']} -> {step['replacement']}"
+        )
+    return lines
+
+
+def _value_lines(doc):
+    return [str(doc["result"])]
+
+
+def _class_nf_lines(doc):
+    cert = doc["certificate"]
+    return [doc["result"],
+            f"conjugator {cert['conjugator']}",
+            f"exceptional {_yesno(cert['exceptional'])}"]
+
+
+def _field_lines(doc):
+    """A line per result field: 'name: yes|no' for a flag, each item of a
+    list on its own line, 'name value' for anything else."""
+    lines = []
+    for name, value in doc["result"].items():
+        if isinstance(value, bool):
+            lines.append(f"{name}: {_yesno(value)}")
+        elif isinstance(value, list):
+            lines += value
+        else:
+            lines.append(f"{name} {value}")
+    return lines
+
+
+@dataclass(frozen=True)
+class _Command:
+    """One command.  execute(ctx, words, opt), with opt = options.get,
+    returns the document fields beyond command, genus and input; render
+    turns a document into the lines of single-request text output, which
+    a batch line joins with '; '.  flags holds a _flag(...) per option
+    beyond -g, --format, WORD and --file."""
+
+    arity: int
+    help: str
+    execute: Callable
+    render: Callable
+    flags: tuple = ()
+
+
+def _flag(*names, **kwargs):
+    return names, kwargs
+
+
+_PRESENTATION = _flag("--presentation", default="canonical",
+                      help="canonical | symmetric | file:PATH")
+
+# in parser order; the key oracle-<x> is the subcommand x of `oracle`
+_COMMANDS = {
+    "len": _Command(1, "word length of the element", _len, _value_lines),
+    "nf": _Command(1, "normal form", _nf, _word_lines, (
+        _flag("--trace", action="store_true", help="emit the rewrite steps"),)),
+    "power": _Command(
+        1, "normal form of x^k",
+        lambda ctx, words, opt: _word_doc(nf_power(ctx, *_parse(ctx, words), opt("k", 2))),
+        _word_lines, (_flag("-k", type=int, required=True, help="exponent (k >= 1)"),)),
+    "tau": _Command(
+        1, "translation number",
+        lambda ctx, words, opt: _value_doc(translation_number(ctx, *_parse(ctx, words))),
+        _value_lines),
+    "ci": _Command(
+        1, "cyclically irreducible core",
+        lambda ctx, words, opt: _word_doc(ci(ctx, *_parse(ctx, words))), _word_lines),
+    "root": _Command(
+        1, "primitive root and exponent", _root,
+        lambda doc: [doc["result"]["root"], f"exponent {doc['result']['exponent']}"]),
+    "class-nf": _Command(1, "conjugacy class normal form", _class_nf, _class_nf_lines),
+    "conj": _Command(2, "conjugacy decision", _conj, _field_lines),
+    "conj-power": _Command(2, "least m, n with x^m ~ y^n", _conj_power, _field_lines),
+    "rp": _Command(
+        2, "reducing pair of a product",
+        lambda ctx, words, opt: _value_doc(
+            [format_word(c) for c in reducing_pair(ctx, *_parse(ctx, words))]),
+        lambda doc: [f"C1 {doc['result'][0]}", f"C2 {doc['result'][1]}"]),
+    "translate": _Command(1, "translate a word into the symmetric alphabet", _translate,
+                          _word_lines, (_PRESENTATION,)),
+    "check": _Command(1, "verify the coarse power-length formulae", _check, _field_lines, (
+        _PRESENTATION, _flag("--kmax", dest="k_max", type=int, default=3))),
+    "oracle-equal": _Command(
+        2, "word-problem oracle",
+        lambda ctx, words, opt: _value_doc(dehn_equal(ctx, *_parse(ctx, words))),
+        lambda doc: [f"equal: {_yesno(doc['result'])}"]),
+    "oracle-conj": _Command(
+        2, "conjugacy oracle",
+        lambda ctx, words, opt: _value_doc(dehn_conjugate(ctx, *_parse(ctx, words))),
+        lambda doc: [f"conjugate: {_yesno(doc['result'])}"]),
+    "oracle-ball": _Command(0, "enumerate normal forms up to a radius", _oracle_ball,
+                            _field_lines, (
+        _flag("--radius", type=int, required=True),
+        _flag("--count-only", dest="count_only", action="store_true"))),
+}
 
 
 def _document(request: Request, doc: dict) -> dict:
@@ -237,16 +282,19 @@ def _document(request: Request, doc: dict) -> dict:
 
 def run(request: Request):
     """Execute one request; returns (exit_code, stdout_text, stderr_text)."""
+    command = _COMMANDS.get(request.command)
     try:
-        doc = _execute(request.command, request.genus, request.words,
-                       request.options)
+        ctx = _context(request.genus)
+        if command is None:
+            raise DomainError(f"unknown command {request.command!r}")
+        doc = command.execute(ctx, request.words, request.options.get)
     except WordParseError as exc:
         return 2, "", f"error: {exc}"
     except DomainError as exc:
         return 1, "", f"error: {exc}"
     if request.options.get("format") == "json":
         return 0, json.dumps(_document(request, doc), indent=2), ""
-    return 0, "\n".join(_text_lines(request.command, doc)), ""
+    return 0, "\n".join(command.render(doc)), ""
 
 
 def run_file(path, command: str, options: dict):
@@ -254,10 +302,12 @@ def run_file(path, command: str, options: dict):
 
     Lines are words (tab-separated pairs for two-word commands); blank
     lines and '#' comments are skipped.  Text mode emits one result
-    line per input line plus a summary; JSON mode emits an array.
+    line per input line plus a summary; JSON mode emits an array.  The
+    first line with the right number of words builds the one context
+    that every line of the file shares.
     """
     genus = options.get("genus", 2)
-    arity = _ARITY[command]
+    spec = _COMMANDS[command]
     try:
         with open(path, encoding="utf-8") as fh:
             raw = fh.read().splitlines()
@@ -265,6 +315,7 @@ def run_file(path, command: str, options: dict):
         return 1, "", f"error: {exc}"
     except UnicodeDecodeError:
         return 1, "", f"error: {path}: not valid UTF-8"
+    ctx = None
     docs = []
     lines = []
     ok = errors = 0
@@ -273,14 +324,13 @@ def run_file(path, command: str, options: dict):
         if not text or text.startswith("#"):
             continue
         parts = [p.strip() for p in text.split("\t") if p.strip()]
-        if len(parts) != arity:
-            errors += 1
-            msg = f"expected {arity} tab-separated word(s), got {len(parts)}"
-            docs.append({"line": lineno, "error": msg})
-            lines.append(f"line {lineno}: error: {msg}")
-            continue
         try:
-            doc = _execute(command, genus, parts, options)
+            if len(parts) != spec.arity:
+                raise DomainError(
+                    f"expected {spec.arity} tab-separated word(s), got {len(parts)}")
+            if ctx is None:
+                ctx = _context(genus)
+            doc = spec.execute(ctx, parts, options.get)
         except (WordParseError, DomainError) as exc:
             errors += 1
             docs.append({"line": lineno, "error": str(exc)})
@@ -289,25 +339,13 @@ def run_file(path, command: str, options: dict):
         ok += 1
         request = Request(command, genus, tuple(parts), options)
         docs.append({"line": lineno, **_document(request, doc)})
-        lines.append(_text_line(command, doc))
+        lines.append("; ".join(spec.render(doc)))
     code = 1 if errors else 0
     if options.get("format") == "json":
         return code, json.dumps(docs, indent=2), ""
     if ok or errors:
         lines.append(f"processed {ok + errors} ok {ok} errors {errors}")
     return code, "\n".join(lines), ""
-
-
-def _add_common(parser, arity, batch=True):
-    parser.add_argument("-g", "--genus", type=int, default=2,
-                        help="genus of the surface (default 2)")
-    parser.add_argument("--format", choices=("text", "json"), default="text")
-    if arity:
-        parser.add_argument("words", nargs="*", metavar="WORD",
-                            help=f"{arity} word(s), e.g. \"c1 c2 c3^-1\"")
-        if batch:
-            parser.add_argument("--file", metavar="PATH",
-                                help="batch file, one request per line")
 
 
 def _build_parser():
@@ -317,68 +355,46 @@ def _build_parser():
                     "symmetric presentation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    _add_common(sub.add_parser("len", help="word length of the element"), 1)
-    p = sub.add_parser("nf", help="normal form")
-    _add_common(p, 1)
-    p.add_argument("--trace", action="store_true",
-                   help="emit the rewrite steps")
-    p = sub.add_parser("power", help="normal form of x^k")
-    _add_common(p, 1)
-    p.add_argument("-k", type=int, required=True, help="exponent (k >= 1)")
-    _add_common(sub.add_parser("tau", help="translation number"), 1)
-    _add_common(sub.add_parser("ci", help="cyclically irreducible core"), 1)
-    _add_common(sub.add_parser("root", help="primitive root and exponent"), 1)
-    _add_common(sub.add_parser("class-nf",
-                               help="conjugacy class normal form"), 1)
-    _add_common(sub.add_parser("conj", help="conjugacy decision"), 2)
-    _add_common(sub.add_parser("conj-power",
-                               help="least m, n with x^m ~ y^n"), 2)
-    _add_common(sub.add_parser("rp", help="reducing pair of a product"), 2)
-    p = sub.add_parser("translate",
-                       help="translate a word into the symmetric alphabet")
-    _add_common(p, 1)
-    p.add_argument("--presentation", default="canonical",
-                   help="canonical | symmetric | file:PATH")
-    p = sub.add_parser("check", help="verify the coarse power-length formulae")
-    _add_common(p, 1)
-    p.add_argument("--presentation", default="canonical",
-                   help="canonical | symmetric | file:PATH")
-    p.add_argument("--kmax", dest="k_max", type=int, default=3)
-
-    oracle = sub.add_parser("oracle", help="independent Dehn-algorithm checks")
-    osub = oracle.add_subparsers(dest="oracle_command", required=True)
-    _add_common(osub.add_parser("equal", help="word-problem oracle"), 2)
-    _add_common(osub.add_parser("conj", help="conjugacy oracle"), 2)
-    p = osub.add_parser("ball", help="enumerate normal forms up to a radius")
-    _add_common(p, 0)
-    p.add_argument("--radius", type=int, required=True)
-    p.add_argument("--count-only", dest="count_only", action="store_true")
+    oracle = None
+    for key, spec in _COMMANDS.items():
+        group, name = sub, key
+        if key.startswith("oracle-"):
+            if oracle is None:
+                oracle = sub.add_parser(
+                    "oracle", help="independent Dehn-algorithm checks"
+                ).add_subparsers(dest="oracle_command", required=True)
+            group, name = oracle, key[len("oracle-"):]
+        p = group.add_parser(name, help=spec.help)
+        p.set_defaults(key=key)
+        p.add_argument("-g", "--genus", type=int, default=2,
+                       help="genus of the surface (default 2)")
+        p.add_argument("--format", choices=("text", "json"), default="text")
+        if spec.arity:
+            p.add_argument("words", nargs="*", metavar="WORD",
+                           help=f"{spec.arity} word(s), e.g. \"c1 c2 c3^-1\"")
+            p.add_argument("--file", metavar="PATH",
+                           help="batch file, one request per line")
+        for names, kwargs in spec.flags:
+            p.add_argument(*names, **kwargs)
     return parser
-
-
-_OPTION_KEYS = ("format", "trace", "k", "k_max", "radius", "count_only",
-                "presentation", "genus")
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        command = args.command
-        if command == "oracle":
-            command = f"oracle-{args.oracle_command}"
-        words = tuple(getattr(args, "words", ()) or ())
-        batch = getattr(args, "file", None)
-        if not batch and len(words) != _ARITY[command]:
-            parser.error(f"{command} expects {_ARITY[command]} word argument(s)")
+        options = vars(parser.parse_args(argv))
+        command = options.pop("key")
+        words = tuple(options.pop("words", None) or ())
+        batch = options.pop("file", None)
+        arity = _COMMANDS[command].arity
+        if not batch and len(words) != arity:
+            parser.error(f"{command} expects {arity} word argument(s)")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    options = {k: getattr(args, k) for k in _OPTION_KEYS if hasattr(args, k)}
     if batch:
         code, out, err = run_file(batch, command, options)
     else:
-        code, out, err = run(Request(command, args.genus, words, options))
+        code, out, err = run(Request(command, options["genus"], words, options))
     if out:
         print(out)
     if err:

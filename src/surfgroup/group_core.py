@@ -50,19 +50,9 @@ class DomainError(ValueError):
     e.g. the conjugacy class of the trivial element."""
 
 
-def inverse(letter: int) -> int:
-    """Inverse of a single letter."""
-    return -letter
-
-
 def invert_word(w: Word) -> Word:
     """Group inverse of a word: reverse it and invert every letter."""
     return tuple(-x for x in reversed(w))
-
-
-def reverse_word(w: Word) -> Word:
-    """The word read backwards (no letter inversion)."""
-    return tuple(reversed(w))
 
 
 def free_reduce(w: Word) -> Word:
@@ -210,21 +200,6 @@ class GroupContext:
             length += 1
         return length, amb
 
-    def chain_backward(self, w, p: int, cap: int) -> tuple:
-        """(length, ambient) of the longest successor chain in w ending at p."""
-        if p <= 0:
-            return 1, None
-        amb = self.pair_ambient(w[p - 1], w[p])
-        if amb is None:
-            return 1, None
-        pred = self._pred[amb]
-        length = 2
-        q = p - 1
-        while length < cap and q - 1 >= 0 and pred[w[q]] == w[q - 1]:
-            q -= 1
-            length += 1
-        return length, amb
-
 
 def compare_words(ctx: GroupContext, u: Word, v: Word) -> int:
     """-1, 0 or 1 as u is below, equal to, or above v (length, then letters)."""
@@ -252,46 +227,6 @@ def abelianize(ctx: GroupContext, w: Word) -> tuple:
     for x in w:
         v[abs(x) - 1] += 1 if x > 0 else -1
     return tuple(v)
-
-
-def is_fractional_relator(ctx: GroupContext, w: Word) -> bool:
-    """True when w is a subword of a relator-table entry (length 2..4g)."""
-    ctx.check_word(w)
-    if not 2 <= len(w) <= ctx.alphabet_size:
-        raise ValueError(f"fractional relators have length 2..{ctx.alphabet_size}, got {len(w)}")
-    amb = ctx.pair_ambient(w[0], w[1])
-    if amb is None:
-        return False
-    succ = ctx._succ[amb]
-    return all(succ[w[i]] == w[i + 1] for i in range(1, len(w) - 1))
-
-
-def llfr_at(ctx: GroupContext, w: Word, j: int):
-    """Locally longest fractional relator through the junction (w[j], w[j+1]).
-
-    Returns (start, length) with 0-based start, or None when the pair at
-    the junction is not fractional.  The window is capped at 4g letters;
-    when the successor chain through j is longer than 4g the window is
-    pushed as far left as possible first.
-    """
-    ctx.check_word(w)
-    if not 0 <= j < len(w) - 1:
-        raise ValueError(f"junction {j} out of range for a word of length {len(w)}")
-    amb = ctx.pair_ambient(w[j], w[j + 1])
-    if amb is None:
-        return None
-    succ = ctx._succ[amb]
-    cap = ctx.alphabet_size
-    left = j
-    size = 2
-    while left > 0 and size < cap and succ[w[left - 1]] == w[left]:
-        left -= 1
-        size += 1
-    right = j + 1
-    while right + 1 < len(w) and size < cap and succ[w[right]] == w[right + 1]:
-        right += 1
-        size += 1
-    return (left, right - left + 1)
 
 
 _TOKEN_RE = re.compile(r"^([a-zA-Z])(\d+)(\^-1)?$")

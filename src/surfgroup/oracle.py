@@ -8,8 +8,9 @@ presentation; the same replacement rule is valid for the symmetric
 presentation because its pieces (common fragments of two distinct
 relator rotations) all have length 1, a small-cancellation condition
 far stronger than the C'(1/6) needed for Greendlinger's lemma.  The
-oracle shares only the relator table with the rewriting engine, so
-agreement between the two is meaningful evidence.
+oracle shares only the relator table with the rewriting engine, and
+imports nothing from the rewriting, power or conjugacy modules (a test
+checks this), so agreement between them is meaningful evidence.
 
 dehn_reduce applies one rule, leftmost-maximal: at the leftmost
 position where a successor chain of 2g+1 or more letters starts, take
@@ -29,9 +30,6 @@ replacement changes only their two ends and moves a bounded number of
 letters between them.  Whether every rotation of the result is reduced
 as well is decided by the chains that start in its last 2g letters and
 run across its end; no other chain of a rotation can be long.
-
-enumerate_ball generates every normal form up to a given length by
-breadth-first letter extension, for exhaustive small-radius checks.
 """
 
 from __future__ import annotations
@@ -40,7 +38,6 @@ from dataclasses import dataclass
 from operator import neg
 
 from .group_core import (
-    DomainError,
     GroupContext,
     Word,
     abelianize,
@@ -48,7 +45,6 @@ from .group_core import (
     free_reduce,
     invert_word,
 )
-from .rewrite import _append_step
 
 # letters moved at a time from the unread rest into the scanned list; a
 # replacement moves back at most this many plus 4g
@@ -191,30 +187,3 @@ def dehn_conjugate(ctx: GroupContext, u: Word, v: Word) -> bool:
                 if dehn_equal(ctx, (a,) + ui + (-a,), vj):
                     return True
     return False
-
-
-def enumerate_ball(ctx: GroupContext, radius: int, cap: int = 10**6) -> list:
-    """All normal forms of length <= radius, breadth-first.
-
-    Each normal form of length L+1 extends exactly one of length L by
-    one letter (the plain-push case of the append operation), so the
-    frontier extension is duplicate-free.  Raises DomainError once the
-    element count would exceed cap.
-    """
-    if radius < 0:
-        raise DomainError("ball radius must be nonnegative")
-    out = [()]
-    frontier = [()]
-    for _ in range(radius):
-        nxt = []
-        for w in frontier:
-            acc = list(w)
-            for a in ctx.letters:
-                case, _rule, _pop, _tail = _append_step(ctx, acc, a)
-                if case == 5:
-                    if len(out) + len(nxt) >= cap:
-                        raise DomainError("ball enumeration exceeded the element cap")
-                    nxt.append(w + (a,))
-        out.extend(nxt)
-        frontier = nxt
-    return out

@@ -30,14 +30,7 @@ from .group_core import (
 from .powers import translation_number
 from .rewrite import nf
 
-_CTX_CACHE: dict = {}
 _SYM_CACHE: dict = {}
-
-
-def _ctx(genus: int) -> GroupContext:
-    if genus not in _CTX_CACHE:
-        _CTX_CACHE[genus] = GroupContext(genus)
-    return _CTX_CACHE[genus]
 
 
 @dataclass(frozen=True)
@@ -63,13 +56,6 @@ class PresentationDescriptor:
         object.__setattr__(
             self, "theta", {x: i for i, x in enumerate(self.cyclic_order, start=1)}
         )
-
-
-@dataclass
-class TranslationState:
-    """Running rotation offset while reading a word left to right."""
-
-    rotation: int = 0
 
 
 def symmetric_descriptor(genus: int) -> PresentationDescriptor:
@@ -128,12 +114,12 @@ def translate(p: PresentationDescriptor, w: Word) -> Word:
     sym = symmetric_descriptor(p.genus)
     n4 = 4 * p.genus
     g2 = 2 * p.genus
-    state = TranslationState()
+    rotation = 0
     out = []
     for x in w:
-        idx = _mod1(_position(p, x) + state.rotation, n4)
+        idx = _mod1(_position(p, x) + rotation, n4)
         out.append(sym.cyclic_order[idx - 1])
-        state.rotation = (state.rotation + o_value(p, x) + g2) % n4
+        rotation = (rotation + o_value(p, x) + g2) % n4
     return tuple(out)
 
 
@@ -142,19 +128,19 @@ def untranslate(p: PresentationDescriptor, w: Word) -> Word:
     sym = symmetric_descriptor(p.genus)
     n4 = 4 * p.genus
     g2 = 2 * p.genus
-    state = TranslationState()
+    rotation = 0
     out = []
     for s in w:
-        idx = _mod1(_position(sym, s) - state.rotation, n4)
+        idx = _mod1(_position(sym, s) - rotation, n4)
         x = p.cyclic_order[idx - 1]
         out.append(x)
-        state.rotation = (state.rotation + o_value(p, x) + g2) % n4
+        rotation = (rotation + o_value(p, x) + g2) % n4
     return tuple(out)
 
 
 def length_in(p: PresentationDescriptor, w: Word) -> int:
     """Word length of the element of w over p's generating set."""
-    return len(nf(_ctx(p.genus), translate(p, w)))
+    return len(nf(GroupContext(p.genus), translate(p, w)))
 
 
 def t_parameter(p: PresentationDescriptor) -> int:
@@ -171,7 +157,7 @@ def check_coarse_formulae(p: PresentationDescriptor, x: Word, k_max: int) -> boo
     with slope |x^{2t}| - |x^t|, and that slope must equal t times the
     translation number (checked in the symmetric engine as well).
     """
-    ctx = _ctx(p.genus)
+    ctx = GroupContext(p.genus)
     if not nf(ctx, translate(p, x)):
         raise DomainError("coarse formulae need a nontrivial element")
     t = t_parameter(p)

@@ -1,11 +1,32 @@
-"""Shared word generators for the test suite."""
+"""Shared word generators for the test suite, the quadratic references
+the linear library code is held against, and the tools that only the
+tests use: word and chain utilities, other reduction orders, the power
+length formula by plain concatenation, and the three special shapes."""
+
+from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
-from surfgroup.group_core import cyclic_rotations, free_reduce, invert_word, word_sort_key
+from surfgroup.group_core import (
+    DomainError,
+    GroupContext,
+    Word,
+    cyclic_rotations,
+    free_reduce,
+    invert_word,
+    word_sort_key,
+)
 from surfgroup.oracle import DehnForm, _find_long_run
-from surfgroup.powers import SpecialTypeTag, build_special, build_type_a
-from surfgroup.rewrite import ReductionStep, RuleId, is_irreducible, nf
+from surfgroup.rewrite import (
+    ReductionStep,
+    ReductionTrace,
+    RuleId,
+    apply_step,
+    find_reducible,
+    is_irreducible,
+    nf,
+)
 
 
 def random_freely_reduced(ctx, length, rng):
@@ -298,3 +319,268 @@ def dehn_reduce_cyclic_reference(ctx, w):
                 cur = dehn_reduce_reference(ctx, cur[hit[0]:] + cur[:hit[0]]).word
                 continue
         return cur
+
+
+# --- words and successor chains
+
+def reverse_word(w: Word) -> Word:
+    """The word read backwards (no letter inversion)."""
+    return tuple(reversed(w))
+
+
+def chain_backward(ctx, w, p: int, cap: int) -> tuple:
+    """(length, ambient) of the longest successor chain in w ending at p."""
+    if p <= 0:
+        return 1, None
+    amb = ctx.pair_ambient(w[p - 1], w[p])
+    if amb is None:
+        return 1, None
+    pred = ctx._pred[amb]
+    length = 2
+    q = p - 1
+    while length < cap and q - 1 >= 0 and pred[w[q]] == w[q - 1]:
+        q -= 1
+        length += 1
+    return length, amb
+
+
+def is_fractional_relator(ctx: GroupContext, w: Word) -> bool:
+    """True when w is a subword of a relator-table entry (length 2..4g)."""
+    ctx.check_word(w)
+    if not 2 <= len(w) <= ctx.alphabet_size:
+        raise ValueError(f"fractional relators have length 2..{ctx.alphabet_size}, got {len(w)}")
+    amb = ctx.pair_ambient(w[0], w[1])
+    if amb is None:
+        return False
+    succ = ctx._succ[amb]
+    return all(succ[w[i]] == w[i + 1] for i in range(1, len(w) - 1))
+
+
+def llfr_at(ctx: GroupContext, w: Word, j: int):
+    """Locally longest fractional relator through the junction (w[j], w[j+1]).
+
+    Returns (start, length) with 0-based start, or None when the pair at
+    the junction is not fractional.  The window is capped at 4g letters;
+    when the successor chain through j is longer than 4g the window is
+    pushed as far left as possible first.
+    """
+    ctx.check_word(w)
+    if not 0 <= j < len(w) - 1:
+        raise ValueError(f"junction {j} out of range for a word of length {len(w)}")
+    amb = ctx.pair_ambient(w[j], w[j + 1])
+    if amb is None:
+        return None
+    succ = ctx._succ[amb]
+    cap = ctx.alphabet_size
+    left = j
+    size = 2
+    while left > 0 and size < cap and succ[w[left - 1]] == w[left]:
+        left -= 1
+        size += 1
+    right = j + 1
+    while right + 1 < len(w) and size < cap and succ[w[right]] == w[right + 1]:
+        right += 1
+        size += 1
+    return (left, right - left + 1)
+
+
+# --- reduction orders other than normalize's
+
+def find_all_steps(ctx: GroupContext, w: Word) -> list:
+    """Maximal reducing operation at every position where one fires.
+
+    Used by the confluence tests to drive randomized reduction orders.
+    """
+    steps = []
+    pos = 0
+    rest = w
+    # reuse find_reducible on suffixes; positions shift accordingly
+    while True:
+        s = find_reducible(ctx, rest)
+        if s is None:
+            return steps
+        steps.append(
+            ReductionStep(s.rule, s.start + pos, s.matched, s.replacement)
+        )
+        pos += s.start + 1
+        rest = rest[s.start + 1:]
+
+
+def normalize_leftmost(ctx: GroupContext, w: Word):
+    """Reduce by repeatedly applying the leftmost maximal operation.
+
+    Slower than `normalize` but follows the scan-and-replace strategy
+    directly; the two must agree on every input.
+    """
+    steps = []
+    cur = w
+    while True:
+        s = find_reducible(ctx, cur)
+        if s is None:
+            return cur, ReductionTrace(w, tuple(steps), cur)
+        steps.append(s)
+        cur = apply_step(cur, s)
+
+
+def normalize_random(ctx: GroupContext, w: Word, rng) -> Word:
+    """Reduce by applying admissible operations in a random order."""
+    cur = w
+    while True:
+        steps = find_all_steps(ctx, cur)
+        if not steps:
+            return cur
+        cur = apply_step(cur, rng.choice(steps))
+
+
+# --- the power length formula, by plain concatenation
+
+def check_length_formula(ctx: GroupContext, x: Word, k_max: int) -> bool:
+    """Check |x^k| = (k-1)(|x^2| - |x|) + |x| for 1 <= k <= k_max.
+
+    Every power is normalized from the plain concatenation, independent
+    of the splice decomposition.
+    """
+    if k_max < 1:
+        return True
+    lengths = [len(nf(ctx, x * k)) for k in range(1, k_max + 1)]
+    l1 = lengths[0]
+    step = (lengths[1] - l1) if k_max >= 2 else 0
+    return all(
+        lengths[k - 1] == (k - 1) * step + l1 for k in range(1, k_max + 1)
+    )
+
+
+# --- the three special shapes
+
+@dataclass(frozen=True)
+class SpecialTypeTag:
+    """Match result of the three special shapes.
+
+    tag is None, "TypeA", "TypeB" or "TypeC".  entry indexes the relator
+    table; r, t1, t2 are the type-A parameters, t the repeat count of
+    types B and C, and inner holds the type-A witness of the middle part
+    for types B and C.  build_special reproduces the word exactly.
+    """
+
+    tag: str | None
+    entry: int | None = None
+    r: int | None = None
+    t: int | None = None
+    t1: int | None = None
+    t2: int | None = None
+    inner: "SpecialTypeTag | None" = None
+
+
+def build_type_a(ctx: GroupContext, entry: int, r: int, t1: int, t2: int) -> Word:
+    """b_{r+1}..b_2g (b_2..b_2g)^t1 b_2..b_{2g-1} (b_1..b_{2g-1})^t2 b_1..b_r."""
+    g2 = ctx.n_gens
+    if not 1 <= r <= g2 - 1 or t1 < 0 or t2 < 0:
+        raise ValueError("type A parameters out of range")
+    E = ctx.relator_table[entry]
+    if not ctx.greater(E[0], E[g2 - 1]):
+        raise ValueError("type A requires b_1 above b_2g in this entry")
+    return E[r:g2] + E[1:g2] * t1 + E[1:g2 - 1] + E[:g2 - 1] * t2 + E[:r]
+
+
+def build_special(ctx: GroupContext, tag: SpecialTypeTag) -> Word:
+    """Reconstruct the word a SpecialTypeTag describes."""
+    g2 = ctx.n_gens
+    n4 = ctx.alphabet_size
+    if tag.tag == "TypeA":
+        return build_type_a(ctx, tag.entry, tag.r, tag.t1, tag.t2)
+    if tag.tag == "TypeB":
+        E = ctx.relator_table[tag.entry]
+        mid = build_special(ctx, tag.inner)[1:]
+        return (E[0],) + E[1:g2] * tag.t + mid + E[g2 + 1:n4] * tag.t
+    if tag.tag == "TypeC":
+        E = ctx.relator_table[tag.entry]
+        mid = build_special(ctx, tag.inner)[:-1]
+        return E[1:g2] * tag.t + mid + E[g2 + 1:n4] * tag.t + (E[0],)
+    raise ValueError("tag does not describe a special word")
+
+
+def _match_type_a(ctx: GroupContext, x: Word):
+    g2 = ctx.n_gens
+    blk = g2 - 1
+    base = 2 * g2 - 2
+    n = len(x)
+    if n < base or (n - base) % blk:
+        return None
+    tsum = (n - base) // blk
+    for eidx, E in enumerate(ctx.relator_table):
+        if not ctx.greater(E[0], E[g2 - 1]):
+            continue
+        for r in range(1, g2):
+            if x[0] != E[r]:
+                continue
+            for t1 in range(tsum + 1):
+                t2 = tsum - t1
+                if x == E[r:g2] + E[1:g2] * t1 + E[1:g2 - 1] + E[:g2 - 1] * t2 + E[:r]:
+                    return SpecialTypeTag("TypeA", entry=eidx, r=r, t1=t1, t2=t2)
+    return None
+
+
+def _match_type_b(ctx: GroupContext, x: Word):
+    g2 = ctx.n_gens
+    n4 = ctx.alphabet_size
+    blk = g2 - 1
+    n = len(x)
+    for eidx, E in enumerate(ctx.relator_table):
+        if ctx.greater(E[0], E[g2 - 1]) or not x or x[0] != E[0]:
+            continue
+        t = 1
+        while 1 + 2 * t * blk < n:
+            head = 1 + t * blk
+            if x[:head] != (E[0],) + E[1:g2] * t:
+                break
+            if x[n - t * blk:] == E[g2 + 1:n4] * t:
+                mid = x[head:n - t * blk]
+                if mid and mid[0] != E[n4 - 1] and mid[-1] != E[1]:
+                    inner = _match_type_a(ctx, (E[0],) + mid)
+                    if inner is not None:
+                        return SpecialTypeTag("TypeB", entry=eidx, t=t, inner=inner)
+            t += 1
+    return None
+
+
+def _match_type_c(ctx: GroupContext, x: Word):
+    g2 = ctx.n_gens
+    n4 = ctx.alphabet_size
+    blk = g2 - 1
+    n = len(x)
+    for eidx, E in enumerate(ctx.relator_table):
+        # b_{2g+1} below b_1
+        if not ctx.greater(E[0], E[g2]) or not x or x[-1] != E[0]:
+            continue
+        t = 1
+        while 1 + 2 * t * blk < n:
+            if x[:t * blk] != E[1:g2] * t:
+                break
+            if x[n - t * blk - 1:] == E[g2 + 1:n4] * t + (E[0],):
+                mid = x[t * blk:n - t * blk - 1]
+                if mid and mid[0] != E[n4 - 1] and mid[-1] != E[1]:
+                    inner = _match_type_a(ctx, mid + (E[0],))
+                    if inner is not None:
+                        return SpecialTypeTag("TypeC", entry=eidx, t=t, inner=inner)
+            t += 1
+    return None
+
+
+def classify_special(ctx: GroupContext, x: Word) -> SpecialTypeTag:
+    """Match x against the three special shapes.
+
+    Requires x irreducible and cyclically freely reduced; returns the
+    tag with witness parameters, or a tag of None when x has none of the
+    shapes (and then some rotation of x normalizes to a cyclically
+    irreducible word).
+    """
+    ctx.check_word(x)
+    if x and x[0] == -x[-1]:
+        raise DomainError("classify_special requires a cyclically freely reduced word")
+    if not is_irreducible(ctx, x):
+        raise DomainError("classify_special requires an irreducible word")
+    for matcher in (_match_type_a, _match_type_b, _match_type_c):
+        tag = matcher(ctx, x)
+        if tag is not None:
+            return tag
+    return SpecialTypeTag(None)

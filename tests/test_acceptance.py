@@ -26,8 +26,8 @@ from surfgroup.group_core import (
     invert_word,
     word_sort_key,
 )
-from surfgroup.oracle import dehn_conjugate, dehn_equal, dehn_reduce, enumerate_ball
-from surfgroup.powers import check_length_formula, ci, nf_power, power_decompose
+from surfgroup.oracle import dehn_conjugate, dehn_equal, dehn_reduce
+from surfgroup.powers import ci, nf_power, power_decompose
 from surfgroup.presentations import (
     canonical_descriptor,
     canonical_relator,
@@ -38,10 +38,11 @@ from surfgroup.presentations import (
     translate,
 )
 from surfgroup.powers import translation_number
-from surfgroup.rewrite import d_basis_normalize, is_irreducible, nf
+from surfgroup.rewrite import d_basis_normalize, enumerate_ball, is_irreducible, nf
 
 from helpers import (
     all_words,
+    check_length_formula,
     expected_core_of_fragment,
     random_freely_reduced,
     random_nontrivial,

@@ -5,6 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import chain_backward, is_fractional_relator, llfr_at, reverse_word
 from surfgroup.group_core import (
     GroupContext,
     WordParseError,
@@ -16,10 +17,7 @@ from surfgroup.group_core import (
     free_reduce,
     format_word,
     invert_word,
-    is_fractional_relator,
-    llfr_at,
     parse_word,
-    reverse_word,
     word_sort_key,
 )
 
@@ -126,9 +124,9 @@ def test_chain_forward_backward(ctx2):
     assert length == n4
     assert ctx2.entry_at(E[0], amb) == E
     assert ctx2.chain_forward(E, 0, 3) == (3, amb)
-    assert ctx2.chain_backward(E, n4 - 1, n4) == (n4, amb)
+    assert chain_backward(ctx2, E, n4 - 1, n4) == (n4, amb)
     assert ctx2.chain_forward((1, 1), 0, n4) == (1, None)
-    assert ctx2.chain_backward((1, 1), 1, n4) == (1, None)
+    assert chain_backward(ctx2, (1, 1), 1, n4) == (1, None)
 
 
 def test_fractional_relator_and_window(ctx2):

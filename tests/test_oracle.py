@@ -1,6 +1,8 @@
 """Dehn-algorithm oracles and the exhaustive ball enumerator."""
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
@@ -21,9 +23,8 @@ from surfgroup.oracle import (
     dehn_equal,
     dehn_reduce,
     dehn_reduce_cyclic,
-    enumerate_ball,
 )
-from surfgroup.rewrite import is_irreducible, nf
+from surfgroup.rewrite import enumerate_ball, is_irreducible, nf
 
 
 def has_long_run(ctx, w):
@@ -174,3 +175,19 @@ def test_ball_domain_errors(ctx2):
         enumerate_ball(ctx2, -1)
     with pytest.raises(DomainError):
         enumerate_ball(ctx2, 3, cap=100)
+
+
+def test_the_oracle_imports_nothing_from_the_engines():
+    """Agreement with the oracle is evidence only while it shares no code
+    with the rewriting engine or the power and conjugacy layers."""
+    engines = {"rewrite", "powers", "conjugacy"}
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            imported += [base] + [f"{base}.{a.name}" for a in node.names]
+    assert imported
+    assert [m for m in imported if engines & set(m.split("."))] == []

@@ -4,13 +4,18 @@ import random
 
 import pytest
 
-from helpers import expected_core_of_fragment, random_nontrivial, special_instances
-from surfgroup.group_core import DomainError, cyclic_rotations, invert_word
-from surfgroup.powers import (
+from helpers import (
+    build_special,
     build_type_a,
     check_length_formula,
-    ci,
     classify_special,
+    expected_core_of_fragment,
+    random_nontrivial,
+    special_instances,
+)
+from surfgroup.group_core import DomainError, cyclic_rotations, invert_word
+from surfgroup.powers import (
+    ci,
     nf_power,
     power_decompose,
     translation_number,
@@ -114,8 +119,6 @@ def test_special_builders_round_trip(ctx2):
     instances = special_instances(ctx2)
     seen = {tag.tag for tag, _ in instances}
     assert seen == {"TypeA", "TypeB", "TypeC"}
-    from surfgroup.powers import build_special
-
     for tag, x in instances:
         assert is_irreducible(ctx2, x)
         assert x[0] != -x[-1]

@@ -8,7 +8,10 @@ from hypothesis import given, settings, strategies as st
 from helpers import (
     all_freely_reduced,
     all_words,
+    find_all_steps,
     find_reducible_reference,
+    normalize_leftmost,
+    normalize_random,
     random_freely_reduced,
     random_relator_heavy,
     special_instances,
@@ -21,14 +24,11 @@ from surfgroup.rewrite import (
     append_letter_nf,
     apply_step,
     d_basis_normalize,
-    find_all_steps,
     find_reducible,
     is_cyclically_irreducible,
     is_irreducible,
     nf,
     normalize,
-    normalize_leftmost,
-    normalize_random,
     prepend_letter_nf,
 )
 
@@ -137,6 +137,26 @@ def test_prepend_letter_nf(ctx2):
         assert out == nf(ctx2, (a,) + x)
         assert case in (1, 2, 3, 4, 5)
         assert (case == 5) == (out == (a,) + x)
+    # every letter before words that open with a long successor chain or
+    # a repeated block, which random words seldom do: cases 2-4, and
+    # chains that change ambient after the first letter
+    for genus in (2, 3, 5):
+        ctx = GroupContext(genus)
+        g2 = ctx.n_gens
+        seen = set()
+        for _ in range(80):
+            E = rng.choice(ctx.relator_table)
+            head = rng.choice((
+                E[:rng.randrange(1, g2 + 1)],
+                E[1:g2] * rng.randrange(1, 4) + E[g2:g2 + rng.randrange(2)],
+            ))
+            x = nf(ctx, head + random_relator_heavy(ctx, rng.randrange(0, 20), rng))
+            for a in ctx.letters:
+                out, case = prepend_letter_nf(ctx, a, x)
+                assert out == nf(ctx, (a,) + x), (genus, a, x)
+                assert (case == 5) == (out == (a,) + x)
+                seen.add(case)
+        assert seen == {1, 2, 3, 4, 5}
 
 
 def test_append_prepend_require_irreducible(ctx2):
