@@ -282,19 +282,19 @@ def _document(request: Request, doc: dict) -> dict:
 
 def run(request: Request):
     """Execute one request; returns (exit_code, stdout_text, stderr_text)."""
-    command = _COMMANDS.get(request.command)
+    spec = _COMMANDS.get(request.command)
     try:
         ctx = _context(request.genus)
-        if command is None:
+        if spec is None:
             raise DomainError(f"unknown command {request.command!r}")
-        doc = command.execute(ctx, request.words, request.options.get)
+        doc = spec.execute(ctx, request.words, request.options.get)
     except WordParseError as exc:
         return 2, "", f"error: {exc}"
     except DomainError as exc:
         return 1, "", f"error: {exc}"
     if request.options.get("format") == "json":
         return 0, json.dumps(_document(request, doc), indent=2), ""
-    return 0, "\n".join(command.render(doc)), ""
+    return 0, "\n".join(spec.render(doc)), ""
 
 
 def run_file(path, command: str, options: dict):
