@@ -10,6 +10,7 @@ there are no matrices and no floating point anywhere.
 from .group_core import (
     DomainError,
     GroupContext,
+    VerificationError,
     Word,
     WordParseError,
     abelianize,
@@ -71,6 +72,7 @@ __version__ = "0.1.0"
 __all__ = [
     "DomainError",
     "GroupContext",
+    "VerificationError",
     "Word",
     "WordParseError",
     "abelianize",

@@ -11,8 +11,8 @@ with the stable fields {command, genus, input, result, length, trace?,
 certificate?}.
 
 Exit codes: 0 success, 1 domain error (trivial element where one is
-forbidden, genus out of range, ...), 2 parse error (bad flags or bad
-word syntax).
+forbidden, genus out of range, power too long, ...), 2 parse error (bad
+flags or bad word syntax), 3 failed internal verification.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .group_core import (
     MAX_GENUS,
     DomainError,
     GroupContext,
+    VerificationError,
     WordParseError,
     format_word,
     parse_word,
@@ -280,6 +281,11 @@ def _document(request: Request, doc: dict) -> dict:
     }
 
 
+def _verification_message(exc, words) -> str:
+    inputs = ", ".join(repr(w) for w in words)
+    return f"verification failed for {inputs}: {exc}"
+
+
 def run(request: Request):
     """Execute one request; returns (exit_code, stdout_text, stderr_text)."""
     spec = _COMMANDS.get(request.command)
@@ -292,6 +298,8 @@ def run(request: Request):
         return 2, "", f"error: {exc}"
     except DomainError as exc:
         return 1, "", f"error: {exc}"
+    except VerificationError as exc:
+        return 3, "", f"error: {_verification_message(exc, request.words)}"
     if request.options.get("format") == "json":
         return 0, json.dumps(_document(request, doc), indent=2), ""
     return 0, "\n".join(spec.render(doc)), ""
@@ -304,7 +312,8 @@ def run_file(path, command: str, options: dict):
     lines and '#' comments are skipped.  Text mode emits one result
     line per input line plus a summary; JSON mode emits an array.  The
     first line with the right number of words builds the one context
-    that every line of the file shares.
+    that every line of the file shares.  The exit code is 3 if a line
+    failed verification, else 1 if any line failed, else 0.
     """
     genus = options.get("genus", 2)
     spec = _COMMANDS[command]
@@ -318,7 +327,7 @@ def run_file(path, command: str, options: dict):
     ctx = None
     docs = []
     lines = []
-    ok = errors = 0
+    ok = errors = code = 0
     for lineno, line in enumerate(raw, start=1):
         text = line.strip()
         if not text or text.startswith("#"):
@@ -331,16 +340,18 @@ def run_file(path, command: str, options: dict):
             if ctx is None:
                 ctx = _context(genus)
             doc = spec.execute(ctx, parts, options.get)
-        except (WordParseError, DomainError) as exc:
+        except (WordParseError, DomainError, VerificationError) as exc:
+            unverified = isinstance(exc, VerificationError)
+            message = _verification_message(exc, parts) if unverified else str(exc)
+            code = 3 if unverified else max(code, 1)
             errors += 1
-            docs.append({"line": lineno, "error": str(exc)})
-            lines.append(f"line {lineno}: error: {exc}")
+            docs.append({"line": lineno, "error": message})
+            lines.append(f"line {lineno}: error: {message}")
             continue
         ok += 1
         request = Request(command, genus, tuple(parts), options)
         docs.append({"line": lineno, **_document(request, doc)})
         lines.append("; ".join(spec.render(doc)))
-    code = 1 if errors else 0
     if options.get("format") == "json":
         return code, json.dumps(docs, indent=2), ""
     if ok or errors:

@@ -1,15 +1,17 @@
 """Conjugacy decisions with conjugator certificates.
 
 The class normal form of x is the least word among all words conjugate
-to x.  It is computed from the cyclically irreducible core W of x: the
-candidates are the rotations of W and, when W has the exceptional shape
-(b_{i+1}..b_{2g-1}b_1..b_i)^t for a relator-table entry, also the
-reversed rotations.  No candidate is built: the least rotation is found
-by Duval's Lyndon factorisation over the rank-mapped core, once for W
-and once for W reversed, and only the winner is materialised, so a
-class normal form costs O(|x|).  Every certificate returned from this
-module has been re-verified by normalization (normalize(z.x.z^-1)
-equals the class word), so an index or orientation slip cannot escape.
+to x.  It is computed from the cyclically irreducible core W of x: it is
+the least rotation of W or, when W has the exceptional shape
+(b_{i+1}..b_{2g-1}b_1..b_i)^t for a relator-table entry, the least
+rotation of W or of W reversed.  No rotation but the winner is built:
+the least rotation is found by Duval's Lyndon factorisation over the
+rank-mapped core, once for W and once for W reversed, so a class normal
+form costs O(|x|).  The conjugator is given by a formula, one per
+family.  Every certificate returned from this module has been
+re-verified by normalization (normalize(z.x.z^-1) equals the class
+word), and a failed check raises VerificationError, so an index or
+orientation slip cannot escape.
 
 Roots are found from the least period of W (a prefix-function scan),
 and the conjugate-power decision reduces to conjugacy of primitive
@@ -24,6 +26,7 @@ from dataclasses import dataclass
 from .group_core import (
     DomainError,
     GroupContext,
+    VerificationError,
     Word,
     abelianize,
     common_prefix_len,
@@ -132,8 +135,8 @@ def _exceptional_matches(ctx: GroupContext, w: Word) -> list:
     """All (entry, i, t) with w = (b_{i+1}..b_{2g-1}b_1..b_i)^t, 1 <= i <= 2g-1.
 
     The first two letters of the block narrow the (entry, i) pairs to
-    one index lookup, and each candidate is confirmed by comparing the
-    whole block.
+    one index lookup, and each pair is confirmed by comparing the whole
+    block.
     """
     blk = ctx.n_gens - 1
     n = len(w)
@@ -162,7 +165,9 @@ def class_nf(ctx: GroupContext, x: Word) -> ConjugacyCertificate:
 
     Both minima come from _least_rotations on the letter ranks of W and
     of W reversed, so the cost is O(|x|) and no rotation but the winner
-    is built.
+    is built.  A reversed minimum takes the table formula's conjugator
+    rev(W[:j]) rev(b_1..b_i) rev(b_{2g+i+1}..b_4g) S, for the first
+    match (b, i) and the first rotation j whose reversal is the minimum.
     """
     n1 = nf(ctx, x)
     if not n1:
@@ -181,55 +186,23 @@ def _class_of_normal(ctx: GroupContext, n1: Word) -> ConjugacyCertificate:
     # w is cyclically irreducible, so its suffix w[k0:] is irreducible
     conj = _nf_concat(ctx, w[k0:], suffix)
     matches = _exceptional_matches(ctx, w)
-    exceptional = bool(matches)
     if matches:
         rw = w[::-1]
         rev_rotations = _least_rotations(ranks[::-1])
         kr = rev_rotations[0]
         alt = rw[kr:] + rw[:kr]
         if compare_words(ctx, alt, best) < 0:
-            for cand in _reversed_conjugators(ctx, w, rev_rotations, suffix, matches):
-                candidate = nf(ctx, cand)
-                if _verify_conjugation(ctx, candidate, n1, alt):
-                    best, conj = alt, candidate
-                    break
-            else:
-                raise AssertionError("no conjugator verified for the reversed family")
+            # reversing rotation j of w gives rotation (n - j) mod n of w
+            # reversed, so j is the first rotation whose reversal is alt
+            eidx, i, _t = matches[0]
+            entry = ctx.relator_table[eidx]
+            j = -kr % rev_rotations.step
+            best = alt
+            conj = nf(ctx, w[:j][::-1] + entry[:i][::-1]
+                      + entry[ctx.n_gens + i:][::-1] + suffix)
     if not _verify_conjugation(ctx, conj, n1, best):
-        raise AssertionError("class certificate failed verification")
-    return ConjugacyCertificate(best, conj, exceptional)
-
-
-def _reversed_conjugators(ctx: GroupContext, w, rev_rotations, suffix, matches):
-    """Candidate conjugators carrying x onto the reversed-family minimum.
-
-    rev_rotations holds the k with rotation k of w reversed least, the
-    target alt.  Tries the direct table formula first, then a chained
-    construction rotation to block form, relator identity, rotation to
-    the target; class_nf keeps whichever verifies.
-    """
-    g2 = ctx.n_gens
-    n4 = ctx.alphabet_size
-    n = len(w)
-    # reversing rotation j of w gives rotation (n - j) mod n of w reversed
-    p = rev_rotations.step
-    positions = range(-rev_rotations[0] % p, n, p)
-    for eidx, i, t in matches:
-        entry = ctx.relator_table[eidx]
-        for j in positions:
-            yield (tuple(reversed(w[:j]))
-                   + tuple(reversed(entry[:i]))
-                   + tuple(reversed(entry[g2 + i:n4]))
-                   + suffix)
-    for eidx, i, t in matches:
-        entry = ctx.relator_table[eidx]
-        base = entry[:g2 - 1] * t
-        u1 = w[(n - i) % n:]
-        rev_base = tuple(reversed(base))
-        starts = _least_rotations([ctx.lex_rank[a] for a in rev_base])
-        # rev_base is a rotation of the core reversed, so its least rotation is alt
-        for a in starts:
-            yield rev_base[a:] + (-entry[g2 - 1],) + u1 + suffix
+        raise VerificationError("class certificate failed verification")
+    return ConjugacyCertificate(best, conj, bool(matches))
 
 
 def are_conjugate(ctx: GroupContext, x: Word, y: Word):
@@ -252,7 +225,7 @@ def are_conjugate(ctx: GroupContext, x: Word, y: Word):
         return None
     z = nf(ctx, invert_word(cx.conjugator) + cy.conjugator)
     if not _verify_conjugation(ctx, z, ny, nx):
-        raise AssertionError("conjugator failed verification")
+        raise VerificationError("conjugator failed verification")
     return z
 
 
@@ -271,7 +244,7 @@ def root(ctx: GroupContext, x: Word) -> RootResult:
     r = len(w) // d
     y = nf(ctx, pd.prefix + w[:d] + invert_word(pd.prefix))
     if nf_power(ctx, y, r) != n1:
-        raise AssertionError("root reassembly failed verification")
+        raise VerificationError("root reassembly failed verification")
     return RootResult(y, r)
 
 
@@ -309,7 +282,7 @@ def conj_power(ctx: GroupContext, x: Word, y: Word) -> ConjPowerResult:
     lhs = _signed_power(ctx, nx, m)
     rhs = nf(ctx, conj + _signed_power(ctx, ny, n) + invert_word(conj))
     if lhs != rhs:
-        raise AssertionError("conjugate-power certificate failed verification")
+        raise VerificationError("conjugate-power certificate failed verification")
     return ConjPowerResult(True, m, n, conj)
 
 

@@ -50,6 +50,11 @@ class DomainError(ValueError):
     e.g. the conjugacy class of the trivial element."""
 
 
+class VerificationError(AssertionError):
+    """Raised when a result fails the check it is re-verified by before it
+    is returned: a fault in the engine, never in the input."""
+
+
 def invert_word(w: Word) -> Word:
     """Group inverse of a word: reverse it and invert every letter."""
     return tuple(-x for x in reversed(w))

@@ -6,10 +6,10 @@ a splice decomposition
     nf(x^k) = prefix . core^(k-2) . suffix        (k >= 2)
 
 where the core is cyclically irreducible, conjugate to x, and has length
-tau(x) = |x^2| - |x|.  The decomposition is found by scanning splice
-points from the greedy longest-common-prefix positions downward, which
-realises the maximal choice of splice pair and hence the canonical
-cyclically irreducible core.
+tau(x) = |x^2| - |x|: the paper's uniform representation of nf(x^k).
+The splice points are the greedy longest-common-prefix positions; why
+that pair is the splice, and how each decomposition is checked, is in
+power_decompose.
 
 The three special shapes (types A, B, C) are the words whose square
 reduces but which admit no two-piece splice; they are the reason the
@@ -27,10 +27,14 @@ from dataclasses import dataclass
 from .group_core import (
     DomainError,
     GroupContext,
+    VerificationError,
     Word,
     common_prefix_len,
 )
 from .rewrite import _nf_concat, is_cyclically_irreducible, nf
+
+#: longest nf(x^k) that nf_power builds; longer ones are refused unbuilt
+MAX_POWER_LETTERS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -64,12 +68,14 @@ def translation_number(ctx: GroupContext, x: Word) -> int:
 def power_decompose(ctx: GroupContext, x: Word, *, normal: bool = False) -> PowerDecomposition:
     """Splice decomposition of x from nf(x), nf(x^2), nf(x^3).
 
-    Scans the outer splice point p downward from the longest common
-    prefix of nf(x) and nf(x^2), and the inner point q downward from the
-    longest common prefix of the two middles; the first (p, q) whose
-    inserted block is cyclically irreducible and splices consistently
-    into nf(x^3) wins.  This is the maximal splice pair, so the core is
-    the canonical cyclically irreducible word conjugate to x.
+    The outer splice point p is the longest common prefix of nf(x) and
+    nf(x^2), the inner point q that of the two middles, and no smaller
+    pair is tried.  That this greedy pair is the splice of the paper's
+    uniform representation is observed, not proved here: it held on
+    every freely reduced word of length <= 8 at g = 2 and <= 5 at g = 3,
+    and on 77,234 random, relator-heavy, exceptional and special-shape
+    words at g <= 16.  The growth formula, both seams and the core are
+    checked on every call; a failed check raises VerificationError.
 
     normal=True states that x is already nf(x), as it is for the callers
     in this package that have just normalized it, and skips that pass.
@@ -81,27 +87,21 @@ def power_decompose(ctx: GroupContext, x: Word, *, normal: bool = False) -> Powe
     n3 = _nf_concat(ctx, n2, n1)
     tau = len(n2) - len(n1)
     if tau <= 0 or len(n3) != len(n1) + 2 * tau:
-        raise AssertionError("power lengths violate the growth formula")
-    for p in range(common_prefix_len(n1, n2), -1, -1):
-        right = n1[p:]
-        if right and n2[len(n2) - len(right):] != right:
-            continue
-        if n3[:p] != n1[:p] or (right and n3[len(n3) - len(right):] != right):
-            continue
-        mid2 = n2[p:len(n2) - len(right)]
-        mid3 = n3[p:len(n3) - len(right)]
-        for q in range(common_prefix_len(mid2, mid3), -1, -1):
-            core = mid3[q:q + tau]
-            if mid3[q + tau:] != mid2[q:]:
-                continue
-            if not is_cyclically_irreducible(ctx, core):
-                continue
-            return PowerDecomposition(
-                prefix=n1[:p] + mid2[:q],
-                core=core,
-                suffix=mid2[q:] + right,
-            )
-    raise AssertionError("no splice decomposition found")
+        raise VerificationError("power lengths violate the growth formula")
+    p = common_prefix_len(n1, n2)
+    right = n1[p:]
+    # by the growth formula the middles have lengths tau and 2 tau
+    if n2[p + tau:] != right or n3[p + 2 * tau:] != right or n3[:p] != n1[:p]:
+        raise VerificationError("nf(x^2) and nf(x^3) do not share the splice ends")
+    mid2 = n2[p:p + tau]
+    mid3 = n3[p:p + 2 * tau]
+    q = common_prefix_len(mid2, mid3)
+    core = mid3[q:q + tau]
+    if mid3[q + tau:] != mid2[q:]:
+        raise VerificationError("the core does not splice nf(x^2) into nf(x^3)")
+    if not is_cyclically_irreducible(ctx, core):
+        raise VerificationError("the spliced core is not cyclically irreducible")
+    return PowerDecomposition(n1[:p] + mid2[:q], core, mid2[q:] + right)
 
 
 def nf_power(ctx: GroupContext, x: Word, k: int) -> Word:
@@ -113,7 +113,12 @@ def nf_power(ctx: GroupContext, x: Word, k: int) -> Word:
         return ()
     if k == 1:
         return n1
-    return power_decompose(ctx, n1, normal=True).assemble(k)
+    pd = power_decompose(ctx, n1, normal=True)
+    length = len(pd.prefix) + len(pd.suffix) + (k - 2) * len(pd.core)
+    if length > MAX_POWER_LETTERS:
+        raise DomainError(
+            f"x^{k} has {length} letters, more than the limit of {MAX_POWER_LETTERS}")
+    return pd.assemble(k)
 
 
 def ci(ctx: GroupContext, x: Word) -> Word:

@@ -1,7 +1,9 @@
 """Shared word generators for the test suite, the quadratic references
-the linear library code is held against, and the tools that only the
-tests use: word and chain utilities, other reduction orders, the power
-length formula by plain concatenation, and the three special shapes."""
+the linear library code is held against, the candidate searches the
+direct splice and conjugator constructions are held against, and the
+tools that only the tests use: word and chain utilities, other reduction
+orders, the power length formula by plain concatenation, and the three
+special shapes."""
 
 from __future__ import annotations
 
@@ -12,18 +14,23 @@ from surfgroup.group_core import (
     DomainError,
     GroupContext,
     Word,
+    common_prefix_len,
     cyclic_rotations,
     free_reduce,
     invert_word,
     word_sort_key,
 )
+from surfgroup.conjugacy import _least_rotations
 from surfgroup.oracle import DehnForm, _find_long_run
+from surfgroup.powers import PowerDecomposition
 from surfgroup.rewrite import (
     ReductionStep,
     ReductionTrace,
     RuleId,
+    _nf_concat,
     apply_step,
     find_reducible,
+    is_cyclically_irreducible,
     is_irreducible,
     nf,
 )
@@ -319,6 +326,83 @@ def dehn_reduce_cyclic_reference(ctx, w):
                 cur = dehn_reduce_reference(ctx, cur[hit[0]:] + cur[:hit[0]]).word
                 continue
         return cur
+
+
+# --- the candidate searches the direct splice and conjugator replaced
+
+def power_decompose_reference(ctx: GroupContext, x: Word, *, normal: bool = False) -> PowerDecomposition:
+    """Splice decomposition of x from nf(x), nf(x^2), nf(x^3).
+
+    Scans the outer splice point p downward from the longest common
+    prefix of nf(x) and nf(x^2), and the inner point q downward from the
+    longest common prefix of the two middles; the first (p, q) whose
+    inserted block is cyclically irreducible and splices consistently
+    into nf(x^3) wins.  This is the maximal splice pair, so the core is
+    the canonical cyclically irreducible word conjugate to x.
+
+    normal=True states that x is already nf(x), as it is for the callers
+    in this package that have just normalized it, and skips that pass.
+    """
+    n1 = x if normal else nf(ctx, x)
+    if not n1:
+        raise DomainError("power decomposition of the trivial element")
+    n2 = _nf_concat(ctx, n1, n1)
+    n3 = _nf_concat(ctx, n2, n1)
+    tau = len(n2) - len(n1)
+    if tau <= 0 or len(n3) != len(n1) + 2 * tau:
+        raise AssertionError("power lengths violate the growth formula")
+    for p in range(common_prefix_len(n1, n2), -1, -1):
+        right = n1[p:]
+        if right and n2[len(n2) - len(right):] != right:
+            continue
+        if n3[:p] != n1[:p] or (right and n3[len(n3) - len(right):] != right):
+            continue
+        mid2 = n2[p:len(n2) - len(right)]
+        mid3 = n3[p:len(n3) - len(right)]
+        for q in range(common_prefix_len(mid2, mid3), -1, -1):
+            core = mid3[q:q + tau]
+            if mid3[q + tau:] != mid2[q:]:
+                continue
+            if not is_cyclically_irreducible(ctx, core):
+                continue
+            return PowerDecomposition(
+                prefix=n1[:p] + mid2[:q],
+                core=core,
+                suffix=mid2[q:] + right,
+            )
+    raise AssertionError("no splice decomposition found")
+
+
+def reversed_conjugators_reference(ctx: GroupContext, w, rev_rotations, suffix, matches):
+    """Candidate conjugators carrying x onto the reversed-family minimum.
+
+    rev_rotations holds the k with rotation k of w reversed least, the
+    target alt.  Tries the direct table formula first, then a chained
+    construction rotation to block form, relator identity, rotation to
+    the target; class_nf keeps whichever verifies.
+    """
+    g2 = ctx.n_gens
+    n4 = ctx.alphabet_size
+    n = len(w)
+    # reversing rotation j of w gives rotation (n - j) mod n of w reversed
+    p = rev_rotations.step
+    positions = range(-rev_rotations[0] % p, n, p)
+    for eidx, i, t in matches:
+        entry = ctx.relator_table[eidx]
+        for j in positions:
+            yield (tuple(reversed(w[:j]))
+                   + tuple(reversed(entry[:i]))
+                   + tuple(reversed(entry[g2 + i:n4]))
+                   + suffix)
+    for eidx, i, t in matches:
+        entry = ctx.relator_table[eidx]
+        base = entry[:g2 - 1] * t
+        u1 = w[(n - i) % n:]
+        rev_base = tuple(reversed(base))
+        starts = _least_rotations([ctx.lex_rank[a] for a in rev_base])
+        # rev_base is a rotation of the core reversed, so its least rotation is alt
+        for a in starts:
+            yield rev_base[a:] + (-entry[g2 - 1],) + u1 + suffix
 
 
 # --- words and successor chains

@@ -2,6 +2,7 @@
 
 import json
 
+from surfgroup import conjugacy
 from surfgroup.cli import Request, main, run, run_file
 from surfgroup.group_core import parse_word
 
@@ -121,6 +122,44 @@ def test_exit_codes():
     assert run(Request("nf", 1, ("c1",)))[0] == 1  # genus out of range
     code, _, err = run(Request("nf", 1, ("c1",)))
     assert "genus must be between 2 and 64" in err
+
+
+def test_oversized_power_exits_1_at_once(capsys):
+    # k = 10^9 would be 2 * 10^9 letters; it is refused before allocation
+    assert main(["power", "-k", "1000000000", "c1 c2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: x^1000000000 has 2000000000 letters")
+
+
+def test_failed_verification_exits_3_and_names_the_input(monkeypatch, capsys):
+    monkeypatch.setattr(conjugacy, "_verify_conjugation", lambda *args: False)
+    message = "error: verification failed for 'c1 c2': class certificate failed verification"
+    assert run(Request("class-nf", 2, ("c1 c2",))) == (3, "", message)
+    assert main(["class-nf", "c1 c2"]) == 3
+    assert capsys.readouterr().err == message + "\n"
+
+
+def test_batch_goes_on_past_a_failed_verification(monkeypatch, tmp_path):
+    real = conjugacy._verify_conjugation
+    monkeypatch.setattr(conjugacy, "_verify_conjugation",
+                        lambda ctx, z, x, target: x != (1, 2) and real(ctx, z, x, target))
+    f = tmp_path / "words.txt"
+    f.write_text("c1 c2\nc9\nc3 c4\n")
+    code, out, _ = run_file(f, "class-nf", {"genus": 2})
+    assert code == 3
+    lines = out.splitlines()
+    assert lines[0] == ("line 1: error: verification failed for 'c1 c2': "
+                        "class certificate failed verification")
+    assert lines[1].startswith("line 2: error: bad token 'c9'")
+    assert lines[2] == "c4 c3; conjugator c4; exceptional no"
+    assert lines[3] == "processed 3 ok 1 errors 2"
+    code, out, _ = run_file(f, "class-nf", {"genus": 2, "format": "json"})
+    assert code == 3
+    docs = json.loads(out)
+    assert docs[0]["error"].startswith("verification failed for 'c1 c2'")
+    assert docs[1]["error"].startswith("bad token 'c9'")
+    assert docs[2]["result"] == "c4 c3"
 
 
 def test_batch_ok(tmp_path):

@@ -7,18 +7,24 @@ import tracemalloc
 import pytest
 
 from helpers import (
+    all_freely_reduced,
     exceptional_matches_reference,
     is_exceptional_reference,
     least_rotation_reference,
+    power_decompose_reference,
     random_cyclic_core,
     random_nontrivial,
+    random_relator_heavy,
+    reversed_conjugators_reference,
+    special_instances,
 )
+from helpers import reversed_conjugators_reference as _reversed_conjugators
+from surfgroup import conjugacy
 from surfgroup.conjugacy import (
     ConjPowerResult,
     RootResult,
     _exceptional_matches,
     _least_rotations,
-    _reversed_conjugators,
     _verify_conjugation,
     are_conjugate,
     class_nf,
@@ -29,6 +35,7 @@ from surfgroup.conjugacy import (
 from surfgroup.group_core import (
     DomainError,
     GroupContext,
+    VerificationError,
     cyclic_rotations,
     invert_word,
     word_sort_key,
@@ -53,6 +60,16 @@ def test_rotation_is_not_the_whole_story(ctx2):
     z = are_conjugate(ctx2, x, y)
     assert z is not None
     assert conjugates(ctx2, z, y) == nf(ctx2, x)
+
+
+@pytest.mark.parametrize("x, reversed_family", [((1, 2), False), ((3, 4, -1), True)])
+def test_a_failed_class_certificate_raises(ctx2, monkeypatch, x, reversed_family):
+    """Either family's conjugator is verified, and a failure raises."""
+    cert = class_nf(ctx2, x)
+    assert (cert.class_nf not in cyclic_rotations(ci(ctx2, x))) == reversed_family
+    monkeypatch.setattr(conjugacy, "_verify_conjugation", lambda *args: False)
+    with pytest.raises(VerificationError, match="class certificate"):
+        class_nf(ctx2, x)
 
 
 def test_class_nf_of_trivial_raises(ctx2):
@@ -197,6 +214,53 @@ def test_every_chained_reversed_conjugator_verifies(genus):
                 assert _verify_conjugation(ctx, nf(ctx, cand), x, alt)
             chained += len(candidates) - n_table
     assert chained
+
+
+def differential_corpus(rng):
+    """(ctx, word): every freely reduced word of length <= 5 at g = 2 and
+    <= 4 at g = 3; the special shapes at g = 2 and 3, bare, squared and
+    conjugated; relator-heavy words, bare and conjugated, up to g = 64."""
+    for genus, max_len in ((2, 5), (3, 4)):
+        ctx = GroupContext(genus)
+        for w in all_freely_reduced(ctx, max_len):
+            yield ctx, w
+        for _tag, w in special_instances(ctx):
+            z = random_nontrivial(ctx, 6, rng)
+            yield from ((ctx, v) for v in (w, w * 2, z + w + invert_word(z)))
+    for genus in (2, 3, 5, 8, 16, 64):
+        ctx = GroupContext(genus)
+        for _ in range(60):
+            w = random_relator_heavy(ctx, rng.randrange(1, 80), rng)
+            z = random_nontrivial(ctx, 6, rng)
+            yield from ((ctx, v) for v in (w, z + w + invert_word(z)))
+
+
+def test_direct_splice_and_conjugator_are_the_first_candidates():
+    """power_decompose equals the two-loop splice scan field for field, and
+    class_nf's reversed-family conjugator is nf of the generator's first
+    candidate, so neither search ever needed a later candidate."""
+    rng = random.Random(800)
+    decomposed = reversed_won = 0
+    for ctx, w in differential_corpus(rng):
+        x = nf(ctx, w)
+        if not x:
+            continue
+        pd = power_decompose_reference(ctx, x, normal=True)
+        assert power_decompose(ctx, x, normal=True) == pd
+        decomposed += 1
+        matches = _exceptional_matches(ctx, pd.core)
+        if not matches:
+            continue
+        cert = class_nf(ctx, x)
+        if cert.class_nf in cyclic_rotations(pd.core):
+            continue
+        rev_rotations = _least_rotations([ctx.lex_rank[a] for a in pd.core[::-1]])
+        first = next(reversed_conjugators_reference(
+            ctx, pd.core, rev_rotations, pd.suffix, matches))
+        assert cert.conjugator == nf(ctx, first)
+        reversed_won += 1
+    assert decomposed > 30000
+    assert reversed_won > 100
 
 
 @pytest.mark.parametrize("genus", [2, 3, 5, 16, 64])

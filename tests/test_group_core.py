@@ -1,10 +1,13 @@
 """Alphabet, word order, relator table and parsing."""
 
+import ast
 import itertools
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import surfgroup
 from helpers import chain_backward, is_fractional_relator, llfr_at, reverse_word
 from surfgroup.group_core import (
     GroupContext,
@@ -251,3 +254,21 @@ def test_format_word():
 @settings(max_examples=100, deadline=None)
 def test_parse_format_round_trip(w):
     assert parse_word(format_word(w), 3) == w
+
+
+def test_the_package_has_no_assert_and_no_bare_assertion_error():
+    """assert statements vanish under python -O, and a bare AssertionError
+    escapes the CLI's exit codes: every check raises VerificationError."""
+    found = []
+    sources = sorted(Path(surfgroup.__file__).parent.rglob("*.py"))
+    assert sources
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}: assert")
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                name = getattr(exc, "id", getattr(exc, "attr", None))
+                if name == "AssertionError":
+                    found.append(f"{path.name}:{node.lineno}: raise AssertionError")
+    assert found == []

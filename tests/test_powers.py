@@ -13,8 +13,16 @@ from helpers import (
     random_nontrivial,
     special_instances,
 )
-from surfgroup.group_core import DomainError, cyclic_rotations, invert_word
+from surfgroup import powers
+from surfgroup.group_core import (
+    DomainError,
+    VerificationError,
+    cyclic_rotations,
+    invert_word,
+)
 from surfgroup.powers import (
+    MAX_POWER_LETTERS,
+    PowerDecomposition,
     ci,
     nf_power,
     power_decompose,
@@ -37,6 +45,52 @@ def test_power_decompose_requires_nontrivial(ctx2):
         power_decompose(ctx2, ctx2.relator)
     with pytest.raises(DomainError):
         nf_power(ctx2, (1,), 0)
+
+
+def test_nf_power_refuses_an_oversized_power_before_building_it(ctx2, monkeypatch):
+    # well above the benchmark's powers, the longest of about 10^5 letters
+    assert MAX_POWER_LETTERS >= 10 * 800 * 1200
+    # |(c1 c2)^k| = 2k
+    with pytest.raises(DomainError, match="more than the limit"):
+        nf_power(ctx2, (1, 2), MAX_POWER_LETTERS // 2 + 1)
+    monkeypatch.setattr(powers, "MAX_POWER_LETTERS", 100)
+    assert len(nf_power(ctx2, (1, 2), 50)) == 100
+    with pytest.raises(DomainError):
+        nf_power(ctx2, (1, 2), 51)
+
+
+# c3 c1 c2 c3^-1: nf(x^2) = c3 c1 c2 . c1 c2 . c3^-1 splices at p = 3, q = 2
+SPLICED = (3, 1, 2, -3)
+
+
+def _flip(w, i):
+    """w with the letter at i inverted."""
+    i %= len(w)
+    return w[:i] + (-w[i],) + w[i + 1:]
+
+
+@pytest.mark.parametrize("power, corrupt, message", [
+    (3, lambda w: w + (1,), "growth formula"),
+    (2, lambda w: _flip(w, -1), "splice ends"),
+    (3, lambda w: _flip(w, -1), "splice ends"),
+    (3, lambda w: _flip(w, 0), "splice ends"),
+    (2, lambda w: _flip(w, 4), "does not splice"),
+])
+def test_each_splice_check_raises(ctx2, monkeypatch, power, corrupt, message):
+    """A wrong nf(x^2) or nf(x^3) fails the check it breaks, with no
+    fallback to another splice pair."""
+    n2, n3 = nf(ctx2, SPLICED * 2), nf(ctx2, SPLICED * 3)
+    assert power_decompose(ctx2, SPLICED) == PowerDecomposition((3, 1, 2, 1, 2), (1, 2), (-3,))
+    given = iter([corrupt(n2) if power == 2 else n2, corrupt(n3) if power == 3 else n3])
+    monkeypatch.setattr(powers, "_nf_concat", lambda ctx, u, v: next(given))
+    with pytest.raises(VerificationError, match=message):
+        power_decompose(ctx2, SPLICED)
+
+
+def test_a_core_that_is_not_cyclically_irreducible_raises(ctx2, monkeypatch):
+    monkeypatch.setattr(powers, "is_cyclically_irreducible", lambda ctx, w: False)
+    with pytest.raises(VerificationError, match="not cyclically irreducible"):
+        power_decompose(ctx2, SPLICED)
 
 
 def test_nf_power_matches_concatenation(ctx2, ctx3):
