@@ -28,7 +28,6 @@ from .rewrite import (
     append_letter_nf,
     d_basis_normalize,
     enumerate_ball,
-    find_reducible,
     is_cyclically_irreducible,
     is_irreducible,
     nf,
@@ -88,7 +87,6 @@ __all__ = [
     "append_letter_nf",
     "d_basis_normalize",
     "enumerate_ball",
-    "find_reducible",
     "is_cyclically_irreducible",
     "is_irreducible",
     "nf",

@@ -36,6 +36,7 @@ from .group_core import (
 from .oracle import dehn_conjugate, dehn_equal
 from .powers import ci, nf_power, translation_number
 from .presentations import (
+    _check_genus,
     canonical_descriptor,
     check_coarse_formulae,
     load_descriptor,
@@ -61,14 +62,17 @@ def _context(genus: int) -> GroupContext:
     return GroupContext(genus)
 
 
-def _descriptor(name: str, genus: int):
+def _descriptor(name: str, ctx: GroupContext):
+    """The named presentation; DomainError unless it has ctx's genus."""
     if name == "canonical":
-        return canonical_descriptor(genus)
+        return canonical_descriptor(ctx.genus)
     if name == "symmetric":
-        return symmetric_descriptor(genus)
-    if name.startswith("file:"):
-        return load_descriptor(name[5:])
-    raise DomainError(f"unknown presentation {name!r}")
+        return symmetric_descriptor(ctx.genus)
+    if not name.startswith("file:"):
+        raise DomainError(f"unknown presentation {name!r}")
+    pres = load_descriptor(name[5:])
+    _check_genus(ctx, pres)
+    return pres
 
 
 def _parse_auto(text: str, genus: int):
@@ -150,13 +154,13 @@ def _conj_power(ctx, words, opt):
 
 
 def _translate(ctx, words, opt):
-    pres = _descriptor(opt("presentation", "canonical"), ctx.genus)
-    return _word_doc(translate(pres, _parse_auto(words[0], pres.genus)))
+    pres = _descriptor(opt("presentation", "canonical"), ctx)
+    return _word_doc(translate(pres, _parse_auto(words[0], ctx.genus)))
 
 
 def _check(ctx, words, opt):
-    pres = _descriptor(opt("presentation", "canonical"), ctx.genus)
-    holds = check_coarse_formulae(pres, _parse_auto(words[0], pres.genus),
+    pres = _descriptor(opt("presentation", "canonical"), ctx)
+    holds = check_coarse_formulae(ctx, pres, _parse_auto(words[0], ctx.genus),
                                   opt("k_max", 3))
     return _value_doc({"holds": holds, "t": t_parameter(pres)})
 

@@ -27,7 +27,7 @@ from .group_core import (
     Word,
     parse_word,
 )
-from .powers import translation_number
+from .powers import MAX_POWER_LETTERS, translation_number
 from .rewrite import nf
 
 _SYM_CACHE: dict = {}
@@ -138,9 +138,16 @@ def untranslate(p: PresentationDescriptor, w: Word) -> Word:
     return tuple(out)
 
 
-def length_in(p: PresentationDescriptor, w: Word) -> int:
+def _check_genus(ctx: GroupContext, p: PresentationDescriptor) -> None:
+    if ctx.genus != p.genus:
+        raise DomainError(
+            f"presentation {p.label!r} has genus {p.genus}, not {ctx.genus}")
+
+
+def length_in(ctx: GroupContext, p: PresentationDescriptor, w: Word) -> int:
     """Word length of the element of w over p's generating set."""
-    return len(nf(GroupContext(p.genus), translate(p, w)))
+    _check_genus(ctx, p)
+    return len(nf(ctx, translate(p, w)))
 
 
 def t_parameter(p: PresentationDescriptor) -> int:
@@ -149,18 +156,29 @@ def t_parameter(p: PresentationDescriptor) -> int:
     return 4 * p.genus // math.gcd(2 * p.genus, gaps)
 
 
-def check_coarse_formulae(p: PresentationDescriptor, x: Word, k_max: int) -> bool:
+def check_coarse_formulae(
+    ctx: GroupContext, p: PresentationDescriptor, x: Word, k_max: int
+) -> bool:
     """Verify the power-length formulae over p for exponents t, 2t, .., t*k_max.
 
     With t = t_parameter(p) and lengths measured over p's generators:
     |x^{2t}| must exceed |x^t|, the lengths |x^{tm}| must grow linearly
     with slope |x^{2t}| - |x^t|, and that slope must equal t times the
     translation number (checked in the symmetric engine as well).
+    The powers normalized add up to t*|x|*K(K+1)/2 letters, K =
+    max(k_max, 2); past powers.MAX_POWER_LETTERS that is refused with
+    DomainError before any of them is built.
     """
-    ctx = GroupContext(p.genus)
+    _check_genus(ctx, p)
+    t = t_parameter(p)
+    top = max(k_max, 2)
+    letters = t * len(x) * top * (top + 1) // 2
+    if letters > MAX_POWER_LETTERS:
+        raise DomainError(
+            f"checking up to k = {top} normalizes {letters} letters, "
+            f"more than the limit of {MAX_POWER_LETTERS}")
     if not nf(ctx, translate(p, x)):
         raise DomainError("coarse formulae need a nontrivial element")
-    t = t_parameter(p)
     cache: dict = {}
 
     def power_len(m: int) -> int:
@@ -173,7 +191,7 @@ def check_coarse_formulae(p: PresentationDescriptor, x: Word, k_max: int) -> boo
     slope = l2t - lt
     if slope <= 0 or slope % t:
         return False
-    for m in range(1, max(k_max, 2) + 1):
+    for m in range(1, top + 1):
         if power_len(m) != (m - 1) * slope + lt:
             return False
     return translation_number(ctx, translate(p, x * t)) == slope

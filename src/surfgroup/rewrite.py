@@ -12,8 +12,9 @@ b_1...b_4g of the relator table:
             (b_1...b_2g-1)^t b_2g           ->  b_2g (b_2g-1...b_1)^t  b_1 > b_2g, t >= 1
 
 A word is irreducible iff it contains no subword of type S1, S2(2g+1),
-S3(t) or S4(1); matches are always taken maximal (largest k, largest t)
-and, in `find_reducible`, leftmost.
+S3(t) or S4(1); matches are always taken maximal (largest k, largest t).
+The system is complete, so a word is irreducible exactly when it is its
+own normal form, and that is how `is_irreducible` decides it.
 
 The D system is the explicit basis of eight rule families D1..D8 over
 the generators; it is a proper subset of the S system and is kept as a
@@ -101,89 +102,15 @@ def _rev(block: Word) -> Word:
     return tuple(reversed(block))
 
 
-def _block_run(w: Word, q: int, blk: Word, runs: dict) -> int:
-    """Number of consecutive copies of blk in w from position q on.
-
-    Every block find_reducible asks about has 2g-1 letters, so a block
-    matching at q is w[q:q+2g-1] itself and runs can memoise the count
-    per start.  A run from q also covers the starts q + L, q + 2L, ...,
-    so on periodic words every start is compared once and find_reducible
-    stays linear in |w|.
-    """
-    L = len(blk)
-    if w[q:q + L] != blk:
-        return 0
-    path = []
-    t = 0
-    while w[q:q + L] == blk:
-        if q in runs:
-            t = runs[q]
-            break
-        path.append(q)
-        q += L
-    for start in reversed(path):
-        t += 1
-        runs[start] = t
-    return t
-
-
-def find_reducible(ctx: GroupContext, w: Word):
-    """Leftmost maximal reducing operation, or None when w is irreducible.
-
-    At each start position the rule families are tried in the precedence
-    order S1 > S2 > S3 > S4, and S2/S3/S4 matches are extended as far as
-    the word allows.  Block repeats are counted through _block_run, so
-    the scan is linear in |w| for a fixed genus.
-    """
-    ctx.check_word(w)
-    n = len(w)
-    g2 = ctx.n_gens
-    n4 = ctx.alphabet_size
-    runs: dict = {}
-    for p in range(n - 1):
-        a, b = w[p], w[p + 1]
-        if a == -b:
-            return ReductionStep(RuleId("S1"), p, (a, b), ())
-        amb = ctx.pair_ambient(a, b)
-        if amb is None:
-            continue
-        cl, _ = ctx.chain_forward(w, p, n4)
-        E = ctx.entry_at(a, amb)
-        eidx = ctx.entry_index(a, amb)
-        if cl >= g2 + 1:
-            return ReductionStep(
-                RuleId("S2", cl, eidx), p, w[p:p + cl], invert_word(E[cl:])
-            )
-        # S3 / S4 shape 1: b_1 followed by repeats of b_2..b_2g
-        blk = E[1:g2]
-        t1 = _block_run(w, p + 1, blk, runs)
-        q = p + 1 + t1 * (g2 - 1)
-        if t1 >= 2 and q < n and w[q] == E[g2]:
-            return ReductionStep(
-                RuleId("S3", t1, eidx), p, w[p:q + 1], _rev(blk) * t1
-            )
-        s4 = None
-        if t1 >= 1 and ctx.greater(E[0], E[g2 - 1]):
-            s4 = ReductionStep(
-                RuleId("S4a", t1, eidx), p, w[p:q], _rev(blk) * t1 + (E[0],)
-            )
-        # S4 shape 2: repeats of b_1..b_2g-1 closed by b_2g
-        blk2 = E[:g2 - 1]
-        t2 = _block_run(w, p, blk2, runs)
-        q2 = p + t2 * (g2 - 1)
-        if t2 >= 1 and q2 < n and w[q2] == E[g2 - 1] and ctx.greater(E[0], E[g2 - 1]):
-            cand = ReductionStep(
-                RuleId("S4b", t2, eidx), p, w[p:q2 + 1], (E[g2 - 1],) + _rev(blk2) * t2
-            )
-            if s4 is None or len(cand.matched) > len(s4.matched):
-                s4 = cand
-        if s4 is not None:
-            return s4
-    return None
-
-
 def is_irreducible(ctx: GroupContext, w: Word) -> bool:
-    return find_reducible(ctx, w) is None
+    """True when no S rule applies anywhere in w.
+
+    The S system is complete: each element has exactly one irreducible
+    word, its normal form, so w is irreducible exactly when nf(w) == w.
+    The tests hold this against a leftmost scan that matches every rule
+    family at every position.
+    """
+    return nf(ctx, w) == w
 
 
 def is_cyclically_irreducible(ctx: GroupContext, w: Word) -> bool:

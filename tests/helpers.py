@@ -29,7 +29,6 @@ from surfgroup.rewrite import (
     RuleId,
     _nf_concat,
     apply_step,
-    find_reducible,
     is_cyclically_irreducible,
     is_irreducible,
     nf,
@@ -179,8 +178,9 @@ def is_exceptional_reference(ctx, w):
 def find_reducible_reference(ctx, w):
     """Leftmost maximal reducing operation, rescanning every block run.
 
-    Quadratic on periodic words; the reference that rewrite.find_reducible
-    is held against.
+    Quadratic on periodic words.  The one leftmost scanner: it drives the
+    leftmost and random reduction orders, and rewrite.is_irreducible is
+    held against it.
     """
     ctx.check_word(w)
     n = len(w)
@@ -478,9 +478,9 @@ def find_all_steps(ctx: GroupContext, w: Word) -> list:
     steps = []
     pos = 0
     rest = w
-    # reuse find_reducible on suffixes; positions shift accordingly
+    # reuse the leftmost scan on suffixes; positions shift accordingly
     while True:
-        s = find_reducible(ctx, rest)
+        s = find_reducible_reference(ctx, rest)
         if s is None:
             return steps
         steps.append(
@@ -499,7 +499,7 @@ def normalize_leftmost(ctx: GroupContext, w: Word):
     steps = []
     cur = w
     while True:
-        s = find_reducible(ctx, cur)
+        s = find_reducible_reference(ctx, cur)
         if s is None:
             return cur, ReductionTrace(w, tuple(steps), cur)
         steps.append(s)

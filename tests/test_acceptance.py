@@ -348,7 +348,7 @@ def test_criterion_09():
         ctx = GroupContext(g)
         can = canonical_descriptor(g)
         assert nf(ctx, translate(can, canonical_relator(g))) == ()
-        assert length_in(can, canonical_relator(g)) == 0
+        assert length_in(ctx, can, canonical_relator(g)) == 0
         assert t_parameter(can) == 2 * g
         assert t_parameter(symmetric_descriptor(g)) == 2
 
@@ -363,7 +363,7 @@ def test_criterion_09():
             assert slope > 0 and slope % t == 0
             assert lengths[2] == 2 * slope + lengths[0]
             assert translation_number(ctx, translate(can, x * t)) == slope
-            assert check_coarse_formulae(can, x, 3)
+            assert check_coarse_formulae(ctx, can, x, 3)
             done += 1
 
     assert time.monotonic() - start < 120.0

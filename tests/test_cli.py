@@ -1,10 +1,15 @@
 """Command line interface: output shapes, batch mode, exit codes."""
 
 import json
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from surfgroup import conjugacy
-from surfgroup.cli import Request, main, run, run_file
+from surfgroup.cli import _COMMANDS, Request, main, run, run_file
 from surfgroup.group_core import parse_word
+
+DATA = Path(__file__).parent / "data"
 
 
 def doc_of(code_out_err):
@@ -130,6 +135,32 @@ def test_oversized_power_exits_1_at_once(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: x^1000000000 has 2000000000 letters")
+
+
+def test_oversized_check_exits_1_at_once(capsys):
+    # t = 4 for the canonical order, so k up to 10^5 would normalize
+    # 4 * 2 * 10^5 * (10^5 + 1) / 2 letters; it is refused before any power
+    assert main(["check", "--presentation", "canonical", "--kmax", "100000", "a1 a2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: checking up to k = 100000 normalizes")
+
+
+def test_presentation_of_another_genus_exits_1(tmp_path, capsys):
+    pres = f"file:{DATA / 'golden_pres_g2.txt'}"
+    for argv in (["translate", "-g", "3", "--presentation", pres, "a1"],
+                 ["translate", "-g", "3", "--format", "json", "--presentation", pres,
+                  "a1 a3 a3"],
+                 ["check", "-g", "3", "--presentation", pres, "a1 a2"]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: presentation 'golden_pres_g2' has genus 2, not 3\n"
+    batch = tmp_path / "words.txt"
+    batch.write_text("a1\na2 a3\n")
+    code, out, _ = run_file(batch, "translate", {"genus": 3, "presentation": pres})
+    assert code == 1
+    assert out.splitlines()[-1] == "processed 2 ok 0 errors 2"
 
 
 def test_failed_verification_exits_3_and_names_the_input(monkeypatch, capsys):
@@ -263,3 +294,58 @@ def test_main_missing_presentation_file(tmp_path, capsys):
     bad.write_bytes(b"genus 2\n\xff\n")
     assert main(["check", "--presentation", f"file:{bad}", "a1"]) == 1
     assert capsys.readouterr().err == f"error: {bad}: not valid UTF-8\n"
+
+
+# --- fuzzing main: every argv and every batch file ends in an exit code
+
+_VALID = ("c1", "c2", "C3", "c4^-1", "a1", "A2", "e")
+_INVALID = ("c6", "*", "c0", "c1^2", "x", "^", "\u00e9")
+_WORD = (st.lists(st.sampled_from(_VALID), max_size=8)
+         | st.lists(st.sampled_from(_VALID + _INVALID), max_size=8)).map(" ".join)
+_BAD = st.integers(-3, 0).map(str) | st.sampled_from(("", "x", "1e3"))
+
+
+def _flag_values(path):
+    pres = st.sampled_from(("canonical", "symmetric", "bogus", f"file:{path}",
+                            f"file:{DATA / 'golden_pres_g2.txt'}", "file:"))
+    return {
+        "-g": st.sampled_from(("2", "3", "5")) | st.sampled_from(("0", "1", "65", "x")),
+        "--format": st.sampled_from(("text", "json", "text", "json", "xml")),
+        "--file": st.sampled_from((str(path), str(path.parent), str(path) + ".missing")),
+        "--trace": None,
+        "--count-only": None,
+        "-k": st.integers(1, 50).map(str) | _BAD,
+        "--kmax": st.integers(1, 5).map(str) | _BAD,
+        "--radius": st.integers(0, 3).map(str) | _BAD,
+        "--presentation": pres,
+    }
+
+
+_BATCH = st.binary(max_size=120) | st.lists(
+    st.lists(_WORD, min_size=1, max_size=3).map("\t".join), max_size=6,
+).map(lambda lines: "\n".join(lines).encode("utf-8"))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_main_never_raises(tmp_path, data):
+    """Drawn argv and raw batch-file bytes: main returns 0, 1, 2 or 3."""
+    path = tmp_path / "batch.txt"
+    path.write_bytes(data.draw(_BATCH))
+    values = _flag_values(path)
+    key = data.draw(st.sampled_from(sorted(_COMMANDS) + ["bogus"]))
+    argv = ["oracle", key[len("oracle-"):]] if key.startswith("oracle-") else [key]
+    own = ["-g", "--format", "--file"] + [
+        names[0] for names, _ in getattr(_COMMANDS.get(key), "flags", ())]
+    flags = [flag for flag in own if data.draw(st.booleans())]
+    if data.draw(st.integers(0, 4)) == 4:
+        flags.append(data.draw(st.sampled_from(list(values))))
+    flags = data.draw(st.permutations(flags))
+    for flag in flags:
+        argv.append(flag)
+        if values[flag] is not None:
+            argv.append(data.draw(values[flag]))
+    arity = getattr(_COMMANDS.get(key), "arity", 1)
+    argv += data.draw(st.lists(_WORD, min_size=arity, max_size=arity) | st.lists(_WORD, max_size=3))
+    assert main(argv) in (0, 1, 2, 3)

@@ -43,7 +43,8 @@ def test_canonical_order_and_relator():
 
 def test_canonical_relator_translates_to_identity():
     for g in (2, 3, 4):
-        assert length_in(canonical_descriptor(g), canonical_relator(g)) == 0
+        ctx = GroupContext(g)
+        assert length_in(ctx, canonical_descriptor(g), canonical_relator(g)) == 0
 
 
 def test_position_gaps_canonical():
@@ -127,19 +128,43 @@ def test_aligned_gap_sums_commute_with_powers():
 
 def test_check_coarse_formulae():
     can = canonical_descriptor(2)
-    assert check_coarse_formulae(can, (1,), 3)
-    assert check_coarse_formulae(symmetric_descriptor(2), (1,), 3)
-    with pytest.raises(DomainError):
-        check_coarse_formulae(can, canonical_relator(2), 3)
-    rng = random.Random(313)
     ctx = GroupContext(2)
+    assert check_coarse_formulae(ctx, can, (1,), 3)
+    assert check_coarse_formulae(ctx, symmetric_descriptor(2), (1,), 3)
+    with pytest.raises(DomainError):
+        check_coarse_formulae(ctx, can, canonical_relator(2), 3)
+    rng = random.Random(313)
     checked = 0
     while checked < 10:
         w = random_freely_reduced(ctx, rng.randrange(1, 5), rng)
         if not nf(ctx, translate(can, w)):
             continue
         checked += 1
-        assert check_coarse_formulae(can, w, 3)
+        assert check_coarse_formulae(ctx, can, w, 3)
+
+
+def test_presentation_genus_must_match_the_context():
+    ctx3 = GroupContext(3)
+    for pres in (canonical_descriptor(2), symmetric_descriptor(2)):
+        with pytest.raises(DomainError, match="genus 2, not 3"):
+            length_in(ctx3, pres, (1,))
+        with pytest.raises(DomainError, match="genus 2, not 3"):
+            check_coarse_formulae(ctx3, pres, (1,), 3)
+
+
+def test_check_coarse_formulae_refuses_too_many_letters_up_front():
+    """t*|x|*K(K+1)/2 letters past MAX_POWER_LETTERS is refused before
+    any power is built.  x is trivial, so a request under the limit gets
+    as far as the nontriviality check instead."""
+    ctx = GroupContext(2)
+    can = canonical_descriptor(2)  # t = 4
+    x = (1, -1)
+    # 4 * 2 * 1581 * 1582 / 2 = 10,004,568 letters: past the limit
+    with pytest.raises(DomainError, match="more than the limit"):
+        check_coarse_formulae(ctx, can, x, 1581)
+    # 4 * 2 * 1580 * 1581 / 2 = 9,991,920 letters: admitted
+    with pytest.raises(DomainError, match="nontrivial"):
+        check_coarse_formulae(ctx, can, x, 1580)
 
 
 def test_descriptor_validation():

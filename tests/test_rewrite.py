@@ -19,12 +19,10 @@ from helpers import (
 from surfgroup.oracle import dehn_equal
 from surfgroup.group_core import GroupContext, compare_words, cyclic_rotations, invert_word
 from surfgroup.rewrite import (
-    _block_run,
     _nf_concat,
     append_letter_nf,
     apply_step,
     d_basis_normalize,
-    find_reducible,
     is_cyclically_irreducible,
     is_irreducible,
     nf,
@@ -228,7 +226,8 @@ def test_s4_rule_shapes(ctx2):
 
 def test_find_reducible_is_none_only_when_irreducible(ctx2):
     for w in all_words(ctx2, 3):
-        step = find_reducible(ctx2, w)
+        step = find_reducible_reference(ctx2, w)
+        assert is_irreducible(ctx2, w) == (step is None)
         if step is None:
             assert nf(ctx2, w) == w
         else:
@@ -237,7 +236,7 @@ def test_find_reducible_is_none_only_when_irreducible(ctx2):
 
 def test_find_reducible_matches_reference_exhaustive(ctx2):
     for w in all_freely_reduced(ctx2, 6):
-        assert find_reducible(ctx2, w) == find_reducible_reference(ctx2, w)
+        assert is_irreducible(ctx2, w) == (find_reducible_reference(ctx2, w) is None)
 
 
 def test_find_reducible_matches_reference_on_special_shapes(ctx2, ctx3):
@@ -248,7 +247,7 @@ def test_find_reducible_matches_reference_on_special_shapes(ctx2, ctx3):
         for _, w in rng.sample(shapes, 150):
             a = rng.choice(ctx.letters)
             for v in (w, w + w, (a,) + w, w + (a,) + w):
-                assert find_reducible(ctx, v) == find_reducible_reference(ctx, v)
+                assert is_irreducible(ctx, v) == (find_reducible_reference(ctx, v) is None)
 
 
 def test_find_reducible_matches_reference_on_block_runs(ctx2, ctx3):
@@ -269,22 +268,7 @@ def test_find_reducible_matches_reference_on_block_runs(ctx2, ctx3):
                     (rng.choice(ctx.letters),),
                 )))
             w = sum(pieces, ())
-            assert find_reducible(ctx, w) == find_reducible_reference(ctx, w)
-
-
-def test_block_run_counts_through_a_shared_memo(ctx2):
-    """Memoised counts equal a fresh count, whatever order starts are asked in."""
-    rng = random.Random(47)
-    E = ctx2.relator_table[3]
-    blk = E[:ctx2.n_gens - 1]
-    w = blk * 6 + E[3:5] + blk * 3 + (E[0],) + blk * 4
-    for _ in range(20):
-        runs = {}
-        for q in rng.sample(range(len(w) + 1), len(w) + 1):
-            t = 0
-            while w[q + t * len(blk):q + (t + 1) * len(blk)] == blk:
-                t += 1
-            assert _block_run(w, q, blk, runs) == t
+            assert is_irreducible(ctx, w) == (find_reducible_reference(ctx, w) is None)
 
 
 HIGH_GENERA = [5, 8, 16, 64]
@@ -312,6 +296,7 @@ def test_engines_and_oracle_agree_at_high_genus(genus):
         assert d_basis_normalize(ctx, w) == nf(ctx, w) == final
         assert dehn_equal(ctx, w, final)
         assert is_irreducible(ctx, final)
+        assert is_irreducible(ctx, w) == (find_reducible_reference(ctx, w) is None)
     assert fired >= {"S1", "S2", "S3", "S4b"}
 
 
