@@ -18,6 +18,7 @@ flags or bad word syntax), 3 failed internal verification.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -363,7 +364,10 @@ def run_file(path, command: str, options: dict):
     return code, "\n".join(lines), ""
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process: parse_args keeps no
+    state between calls."""
     parser = argparse.ArgumentParser(
         prog="surfgroup",
         description="Exact computation in surface groups under the "

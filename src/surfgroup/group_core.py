@@ -134,11 +134,17 @@ class GroupContext:
             {x: c[(i - 1) % n4] for i, x in enumerate(c)} for c in self._cycles
         )
         # the letters that can fire a rule when appended after x: its
-        # inverse and its two successors; key 0 stands for the empty word
+        # inverse and its two successors; key 0 stands for the empty word.
+        # Each successor maps to x's predecessor in the same ambient, the
+        # letter that must precede x for the chain to outgrow length 2;
+        # the inverse maps to 0
         self._live = {
-            x: frozenset((-x, self._succ[0][x], self._succ[1][x])) for x in self.letters
+            x: {-x: 0,
+                self._succ[0][x]: self._pred[0][x],
+                self._succ[1][x]: self._pred[1][x]}
+            for x in self.letters
         }
-        self._live[0] = frozenset()
+        self._live[0] = {}
         self._letter_set = frozenset(self.letters)
         self._cache = {}
 

@@ -24,15 +24,20 @@ other.
 `normalize` reduces incrementally: it appends one letter at a time to an
 irreducible accumulator, and at most one rule fires per appended letter.
 A rule can fire only when the letter is the inverse of the last one or
-one of its two successors in a relator; one set lookup per letter rules
-that out, and such a letter is appended inline.  The others go through
-a table lookup that decides which of five cases applies.  The trace is
-built only on request; its steps are genuine S-rule applications on the
-evolving word, so replaying them by splicing reproduces the normal form.
+one of its two successors in a relator; one dict lookup per letter rules
+that out, and such a letter is appended inline.  Without a trace two
+more kinds are decided inline: the inverse pops the last letter (S1),
+and a successor is appended when its chain has length 2, because every
+other rule needs a chain of at least 2g >= 4 letters.  The rest go
+through _append_step, a table lookup that decides which of five cases
+applies.  The trace is built only on request; its steps are genuine
+S-rule applications on the evolving word, so replaying them by splicing
+reproduces the normal form.
 Because an irreducible word passes through unchanged, nf(u v) for an
 irreducible u starts from u and costs only the letters of v.
 enumerate_ball lists the normal forms up to a radius by the same
-one-letter extension.
+one-letter extension, after a lower bound on their number has shown
+that they fit under its cap.
 """
 
 from __future__ import annotations
@@ -227,17 +232,31 @@ def _extend(ctx: GroupContext, acc: list, letters, steps) -> None:
     """Append letters one at a time to the irreducible list acc, in place.
 
     A letter that is neither the inverse of acc[-1] nor one of its two
-    successors cannot fire a rule, so it is appended inline; every other
-    letter goes through _append_step.  Each rule that fires is recorded
-    in steps, unless steps is None.
+    successors cannot fire a rule, so it is appended inline.  When steps
+    is None, the inverse is popped inline too, and a successor is
+    appended inline unless acc[-2] is its predecessor in the same
+    ambient: its chain then has length 2, and no rule but S1 fires on a
+    chain shorter than 2g.  Every other letter goes through _append_step.
+    Each rule that fires is recorded in steps, unless steps is None.
     """
     live = ctx._live
     last = acc[-1] if acc else 0
     for letter in letters:
-        if letter not in live[last]:
+        nxt = live[last]
+        if letter not in nxt:
             acc.append(letter)
             last = letter
             continue
+        if steps is None:
+            before = nxt[letter]
+            if not before:
+                acc.pop()
+                last = acc[-1] if acc else 0
+                continue
+            if len(acc) < 2 or acc[-2] != before:
+                acc.append(letter)
+                last = letter
+                continue
         case, rule, n_pop, tail = _append_step(ctx, acc, letter)
         if case != 5 and steps is not None:
             matched = tuple(acc[len(acc) - n_pop:]) + (letter,)
@@ -282,16 +301,42 @@ def _nf_concat(ctx: GroupContext, u: Word, v: Word) -> Word:
     return tuple(acc)
 
 
+def _ball_size_floor(ctx: GroupContext, radius: int, cap: int) -> int:
+    """A lower bound on the number of normal forms of length <= radius.
+
+    No rule but S1 has a left side shorter than 2g, so up to radius 2g-1
+    the ball is the free-group ball and the bound is exact.  Past that
+    each sphere is at least 4g-3 times the one before: a normal form
+    extends by every letter but the inverse and the two successors of
+    its last letter without firing a rule (case 5).  The sum stops once
+    it exceeds cap, so a huge radius costs nothing.
+    """
+    n4 = ctx.alphabet_size
+    total = sphere = 1
+    for r in range(1, radius + 1):
+        if total > cap:
+            break
+        sphere *= n4 if r == 1 else n4 - 1 if r < ctx.n_gens else n4 - 3
+        total += sphere
+    return total
+
+
 def enumerate_ball(ctx: GroupContext, radius: int, cap: int = 10**6) -> list:
     """All normal forms of length <= radius, breadth-first.
 
     Each normal form of length L+1 extends exactly one of length L by
     one letter (the plain-push case of the append operation), so the
-    frontier extension is duplicate-free.  Raises DomainError once the
-    element count would exceed cap.
+    frontier extension is duplicate-free.  Raises DomainError before it
+    enumerates anything when a lower bound on the ball size exceeds cap,
+    and otherwise once the element count would exceed cap.
     """
     if radius < 0:
         raise DomainError("ball radius must be nonnegative")
+    floor = _ball_size_floor(ctx, radius, cap)
+    if floor > cap:
+        raise DomainError(
+            f"a ball of radius {radius} has at least {floor} elements, "
+            f"more than the cap of {cap}")
     out = [()]
     frontier = [()]
     for _ in range(radius):

@@ -1,12 +1,13 @@
 """Command line interface: output shapes, batch mode, exit codes."""
 
 import json
+import time
 from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from surfgroup import conjugacy
-from surfgroup.cli import _COMMANDS, Request, main, run, run_file
+from surfgroup.cli import _COMMANDS, Request, _build_parser, main, run, run_file
 from surfgroup.group_core import parse_word
 
 DATA = Path(__file__).parent / "data"
@@ -266,6 +267,32 @@ def test_main_entry_point(capsys):
 
     assert main(["class-nf", "e"]) == 1
     capsys.readouterr()
+
+
+def test_main_reuses_one_parser(tmp_path, capsys):
+    """The parser is built once per process.  A parse error between two
+    runs of one argv changes neither run's exit code, stdout or stderr."""
+    f = tmp_path / "w.txt"
+    f.write_text("c1 c2 c3 c4\nc9\n")
+    for argv, error in (
+        (["nf", "--trace", "-g", "3", "c1 c2 c3 c4 c5 c6 c1^-1"], ["nf", "-g", "x", "c1"]),
+        (["power", "-k", "3", "c1 c2"], ["power", "c1"]),
+        (["conj", "c1", "c2 c1 c2^-1"], ["conj", "c1"]),
+        (["nf", "--format", "json", "--file", str(f)], ["nf", "--format", "xml", "c1"]),
+    ):
+        first = main(argv), capsys.readouterr()
+        assert main(error) == 2
+        assert capsys.readouterr().err
+        assert (main(argv), capsys.readouterr()) == first
+    assert _build_parser() is _build_parser()
+
+
+def test_oversized_ball_exits_1_at_once(capsys):
+    start = time.perf_counter()
+    assert main(["oracle", "ball", "-g", "64", "--radius", "5", "--count-only"]) == 1
+    assert time.perf_counter() - start < 0.1
+    err = capsys.readouterr().err
+    assert err.startswith("error: a ball of radius 5 has at least ")
 
 
 def test_main_batch(tmp_path, capsys):

@@ -112,6 +112,22 @@ def test_pair_ambient_unique(ctx2, ctx3):
             assert len(followers) == 2
 
 
+def test_live_letters_name_the_letter_before(ctx2, ctx3):
+    """_live[x] holds the three letters that can fire a rule after x: the
+    inverse, mapped to 0, and each successor, mapped to x's predecessor
+    in that successor's ambient; the empty word (key 0) has none."""
+    for ctx in (ctx2, ctx3):
+        assert ctx._live[0] == {}
+        for x in ctx.letters:
+            expected = {-x: 0}
+            for b in ctx.letters:
+                amb = ctx.pair_ambient(x, b)
+                if amb is not None:
+                    expected[b] = ctx._pred[amb][x]
+            assert len(expected) == 3
+            assert ctx._live[x] == expected
+
+
 def test_entry_lookup_round_trip(ctx2):
     for amb in (0, 1):
         for letter in ctx2.letters:

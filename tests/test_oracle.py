@@ -24,7 +24,7 @@ from surfgroup.oracle import (
     dehn_reduce,
     dehn_reduce_cyclic,
 )
-from surfgroup.rewrite import enumerate_ball, is_irreducible, nf
+from surfgroup.rewrite import _ball_size_floor, enumerate_ball, is_irreducible, nf
 
 
 def has_long_run(ctx, w):
@@ -168,6 +168,20 @@ def test_ball_is_nested_and_sorted_by_length(ctx2):
     assert set(b2) <= set(b3)
     lengths = [len(w) for w in b3]
     assert lengths == sorted(lengths)
+
+
+@pytest.mark.parametrize("genus, radius", [(2, 6), (3, 5)])
+def test_ball_size_floor_bounds_every_enumerable_ball(genus, radius):
+    """Up to the largest radius the default cap admits, the floor is at
+    most the ball size, and equal to it below radius 2g."""
+    ctx = GroupContext(genus)
+    lengths = [len(w) for w in enumerate_ball(ctx, radius)]
+    for r in range(radius + 1):
+        size = sum(1 for n in lengths if n <= r)
+        floor = _ball_size_floor(ctx, r, 10**6)
+        assert floor <= size
+        if r < 2 * genus:
+            assert floor == size
 
 
 def test_ball_domain_errors(ctx2):

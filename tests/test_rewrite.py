@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import (
     all_freely_reduced,
     all_words,
+    chain_backward,
     find_all_steps,
     find_reducible_reference,
     normalize_leftmost,
@@ -18,6 +19,7 @@ from helpers import (
 )
 from surfgroup.oracle import dehn_equal
 from surfgroup.group_core import GroupContext, compare_words, cyclic_rotations, invert_word
+from surfgroup import rewrite
 from surfgroup.rewrite import (
     _nf_concat,
     append_letter_nf,
@@ -313,3 +315,44 @@ def test_untraced_normalize_and_prefix_extension_at_high_genus(genus):
         assert trace.replay() == final
         assert _nf_concat(ctx, final, v) == nf(ctx, final + v) == nf(ctx, w + v)
         assert _nf_concat(ctx, final, final) == nf(ctx, w + w)
+
+
+@pytest.mark.parametrize("genus", [2, 3, 5, 64])
+def test_untraced_fast_path_agrees_and_leaves_only_long_chains(genus, monkeypatch):
+    """Untraced _extend pops an inverse and appends a successor with a
+    chain of length 2 inline.  On z x z^-1 with long z and on
+    relator-heavy words, nf and _nf_concat agree with the traced
+    normalize and the D engine, and the letters that still reach
+    _append_step are neither inverses nor on chains shorter than 3."""
+    ctx = GroupContext(genus)
+    rng = random.Random(1100 + genus)
+    words = []
+    for k in range(16):
+        z = (random_relator_heavy if k % 2 else random_freely_reduced)(
+            ctx, rng.randrange(64, 128), rng)
+        x = random_relator_heavy(ctx, rng.randrange(0, 4 * genus), rng)
+        words.append(z + x + invert_word(z))
+        words.append(random_relator_heavy(ctx, rng.randrange(0, 12 * genus), rng))
+    expected = {}
+    for w in words:
+        final, trace = normalize(ctx, w)
+        assert trace.replay() == final
+        assert d_basis_normalize(ctx, w) == final
+        expected[w] = final
+
+    reached = []
+    append_step = rewrite._append_step
+
+    def counted(ctx, acc, letter):
+        inverse = bool(acc) and acc[-1] == -letter
+        chain = chain_backward(ctx, tuple(acc) + (letter,), len(acc), ctx.alphabet_size)[0]
+        reached.append((inverse, chain))
+        return append_step(ctx, acc, letter)
+
+    monkeypatch.setattr(rewrite, "_append_step", counted)
+    for w in words:
+        assert nf(ctx, w) == expected[w]
+        h = len(w) // 2
+        assert _nf_concat(ctx, nf(ctx, w[:h]), w[h:]) == expected[w]
+    assert reached, "no letter reached _append_step"
+    assert not [r for r in reached if r[0] or r[1] < 3]
