@@ -20,13 +20,13 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
 from .conjugacy import are_conjugate, class_nf, conj_power, reducing_pair, root
 from .group_core import (
-    MAX_GENUS,
     DomainError,
     GroupContext,
     VerificationError,
@@ -54,13 +54,6 @@ class Request:
     genus: int = 2
     words: tuple = ()
     options: dict = field(default_factory=dict)
-
-
-def _context(genus: int) -> GroupContext:
-    """The context of one request or batch file; DomainError off range."""
-    if not 2 <= genus <= MAX_GENUS:
-        raise DomainError(f"genus must be between 2 and {MAX_GENUS}, got {genus}")
-    return GroupContext(genus)
 
 
 def _descriptor(name: str, ctx: GroupContext):
@@ -295,7 +288,7 @@ def run(request: Request):
     """Execute one request; returns (exit_code, stdout_text, stderr_text)."""
     spec = _COMMANDS.get(request.command)
     try:
-        ctx = _context(request.genus)
+        ctx = GroupContext(request.genus)
         if spec is None:
             raise DomainError(f"unknown command {request.command!r}")
         doc = spec.execute(ctx, request.words, request.options.get)
@@ -343,7 +336,7 @@ def run_file(path, command: str, options: dict):
                 raise DomainError(
                     f"expected {spec.arity} tab-separated word(s), got {len(parts)}")
             if ctx is None:
-                ctx = _context(genus)
+                ctx = GroupContext(genus)
             doc = spec.execute(ctx, parts, options.get)
         except (WordParseError, DomainError, VerificationError) as exc:
             unverified = isinstance(exc, VerificationError)
@@ -414,8 +407,12 @@ def main(argv=None) -> int:
         code, out, err = run_file(batch, command, options)
     else:
         code, out, err = run(Request(command, options["genus"], words, options))
-    if out:
-        print(out)
-    if err:
-        print(err, file=sys.stderr)
+    try:
+        if out:
+            print(out, flush=True)
+        if err:
+            print(err, file=sys.stderr)
+    except BrokenPipeError:
+        # the reader has gone; devnull keeps the flush at exit quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code

@@ -102,9 +102,9 @@ class GroupContext:
     threads.
     """
 
-    def __init__(self, genus: int, *, max_genus: int = MAX_GENUS):
-        if not isinstance(genus, int) or not 2 <= genus <= max_genus:
-            raise ValueError(f"genus must be an integer in [2, {max_genus}], got {genus!r}")
+    def __init__(self, genus: int):
+        if not isinstance(genus, int) or not 2 <= genus <= MAX_GENUS:
+            raise DomainError(f"genus must be between 2 and {MAX_GENUS}, got {genus!r}")
         self.genus = genus
         g2 = 2 * genus
         self.n_gens = g2

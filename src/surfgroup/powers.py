@@ -41,20 +41,18 @@ MAX_POWER_LETTERS = 10_000_000
 class PowerDecomposition:
     """Splice decomposition of the powers of one element.
 
-    prefix . core^(k - base_exponent_offset) . suffix is irreducible and
-    equals nf(x^k) for every k >= 2; prefix.suffix = nf(x^2) and
-    prefix.core.suffix = nf(x^3).
+    prefix . core^(k - 2) . suffix is irreducible and equals nf(x^k) for
+    every k >= 2; prefix.suffix = nf(x^2) and prefix.core.suffix = nf(x^3).
     """
 
     prefix: Word
     core: Word
     suffix: Word
-    base_exponent_offset: int = 2
 
     def assemble(self, k: int) -> Word:
-        if k < self.base_exponent_offset:
-            raise DomainError(f"assemble requires k >= {self.base_exponent_offset}")
-        return self.prefix + self.core * (k - self.base_exponent_offset) + self.suffix
+        if k < 2:
+            raise DomainError("assemble requires k >= 2")
+        return self.prefix + self.core * (k - 2) + self.suffix
 
 
 def translation_number(ctx: GroupContext, x: Word) -> int:

@@ -25,14 +25,14 @@ other.
 irreducible accumulator, and at most one rule fires per appended letter.
 A rule can fire only when the letter is the inverse of the last one or
 one of its two successors in a relator; one dict lookup per letter rules
-that out, and such a letter is appended inline.  Without a trace two
-more kinds are decided inline: the inverse pops the last letter (S1),
-and a successor is appended when its chain has length 2, because every
-other rule needs a chain of at least 2g >= 4 letters.  The rest go
-through _append_step, a table lookup that decides which of five cases
-applies.  The trace is built only on request; its steps are genuine
-S-rule applications on the evolving word, so replaying them by splicing
-reproduces the normal form.
+that out, and such a letter is appended inline.  The inverse pops the
+last letter (S1), and a successor is appended inline when its chain has
+length 2, because every other rule needs a chain of at least 2g >= 4
+letters.  Only a successor on a longer chain goes through _append_step,
+which reads the one rule it fires, if any, off the relator table.  Every
+caller takes these same decisions; a trace, built only on request,
+records them as genuine S-rule applications on the evolving word, so
+replaying them by splicing reproduces the normal form.
 Because an irreducible word passes through unchanged, nf(u v) for an
 irreducible u starts from u and costs only the letters of v.
 enumerate_ball lists the normal forms up to a radius by the same
@@ -126,35 +126,28 @@ def is_cyclically_irreducible(ctx: GroupContext, w: Word) -> bool:
 
 
 def _append_step(ctx: GroupContext, acc: list, letter: int):
-    """Classify appending `letter` to the irreducible word `acc`.
+    """The rule that appending `letter` to the irreducible word `acc` fires.
 
-    Returns (case, rule, n_pop, tail): pop n_pop letters off acc, then
-    extend it with tail (tail excludes the plain letter in case 5).
-    Cases follow the one-letter extension table: 1 free cancellation,
-    2 fractional-relator overflow, 3 repeated-block overflow, 4 block
-    transport, 5 no rule fires.
+    Called by _extend only for a successor whose chain has length >= 3.
+    Returns (rule, n_pop, tail): pop n_pop letters off acc, then extend
+    it with tail; rule is None, and tail the plain letter, when no rule
+    fires.
     """
     g2 = ctx.n_gens
-    if acc and acc[-1] == -letter:
-        return 1, RuleId("S1"), 1, ()
-    if not acc:
-        return 5, None, 0, (letter,)
     amb = ctx.pair_ambient(acc[-1], letter)
-    if amb is None:
-        return 5, None, 0, (letter,)
     # longest successor chain ending at the appended letter; acc is
     # irreducible so the chain never exceeds 2g+1.  Walked inline: through
     # a chain_backward call, nf on relator-heavy words ran 13-24% slower
     pred = ctx._pred[amb]
-    cl = 2
-    i = len(acc) - 1
+    cl = 3
+    i = len(acc) - 2
     while cl <= g2 and i >= 1 and pred[acc[i]] == acc[i - 1]:
         i -= 1
         cl += 1
     if cl == g2 + 1:
         F = ctx.entry_at(acc[i], amb)
         eidx = ctx.entry_index(acc[i], amb)
-        return 2, RuleId("S2", g2 + 1, eidx), g2, invert_word(F[g2 + 1:])
+        return RuleId("S2", g2 + 1, eidx), g2, invert_word(F[g2 + 1:])
     if cl == g2:
         E = ctx.entry_at(acc[i], amb)
         blk = list(E[:g2 - 1])
@@ -170,11 +163,17 @@ def _append_step(ctx: GroupContext, acc: list, letter: int):
             # rule read from the entry at prev, where the match starts;
             # t == 1 here would have been the 2g+1 chain above
             eidx = ctx.entry_index(prev, amb)
-            return 3, RuleId("S3", t, eidx), m + 1, _rev(E[:g2 - 1]) * t
+            return RuleId("S3", t, eidx), m + 1, _rev(E[:g2 - 1]) * t
         if ctx.greater(E[0], E[g2 - 1]):
             eidx = ctx.entry_index(acc[i], amb)
-            return 4, RuleId("S4b", t, eidx), m, (letter,) + _rev(E[:g2 - 1]) * t
-    return 5, None, 0, (letter,)
+            return RuleId("S4b", t, eidx), m, (letter,) + _rev(E[:g2 - 1]) * t
+    return None, 0, (letter,)
+
+
+#: the case of the one-letter extension table each rule family is: 1 free
+#: cancellation, 2 fractional-relator overflow, 3 repeated-block overflow,
+#: 4 block transport; case 5, where no rule fires, is the plain push
+_CASE = {"S1": 1, "S2": 2, "S3": 3, "S4b": 4}
 
 
 def append_letter_nf(ctx: GroupContext, x: Word, letter: int):
@@ -184,11 +183,9 @@ def append_letter_nf(ctx: GroupContext, x: Word, letter: int):
     if not is_irreducible(ctx, x):
         raise ValueError("append_letter_nf requires an irreducible word")
     acc = list(x)
-    case, _rule, n_pop, tail = _append_step(ctx, acc, letter)
-    if n_pop:
-        del acc[len(acc) - n_pop:]
-    acc.extend(tail)
-    return tuple(acc), case
+    steps = []
+    _extend(ctx, acc, (letter,), steps)
+    return tuple(acc), _CASE[steps[0].rule.family] if steps else 5
 
 
 def prepend_letter_nf(ctx: GroupContext, letter: int, x: Word):
@@ -232,12 +229,12 @@ def _extend(ctx: GroupContext, acc: list, letters, steps) -> None:
     """Append letters one at a time to the irreducible list acc, in place.
 
     A letter that is neither the inverse of acc[-1] nor one of its two
-    successors cannot fire a rule, so it is appended inline.  When steps
-    is None, the inverse is popped inline too, and a successor is
-    appended inline unless acc[-2] is its predecessor in the same
-    ambient: its chain then has length 2, and no rule but S1 fires on a
-    chain shorter than 2g.  Every other letter goes through _append_step.
-    Each rule that fires is recorded in steps, unless steps is None.
+    successors cannot fire a rule, so it is appended inline.  The inverse
+    is popped inline (S1), and a successor is appended inline unless
+    acc[-2] is its predecessor in the same ambient: its chain then has
+    length 2, and no rule but S1 fires on a chain shorter than 2g.  Only
+    a successor on a longer chain goes through _append_step.  Each rule
+    that fires is recorded in steps, unless steps is None.
     """
     live = ctx._live
     last = acc[-1] if acc else 0
@@ -247,24 +244,24 @@ def _extend(ctx: GroupContext, acc: list, letters, steps) -> None:
             acc.append(letter)
             last = letter
             continue
-        if steps is None:
-            before = nxt[letter]
-            if not before:
-                acc.pop()
-                last = acc[-1] if acc else 0
-                continue
-            if len(acc) < 2 or acc[-2] != before:
-                acc.append(letter)
-                last = letter
-                continue
-        case, rule, n_pop, tail = _append_step(ctx, acc, letter)
-        if case != 5 and steps is not None:
-            matched = tuple(acc[len(acc) - n_pop:]) + (letter,)
-            steps.append(ReductionStep(rule, len(acc) - n_pop, matched, tail))
-        if n_pop:
-            del acc[len(acc) - n_pop:]
+        before = nxt[letter]
+        if not before:
+            if steps is not None:
+                steps.append(ReductionStep(RuleId("S1"), len(acc) - 1, (last, letter), ()))
+            acc.pop()
+            last = acc[-1] if acc else 0
+            continue
+        if len(acc) < 2 or acc[-2] != before:
+            acc.append(letter)
+            last = letter
+            continue
+        rule, n_pop, tail = _append_step(ctx, acc, letter)
+        if rule is not None and steps is not None:
+            start = len(acc) - n_pop
+            steps.append(ReductionStep(rule, start, tuple(acc[start:]) + (letter,), tail))
+        del acc[len(acc) - n_pop:]
         acc.extend(tail)
-        last = acc[-1] if acc else 0
+        last = acc[-1]
 
 
 def normalize(ctx: GroupContext, w: Word, *, trace: bool = True):
@@ -325,10 +322,11 @@ def enumerate_ball(ctx: GroupContext, radius: int, cap: int = 10**6) -> list:
     """All normal forms of length <= radius, breadth-first.
 
     Each normal form of length L+1 extends exactly one of length L by
-    one letter (the plain-push case of the append operation), so the
-    frontier extension is duplicate-free.  Raises DomainError before it
-    enumerates anything when a lower bound on the ball size exceeds cap,
-    and otherwise once the element count would exceed cap.
+    one letter (the plain-push case of the append operation, where
+    _extend records no step), so the frontier extension is
+    duplicate-free.  Raises DomainError before it enumerates anything
+    when a lower bound on the ball size exceeds cap, and otherwise once
+    the element count would exceed cap.
     """
     if radius < 0:
         raise DomainError("ball radius must be nonnegative")
@@ -342,10 +340,10 @@ def enumerate_ball(ctx: GroupContext, radius: int, cap: int = 10**6) -> list:
     for _ in range(radius):
         nxt = []
         for w in frontier:
-            acc = list(w)
             for a in ctx.letters:
-                case, _rule, _pop, _tail = _append_step(ctx, acc, a)
-                if case == 5:
+                steps = []
+                _extend(ctx, list(w), (a,), steps)
+                if not steps:
                     if len(out) + len(nxt) >= cap:
                         raise DomainError("ball enumeration exceeded the element cap")
                     nxt.append(w + (a,))

@@ -1,11 +1,16 @@
 """Command line interface: output shapes, batch mode, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import surfgroup
 from surfgroup import conjugacy
 from surfgroup.cli import _COMMANDS, Request, _build_parser, main, run, run_file
 from surfgroup.group_core import parse_word
@@ -321,6 +326,29 @@ def test_main_missing_presentation_file(tmp_path, capsys):
     bad.write_bytes(b"genus 2\n\xff\n")
     assert main(["check", "--presentation", f"file:{bad}", "a1"]) == 1
     assert capsys.readouterr().err == f"error: {bad}: not valid UTF-8\n"
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+@pytest.mark.parametrize("argv, code", [
+    (["nf", "c1 c2 c3 c4"], 0),
+    (["nf", "--file", str(DATA / "golden_mixed_g2.txt")], 1),
+])
+def test_main_into_a_closed_pipe(argv, code, unbuffered):
+    """A reader that has gone (`surfgroup nf ... | head -n 1`) costs no
+    traceback: stderr stays empty and the exit code is the request's own."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(surfgroup.__file__).parents[1]),
+               PYTHONUNBUFFERED=unbuffered)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from surfgroup.cli import main; sys.exit(main())",
+             *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == code
 
 
 # --- fuzzing main: every argv and every batch file ends in an exit code

@@ -117,6 +117,9 @@ def test_normalize_random_confluence(ctx2, ctx3):
             assert normalize_random(ctx, w, rng) == nf(ctx, w)
 
 
+CASE_OF_FAMILY = {"S1": 1, "S2": 2, "S3": 3, "S4a": 4, "S4b": 4, None: 5}
+
+
 def test_append_letter_nf(ctx2):
     rng = random.Random(31)
     for _ in range(200):
@@ -126,6 +129,29 @@ def test_append_letter_nf(ctx2):
         assert out == nf(ctx2, x + (a,))
         assert case in (1, 2, 3, 4, 5)
         assert (case == 5) == (out == x + (a,))
+    # every letter after words that end in a relator prefix or a repeated
+    # block, which random words seldom do: cases 2-4.  Each tag is the
+    # family of the one reducing operation the reference scan finds
+    for genus in (2, 3, 5):
+        ctx = GroupContext(genus)
+        g2 = ctx.n_gens
+        seen = set()
+        for _ in range(100):
+            E = rng.choice(ctx.relator_table)
+            t = rng.randrange(1, 4)
+            tail = rng.choice((
+                E[:rng.randrange(1, g2 + 1)],
+                E[:g2 - 1] * t,
+                (E[0],) + E[1:g2] * t,
+            ))
+            x = nf(ctx, random_relator_heavy(ctx, rng.randrange(0, 20), rng) + tail)
+            for a in ctx.letters:
+                out, case = append_letter_nf(ctx, x, a)
+                assert out == nf(ctx, x + (a,)), (genus, x, a)
+                step = find_reducible_reference(ctx, x + (a,))
+                assert case == CASE_OF_FAMILY[step and step.rule.family], (genus, x, a)
+                seen.add(case)
+        assert seen == {1, 2, 3, 4, 5}
 
 
 def test_prepend_letter_nf(ctx2):
@@ -319,11 +345,13 @@ def test_untraced_normalize_and_prefix_extension_at_high_genus(genus):
 
 @pytest.mark.parametrize("genus", [2, 3, 5, 64])
 def test_untraced_fast_path_agrees_and_leaves_only_long_chains(genus, monkeypatch):
-    """Untraced _extend pops an inverse and appends a successor with a
-    chain of length 2 inline.  On z x z^-1 with long z and on
+    """_extend pops an inverse and appends a successor with a chain of
+    length 2 inline, for every caller.  On z x z^-1 with long z and on
     relator-heavy words, nf and _nf_concat agree with the traced
-    normalize and the D engine, and the letters that still reach
-    _append_step are neither inverses nor on chains shorter than 3."""
+    normalize and the D engine.  Under nf, _nf_concat, the traced
+    normalize, append_letter_nf and enumerate_ball, the letters that
+    still reach _append_step are neither inverses nor on chains shorter
+    than 3, and every S1 step is a genuine cancellation that replays."""
     ctx = GroupContext(genus)
     rng = random.Random(1100 + genus)
     words = []
@@ -345,14 +373,33 @@ def test_untraced_fast_path_agrees_and_leaves_only_long_chains(genus, monkeypatc
 
     def counted(ctx, acc, letter):
         inverse = bool(acc) and acc[-1] == -letter
-        chain = chain_backward(ctx, tuple(acc) + (letter,), len(acc), ctx.alphabet_size)[0]
+        near = tuple(acc[-ctx.alphabet_size:]) + (letter,)
+        chain = chain_backward(ctx, near, len(near) - 1, ctx.alphabet_size)[0]
         reached.append((inverse, chain))
         return append_step(ctx, acc, letter)
 
     monkeypatch.setattr(rewrite, "_append_step", counted)
+    cancellations = 0
     for w in words:
         assert nf(ctx, w) == expected[w]
         h = len(w) // 2
         assert _nf_concat(ctx, nf(ctx, w[:h]), w[h:]) == expected[w]
+        final, trace = normalize(ctx, w)
+        assert final == expected[w]
+        assert trace.replay() == final
+        for step in trace.steps:
+            if step.rule.family == "S1":
+                a = step.matched[0]
+                assert step.matched == (a, -a)
+                cancellations += 1
+        # the letters that can fire a rule after x: the inverse and the
+        # two successors of its last letter
+        x = expected[w]
+        for a in ctx.letters:
+            if x and (a == -x[-1] or ctx.pair_ambient(x[-1], a) is not None):
+                assert append_letter_nf(ctx, x, a)[0] == nf(ctx, x + (a,))
+    ball = rewrite.enumerate_ball(ctx, {2: 4, 3: 3}.get(genus, 2))
+    assert len(set(ball)) == len(ball)
+    assert cancellations, "no S1 step was traced"
     assert reached, "no letter reached _append_step"
     assert not [r for r in reached if r[0] or r[1] < 3]
