@@ -4,14 +4,17 @@ The class normal form of x is the least word among all words conjugate
 to x.  It is computed from the cyclically irreducible core W of x: it is
 the least rotation of W or, when W has the exceptional shape
 (b_{i+1}..b_{2g-1}b_1..b_i)^t for a relator-table entry, the least
-rotation of W or of W reversed.  No rotation but the winner is built:
-the least rotation is found by Duval's Lyndon factorisation over the
-rank-mapped core, once for W and once for W reversed, so a class normal
-form costs O(|x|).  The conjugator is given by a formula, one per
-family.  Every certificate returned from this module has been
-re-verified by normalization (normalize(z.x.z^-1) equals the class
-word), and a failed check raises VerificationError, so an index or
-orientation slip cannot escape.
+rotation of W or of W reversed.  The shape is read off the first 2g-1
+letters of W, which miss the successor map of the entry's ambient at
+exactly one cyclic place, the seam before b_1; a successor pair lies in
+one ambient only, so no other entry or i matches.  No rotation but the
+winner is built: the least rotation is found by Duval's Lyndon
+factorisation over the rank-mapped core, once for W and once for W
+reversed, so a class normal form costs O(|x|).  The conjugator is
+given by a formula, one per family.  Every certificate returned from
+this module has been re-verified by normalization (normalize(z.x.z^-1)
+equals the class word), and a failed check raises VerificationError, so
+an index or orientation slip cannot escape.
 
 Roots are found from the least period of W (a prefix-function scan),
 and the conjugate-power decision reduces to conjugacy of primitive
@@ -112,46 +115,27 @@ def _least_rotations(s) -> range:
     return range(k0 % p, n, p)
 
 
-def _block_rotations(ctx: GroupContext) -> dict:
-    """(first letter, second letter) -> every (entry, i), ascending, whose
-    block rotation b_{i+1}..b_{2g-1}b_1..b_i starts with those letters.
+def _exceptional_match(ctx: GroupContext, w: Word):
+    """(entry, i) with w = (b_{i+1}..b_{2g-1}b_1..b_i)^t for the relator-table
+    entry b and some t, 1 <= i <= 2g-1, or None.
 
-    Cached on the context.  Built in O(g^2) without materialising a
-    rotation; a key holds at most 2g-2 pairs.
-    """
-    if "block_rotations" in ctx._cache:
-        return ctx._cache["block_rotations"]
-    blk = ctx.n_gens - 1
-    index: dict = {}
-    for eidx, entry in enumerate(ctx.relator_table):
-        for i in range(1, blk + 1):
-            key = (entry[i % blk], entry[(i + 1) % blk])
-            index.setdefault(key, []).append((eidx, i))
-    ctx._cache["block_rotations"] = index
-    return index
-
-
-def _exceptional_matches(ctx: GroupContext, w: Word) -> list:
-    """All (entry, i, t) with w = (b_{i+1}..b_{2g-1}b_1..b_i)^t, 1 <= i <= 2g-1.
-
-    The first two letters of the block narrow the (entry, i) pairs to
-    one index lookup, and each pair is confirmed by comparing the whole
-    block.
+    The block b_1..b_{2g-1} follows its ambient's successor map at every
+    cyclic place but one, the seam b_{2g-1}b_1, so the first 2g-1 letters
+    of w must miss that map exactly once; the letter after the miss is
+    b_1.  The match is unique: the seam fixes b_1 in its ambient, and the
+    other ambient misses at least twice, because a successor pair lies
+    in one ambient only and the block has 2g-2 >= 2 of them.
     """
     blk = ctx.n_gens - 1
-    n = len(w)
-    if n == 0 or n % blk:
-        return []
-    t = n // blk
     head = w[:blk]
-    if w != head * t:
-        return []
-    table = ctx.relator_table
-    return [
-        (eidx, i, t)
-        for eidx, i in _block_rotations(ctx).get(head[:2], ())
-        if head == table[eidx][i:blk] + table[eidx][:i]
-    ]
+    if len(w) % blk or w != head * (len(w) // blk):
+        return None
+    for amb, succ in enumerate(ctx._succ):
+        seams = [k for k, a in enumerate(head, 1) if succ[a] != head[k % blk]]
+        if len(seams) == 1:
+            s = seams[0] % blk
+            return ctx.entry_at(head[s], amb), blk - s
+    return None
 
 
 def class_nf(ctx: GroupContext, x: Word) -> ConjugacyCertificate:
@@ -166,7 +150,7 @@ def class_nf(ctx: GroupContext, x: Word) -> ConjugacyCertificate:
     Both minima come from _least_rotations on the letter ranks of W and
     of W reversed, so the cost is O(|x|) and no rotation but the winner
     is built.  A reversed minimum takes the table formula's conjugator
-    rev(W[:j]) rev(b_1..b_i) rev(b_{2g+i+1}..b_4g) S, for the first
+    rev(W[:j]) rev(b_1..b_i) rev(b_{2g+i+1}..b_4g) S, for the one
     match (b, i) and the first rotation j whose reversal is the minimum.
     """
     n1 = nf(ctx, x)
@@ -185,8 +169,8 @@ def _class_of_normal(ctx: GroupContext, n1: Word) -> ConjugacyCertificate:
     best = w[k0:] + w[:k0]
     # w is cyclically irreducible, so its suffix w[k0:] is irreducible
     conj = _nf_concat(ctx, w[k0:], suffix)
-    matches = _exceptional_matches(ctx, w)
-    if matches:
+    match = _exceptional_match(ctx, w)
+    if match is not None:
         rw = w[::-1]
         rev_rotations = _least_rotations(ranks[::-1])
         kr = rev_rotations[0]
@@ -194,15 +178,14 @@ def _class_of_normal(ctx: GroupContext, n1: Word) -> ConjugacyCertificate:
         if compare_words(ctx, alt, best) < 0:
             # reversing rotation j of w gives rotation (n - j) mod n of w
             # reversed, so j is the first rotation whose reversal is alt
-            eidx, i, _t = matches[0]
-            entry = ctx.relator_table[eidx]
+            entry, i = match
             j = -kr % rev_rotations.step
             best = alt
             conj = nf(ctx, w[:j][::-1] + entry[:i][::-1]
                       + entry[ctx.n_gens + i:][::-1] + suffix)
     if not _verify_conjugation(ctx, conj, n1, best):
         raise VerificationError("class certificate failed verification")
-    return ConjugacyCertificate(best, conj, bool(matches))
+    return ConjugacyCertificate(best, conj, match is not None)
 
 
 def are_conjugate(ctx: GroupContext, x: Word, y: Word):

@@ -99,7 +99,8 @@ class GroupContext:
 
     Instances are immutable by convention; all functions in this package
     treat them as read-only, so a context can be shared freely across
-    threads.
+    threads.  A context holds its tables and no cache: every memo in the
+    package is a functools.cache keyed on plain values, never on a context.
     """
 
     def __init__(self, genus: int):
@@ -124,14 +125,13 @@ class GroupContext:
             rank[-i] = g2 - 1 + i
         self.lex_rank = rank
         # navigation in the two ambient cyclic words (0 = relator, 1 = its inverse)
-        self._cycles = (self.relator, self.relator_inverse)
-        self._doubled = (self.relator * 2, self.relator_inverse * 2)
-        self._pos = tuple({x: i for i, x in enumerate(c)} for c in self._cycles)
+        cycles = (self.relator, self.relator_inverse)
+        self._pos = tuple({x: i for i, x in enumerate(c)} for c in cycles)
         self._succ = tuple(
-            {x: c[(i + 1) % n4] for i, x in enumerate(c)} for c in self._cycles
+            {x: c[(i + 1) % n4] for i, x in enumerate(c)} for c in cycles
         )
         self._pred = tuple(
-            {x: c[(i - 1) % n4] for i, x in enumerate(c)} for c in self._cycles
+            {x: c[(i - 1) % n4] for i, x in enumerate(c)} for c in cycles
         )
         # the letters that can fire a rule when appended after x: its
         # inverse and its two successors; key 0 stands for the empty word.
@@ -146,7 +146,6 @@ class GroupContext:
         }
         self._live[0] = {}
         self._letter_set = frozenset(self.letters)
-        self._cache = {}
 
     def __repr__(self):
         return f"GroupContext(genus={self.genus})"
@@ -184,12 +183,7 @@ class GroupContext:
 
     def entry_at(self, letter: int, ambient: int) -> Word:
         """The relator-table entry (rotation) starting at `letter` in `ambient`."""
-        i = self._pos[ambient][letter]
-        return self._doubled[ambient][i:i + self.alphabet_size]
-
-    def entry_index(self, letter: int, ambient: int) -> int:
-        """Index of entry_at(letter, ambient) inside relator_table."""
-        return ambient * self.alphabet_size + self._pos[ambient][letter]
+        return self.relator_table[ambient * self.alphabet_size + self._pos[ambient][letter]]
 
     def chain_forward(self, w, p: int, cap: int) -> tuple:
         """(length, ambient) of the longest successor chain in w starting at p.

@@ -16,6 +16,7 @@ symmetric engine applied to translated words.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -29,8 +30,6 @@ from .group_core import (
 )
 from .powers import MAX_POWER_LETTERS, translation_number
 from .rewrite import nf
-
-_SYM_CACHE: dict = {}
 
 
 @dataclass(frozen=True)
@@ -58,13 +57,12 @@ class PresentationDescriptor:
         )
 
 
+@functools.cache
 def symmetric_descriptor(genus: int) -> PresentationDescriptor:
-    if genus not in _SYM_CACHE:
-        half = [i if i % 2 else -i for i in range(1, 2 * genus + 1)]
-        _SYM_CACHE[genus] = PresentationDescriptor(
-            genus, tuple(half) + tuple(-x for x in half), "symmetric"
-        )
-    return _SYM_CACHE[genus]
+    half = [i if i % 2 else -i for i in range(1, 2 * genus + 1)]
+    return PresentationDescriptor(
+        genus, tuple(half) + tuple(-x for x in half), "symmetric"
+    )
 
 
 def canonical_descriptor(genus: int) -> PresentationDescriptor:
@@ -219,9 +217,14 @@ def load_descriptor(path) -> PresentationDescriptor:
     if len(lines) < 2:
         raise DomainError(f"{path}: descriptor needs a genus line and an order line")
     head = lines[0].split()
-    if len(head) != 2 or head[0].lower() != "genus" or not head[1].isdigit():
-        raise DomainError(f"{path}: first line must be 'genus <g>'")
-    genus = int(head[1])
+    try:
+        # isdecimal, not isdigit: int refuses digits such as '²'.  It
+        # also refuses a string of more than 4300 digits
+        if len(head) != 2 or head[0].lower() != "genus" or not head[1].isdecimal():
+            raise ValueError
+        genus = int(head[1])
+    except ValueError:
+        raise DomainError(f"{path}: first line must be 'genus <g>'") from None
     base = next((ch for ch in lines[1] if ch.isalpha()), "c").lower()
     order = parse_word(lines[1], genus, base=base)
     return PresentationDescriptor(genus, order, path.stem)

@@ -42,6 +42,7 @@ that they fit under its cap.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .group_core import (
@@ -58,13 +59,10 @@ class RuleId:
 
     family: S1, S2, S3, S4a, S4b or D1..D8.  param is k for S2, t for
     S3/S4 and the family index i/j for D rules (0 when meaningless).
-    entry indexes the relator-table entry the rule is read from, when
-    there is one.
     """
 
     family: str
     param: int = 0
-    entry: int | None = None
 
     def __str__(self):
         if self.family == "S2":
@@ -146,8 +144,7 @@ def _append_step(ctx: GroupContext, acc: list, letter: int):
         cl += 1
     if cl == g2 + 1:
         F = ctx.entry_at(acc[i], amb)
-        eidx = ctx.entry_index(acc[i], amb)
-        return RuleId("S2", g2 + 1, eidx), g2, invert_word(F[g2 + 1:])
+        return RuleId("S2", g2 + 1), g2, invert_word(F[g2 + 1:])
     if cl == g2:
         E = ctx.entry_at(acc[i], amb)
         blk = list(E[:g2 - 1])
@@ -160,13 +157,10 @@ def _append_step(ctx: GroupContext, acc: list, letter: int):
         m = t * L
         prev = acc[-m - 1] if len(acc) > m else None
         if prev == E[-1]:
-            # rule read from the entry at prev, where the match starts;
             # t == 1 here would have been the 2g+1 chain above
-            eidx = ctx.entry_index(prev, amb)
-            return RuleId("S3", t, eidx), m + 1, _rev(E[:g2 - 1]) * t
+            return RuleId("S3", t), m + 1, _rev(E[:g2 - 1]) * t
         if ctx.greater(E[0], E[g2 - 1]):
-            eidx = ctx.entry_index(acc[i], amb)
-            return RuleId("S4b", t, eidx), m, (letter,) + _rev(E[:g2 - 1]) * t
+            return RuleId("S4b", t), m, (letter,) + _rev(E[:g2 - 1]) * t
     return None, 0, (letter,)
 
 
@@ -354,11 +348,9 @@ def enumerate_ball(ctx: GroupContext, radius: int, cap: int = 10**6) -> list:
 
 # --- the explicit D basis -------------------------------------------------
 
-def _d_rules(ctx: GroupContext):
-    """Rule tables for the D engine, cached on the context."""
-    if "d_rules" in ctx._cache:
-        return ctx._cache["d_rules"]
-    g2 = ctx.n_gens
+@functools.cache
+def _d_rules(g2: int):
+    """Rule tables for the D engine over 2g = g2 generators."""
     fixed = []  # (lead, replacement, family)
     fixed.append((tuple(-i for i in range(g2, 0, -1)),
                   tuple(-i for i in range(1, g2 + 1)), "D3"))
@@ -382,14 +374,12 @@ def _d_rules(ctx: GroupContext):
         bl2 = tuple(range(j + 1, g2 + 1)) + tuple(-i for i in range(1, j))
         rb2 = tuple(-i for i in range(j - 1, 0, -1)) + tuple(range(g2, j, -1))
         conj[j] = [(bl1, rb1, "D1"), (bl2, rb2, "D2")]
-    rules = (by_first, conj)
-    ctx._cache["d_rules"] = rules
-    return rules
+    return by_first, conj
 
 
 def _d_match(ctx: GroupContext, w: Word, p: int):
     """First D-rule match at position p, or None."""
-    by_first, conj = _d_rules(ctx)
+    by_first, conj = _d_rules(ctx.n_gens)
     n = len(w)
     a = w[p]
     # D7 / D8: inverse pairs

@@ -195,10 +195,9 @@ def find_reducible_reference(ctx, w):
             continue
         cl, _ = ctx.chain_forward(w, p, n4)
         E = ctx.entry_at(a, amb)
-        eidx = ctx.entry_index(a, amb)
         if cl >= g2 + 1:
             return ReductionStep(
-                RuleId("S2", cl, eidx), p, w[p:p + cl], invert_word(E[cl:])
+                RuleId("S2", cl), p, w[p:p + cl], invert_word(E[cl:])
             )
         blk = E[1:g2]
         t1 = 0
@@ -208,12 +207,12 @@ def find_reducible_reference(ctx, w):
             q += g2 - 1
         if t1 >= 2 and q < n and w[q] == E[g2]:
             return ReductionStep(
-                RuleId("S3", t1, eidx), p, w[p:q + 1], tuple(reversed(blk)) * t1
+                RuleId("S3", t1), p, w[p:q + 1], tuple(reversed(blk)) * t1
             )
         s4 = None
         if t1 >= 1 and ctx.greater(E[0], E[g2 - 1]):
             s4 = ReductionStep(
-                RuleId("S4a", t1, eidx), p, w[p:q], tuple(reversed(blk)) * t1 + (E[0],)
+                RuleId("S4a", t1), p, w[p:q], tuple(reversed(blk)) * t1 + (E[0],)
             )
         blk2 = E[:g2 - 1]
         t2 = 0
@@ -223,7 +222,7 @@ def find_reducible_reference(ctx, w):
             q2 += g2 - 1
         if t2 >= 1 and q2 < n and w[q2] == E[g2 - 1] and ctx.greater(E[0], E[g2 - 1]):
             cand = ReductionStep(
-                RuleId("S4b", t2, eidx), p, w[p:q2 + 1],
+                RuleId("S4b", t2), p, w[p:q2 + 1],
                 (E[g2 - 1],) + tuple(reversed(blk2)) * t2,
             )
             if s4 is None or len(cand.matched) > len(s4.matched):
@@ -237,8 +236,8 @@ def exceptional_matches_reference(ctx, w):
     """All (entry, i, t) with w = (b_{i+1}..b_{2g-1}b_1..b_i)^t, by building
     the block rotation of every entry at every i.
 
-    O(g^3) per periodic word; the reference that conjugacy's indexed
-    _exceptional_matches is held against.
+    O(g^3) per periodic word; the reference that conjugacy's seam count
+    _exceptional_match is held against.
     """
     blk = ctx.n_gens - 1
     n = len(w)

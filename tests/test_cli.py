@@ -328,6 +328,19 @@ def test_main_missing_presentation_file(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {bad}: not valid UTF-8\n"
 
 
+@pytest.mark.parametrize("genus", ["\u00b2", "3\u00b2", "9" * 5000],
+                         ids=["superscript", "digit-superscript", "5000-digits"])
+def test_genus_line_that_int_refuses_exits_1(tmp_path, capsys, genus):
+    """Digits that str.isdigit accepts and int refuses: a superscript, or
+    more than 4300 of them.  main exits 1 and names the genus line."""
+    pres = tmp_path / "P.pres"
+    pres.write_text(f"genus {genus}\na1 A2 A1 a2\n", encoding="utf-8")
+    assert main(["translate", "--presentation", f"file:{pres}", "a1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {pres}: first line must be 'genus <g>'\n"
+
+
 @pytest.mark.parametrize("unbuffered", ["1", ""])
 @pytest.mark.parametrize("argv, code", [
     (["nf", "c1 c2 c3 c4"], 0),

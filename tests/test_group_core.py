@@ -1,6 +1,7 @@
 """Alphabet, word order, relator table and parsing."""
 
 import ast
+import copy
 import itertools
 from pathlib import Path
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import surfgroup
 from helpers import chain_backward, is_fractional_relator, llfr_at, reverse_word
+from surfgroup.conjugacy import are_conjugate, class_nf, root
 from surfgroup.group_core import (
     GroupContext,
     WordParseError,
@@ -23,6 +25,8 @@ from surfgroup.group_core import (
     parse_word,
     word_sort_key,
 )
+from surfgroup.oracle import dehn_conjugate
+from surfgroup.rewrite import d_basis_normalize, enumerate_ball, normalize
 
 letters_g2 = st.sampled_from([1, 2, 3, 4, -1, -2, -3, -4])
 words_g2 = st.lists(letters_g2, max_size=24).map(tuple)
@@ -129,11 +133,36 @@ def test_live_letters_name_the_letter_before(ctx2, ctx3):
 
 
 def test_entry_lookup_round_trip(ctx2):
+    """entry_at starts at the letter, follows the ambient's successor map
+    all the way round, and is a row of relator_table itself, not a copy."""
+    rows = {id(E) for E in ctx2.relator_table}
     for amb in (0, 1):
+        succ = ctx2._succ[amb]
         for letter in ctx2.letters:
             E = ctx2.entry_at(letter, amb)
             assert E[0] == letter
-            assert ctx2.relator_table[ctx2.entry_index(letter, amb)] == E
+            assert all(succ[a] == b for a, b in zip(E, E[1:] + E[:1]))
+            assert id(E) in rows
+
+
+@pytest.mark.parametrize("genus", [2, 3])
+def test_operations_leave_the_context_unchanged(genus):
+    """A context holds only its tables: no operation writes to it."""
+    ctx = GroupContext(genus)
+    before = copy.deepcopy(vars(ctx))
+    blk = ctx.n_gens - 1
+    E = ctx.relator_table[1]
+    core = (E[2:blk] + E[:2]) * 2
+    z = (1, 2, -3)
+    x = z + core + invert_word(z)
+    normalize(ctx, x + E + x)
+    assert class_nf(ctx, x).exceptional
+    assert are_conjugate(ctx, x, core) is not None
+    root(ctx, core)
+    d_basis_normalize(ctx, x + E)
+    enumerate_ball(ctx, 3)
+    assert dehn_conjugate(ctx, x, core)
+    assert vars(ctx) == before
 
 
 def test_chain_forward_backward(ctx2):
