@@ -25,6 +25,7 @@ successor/predecessor maps that make those lookups O(1).
 
 from __future__ import annotations
 
+import functools
 import re
 
 Word = tuple  # tuple of signed ints
@@ -237,6 +238,57 @@ def abelianize(ctx: GroupContext, w: Word) -> tuple:
 _TOKEN_RE = re.compile(r"^([a-zA-Z])(\d+)(\^-1)?$")
 
 
+def _parse_token(tok: str, i: int, genus: int, lo: str, hi: str) -> int:
+    """The letter that token number i (from 0) spells, else WordParseError.
+
+    This regex path alone decides which tokens are letters and what every
+    parse error says; the tables of parse_word are built through it.
+    """
+    m = _TOKEN_RE.match(tok)
+    if m is None:
+        raise WordParseError(f"bad token {tok!r} at position {i + 1}", token=tok, position=i + 1)
+    name, idx_s, caret = m.groups()
+    if name not in (lo, hi):
+        raise WordParseError(
+            f"bad token {tok!r} at position {i + 1}: expected letter {lo!r}",
+            token=tok, position=i + 1,
+        )
+    if name == hi and caret:
+        raise WordParseError(
+            f"bad token {tok!r} at position {i + 1}: uppercase already means inverse",
+            token=tok, position=i + 1,
+        )
+    try:
+        idx = int(idx_s)
+    except ValueError:  # more digits than int converts
+        idx = 0
+    if not 1 <= idx <= 2 * genus:
+        raise WordParseError(
+            f"bad token {tok!r} at position {i + 1}: index out of range for genus {genus}",
+            token=tok, position=i + 1,
+        )
+    return -idx if (name == hi or caret) else idx
+
+
+@functools.cache
+def _token_letters(genus: int, base: str) -> dict:
+    """Token -> letter for the spellings b<i>, b<i>^-1 and B<i>, 1 <= i <= 2g.
+
+    Each spelling goes through _parse_token and is dropped if it raises,
+    so the table accepts no token the regex path refuses (for a base such
+    as 'é', it is empty).
+    """
+    lo, hi = base.lower(), base.upper()
+    table = {}
+    for i in range(1, 2 * genus + 1):
+        for tok in (f"{lo}{i}", f"{lo}{i}^-1", f"{hi}{i}"):
+            try:
+                table[tok] = _parse_token(tok, 0, genus, lo, hi)
+            except WordParseError:
+                pass
+    return table
+
+
 def parse_word(text: str, genus: int, base: str = "c") -> Word:
     """Parse word text into a Word.
 
@@ -245,39 +297,42 @@ def parse_word(text: str, genus: int, base: str = "c") -> Word:
     `e` denotes the empty word.  `base` selects the expected letter name
     ('c' for the symmetric presentation, 'a' for words handed to a
     presentation translator).
+
+    Each token is looked up in the cached table _token_letters(genus,
+    base) of the canonical spellings.  A miss is skipped if it is `e` and
+    otherwise goes through _parse_token, the regex path the table was
+    built from, so other spellings such as `c01` still parse and every
+    error keeps its text, token and position.  A table is built only for
+    2 <= genus <= MAX_GENUS: a descriptor file is parsed with its genus
+    before that genus is checked, and a huge one must not build a huge
+    table.
     """
-    tokens = [t for t in re.split(r"[\s*]+", text.strip()) if t]
+    table = _token_letters(genus, base) if 2 <= genus <= MAX_GENUS else {}
     out = []
-    lo, hi = base.lower(), base.upper()
-    for i, tok in enumerate(tokens):
-        if tok == "e":
-            continue
-        m = _TOKEN_RE.match(tok)
-        if m is None:
-            raise WordParseError(f"bad token {tok!r} at position {i + 1}", token=tok, position=i + 1)
-        name, idx_s, caret = m.groups()
-        if name not in (lo, hi):
-            raise WordParseError(
-                f"bad token {tok!r} at position {i + 1}: expected letter {lo!r}",
-                token=tok, position=i + 1,
-            )
-        if name == hi and caret:
-            raise WordParseError(
-                f"bad token {tok!r} at position {i + 1}: uppercase already means inverse",
-                token=tok, position=i + 1,
-            )
-        idx = int(idx_s)
-        if not 1 <= idx <= 2 * genus:
-            raise WordParseError(
-                f"bad token {tok!r} at position {i + 1}: index out of range for genus {genus}",
-                token=tok, position=i + 1,
-            )
-        out.append(-idx if (name == hi or caret) else idx)
+    for i, tok in enumerate(text.replace("*", " ").split()):
+        x = table.get(tok)
+        if x is None:
+            if tok == "e":
+                continue
+            x = _parse_token(tok, i, genus, base.lower(), base.upper())
+        out.append(x)
     return tuple(out)
+
+
+@functools.cache
+def _letter_names(base: str) -> dict:
+    """Letter -> text for every letter at genus MAX_GENUS."""
+    names = {}
+    for i in range(1, 2 * MAX_GENUS + 1):
+        names[i] = f"{base}{i}"
+        names[-i] = f"{base}{i}^-1"
+    return names
 
 
 def format_word(w: Word, base: str = "c") -> str:
     """Inverse of parse_word; the empty word prints as 'e'."""
     if not w:
         return "e"
-    return " ".join(f"{base}{x}" if x > 0 else f"{base}{-x}^-1" for x in w)
+    names = _letter_names(base)
+    return " ".join([names[x] if x in names
+                     else f"{base}{x}" if x > 0 else f"{base}{-x}^-1" for x in w])

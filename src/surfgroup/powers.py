@@ -97,7 +97,8 @@ def power_decompose(ctx: GroupContext, x: Word, *, normal: bool = False) -> Powe
     core = mid3[q:q + tau]
     if mid3[q + tau:] != mid2[q:]:
         raise VerificationError("the core does not splice nf(x^2) into nf(x^3)")
-    if not is_cyclically_irreducible(ctx, core):
+    # the core is a subword of the irreducible nf(x^3), so irreducible
+    if not is_cyclically_irreducible(ctx, core, normal=True):
         raise VerificationError("the spliced core is not cyclically irreducible")
     return PowerDecomposition(n1[:p] + mid2[:q], core, mid2[q:] + right)
 

@@ -116,10 +116,17 @@ def is_irreducible(ctx: GroupContext, w: Word) -> bool:
     return nf(ctx, w) == w
 
 
-def is_cyclically_irreducible(ctx: GroupContext, w: Word) -> bool:
-    """True when the square of w is irreducible (every rotation is then too)."""
+def is_cyclically_irreducible(ctx: GroupContext, w: Word, *, normal: bool = False) -> bool:
+    """True when the square of w is irreducible (every rotation is then too).
+
+    normal=True states that w is irreducible already; then only the second
+    copy is appended to it, and w + w is irreducible exactly when that
+    leaves it unchanged.
+    """
     if not w:
         return True
+    if normal:
+        return _nf_concat(ctx, w, w) == w + w
     return is_irreducible(ctx, w + w)
 
 

@@ -1,6 +1,7 @@
 """Shared word generators for the test suite, the quadratic references
 the linear library code is held against, the candidate searches the
-direct splice and conjugator constructions are held against, and the
+direct splice and conjugator constructions are held against, the regex
+word parser the token table is held against, and the
 tools that only the tests use: word and chain utilities, other reduction
 orders, the power length formula by plain concatenation, and the three
 special shapes."""
@@ -8,12 +9,15 @@ special shapes."""
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 
 from surfgroup.group_core import (
+    _TOKEN_RE,
     DomainError,
     GroupContext,
     Word,
+    WordParseError,
     common_prefix_len,
     cyclic_rotations,
     free_reduce,
@@ -33,6 +37,40 @@ from surfgroup.rewrite import (
     is_irreducible,
     nf,
 )
+
+
+def parse_word_reference(text: str, genus: int, base: str = "c") -> Word:
+    """The regex parser parse_word's token table replaced, one match per
+    token.  An index of more than 4300 digits makes int raise ValueError
+    here, where parse_word raises WordParseError."""
+    tokens = [t for t in re.split(r"[\s*]+", text.strip()) if t]
+    out = []
+    lo, hi = base.lower(), base.upper()
+    for i, tok in enumerate(tokens):
+        if tok == "e":
+            continue
+        m = _TOKEN_RE.match(tok)
+        if m is None:
+            raise WordParseError(f"bad token {tok!r} at position {i + 1}", token=tok, position=i + 1)
+        name, idx_s, caret = m.groups()
+        if name not in (lo, hi):
+            raise WordParseError(
+                f"bad token {tok!r} at position {i + 1}: expected letter {lo!r}",
+                token=tok, position=i + 1,
+            )
+        if name == hi and caret:
+            raise WordParseError(
+                f"bad token {tok!r} at position {i + 1}: uppercase already means inverse",
+                token=tok, position=i + 1,
+            )
+        idx = int(idx_s)
+        if not 1 <= idx <= 2 * genus:
+            raise WordParseError(
+                f"bad token {tok!r} at position {i + 1}: index out of range for genus {genus}",
+                token=tok, position=i + 1,
+            )
+        out.append(-idx if (name == hi or caret) else idx)
+    return tuple(out)
 
 
 def random_freely_reduced(ctx, length, rng):

@@ -223,6 +223,23 @@ def test_batch_with_errors(tmp_path):
     assert lines[3] == "processed 3 ok 2 errors 1"
 
 
+def test_an_index_int_refuses_is_a_parse_error(tmp_path, capsys):
+    """An index of more than 4300 digits, which int refuses: a single
+    request exits 2, and a batch file reports the line and goes on."""
+    token = "c" + "9" * 5000
+    message = f"bad token {token!r} at position 1: index out of range for genus 2"
+    assert main(["nf", token]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    f = tmp_path / "words.txt"
+    f.write_text(f"{token}\nc1 c2\n")
+    code, out, err = run_file(f, "nf", {"genus": 2})
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [f"line 1: error: {message}", "c1 c2; length 2",
+                                "processed 2 ok 1 errors 1"]
+
+
 def test_batch_pairs_and_json(tmp_path):
     f = tmp_path / "pairs.txt"
     f.write_text("c1 c2\tc2 c1\nc1\tc2\n")

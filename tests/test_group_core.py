@@ -3,15 +3,26 @@
 import ast
 import copy
 import itertools
+import re
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import surfgroup
-from helpers import chain_backward, is_fractional_relator, llfr_at, reverse_word
+from helpers import (
+    chain_backward,
+    is_fractional_relator,
+    llfr_at,
+    parse_word_reference,
+    reverse_word,
+)
+from surfgroup import group_core
+from surfgroup.cli import main
 from surfgroup.conjugacy import are_conjugate, class_nf, root
 from surfgroup.group_core import (
+    MAX_GENUS,
     GroupContext,
     WordParseError,
     abelianize,
@@ -286,6 +297,22 @@ def test_parse_word_errors():
         parse_word("c1 c2 c99", 3)
     assert e.value.token == "c99"
     assert e.value.position == 3
+    oversized = "c" + "9" * 5000
+    messages = [
+        ("c1^2", 2, "c", "bad token 'c1^2' at position 1"),
+        ("c1 a1", 2, "c", "bad token 'a1' at position 2: expected letter 'c'"),
+        ("c1", 2, "A", "bad token 'c1' at position 1: expected letter 'a'"),
+        ("c1 e C1^-1", 2, "c",
+         "bad token 'C1^-1' at position 3: uppercase already means inverse"),
+        ("c9", 2, "c", "bad token 'c9' at position 1: index out of range for genus 2"),
+        ("c0", 10**6, "c", "bad token 'c0' at position 1: index out of range for genus 1000000"),
+        (oversized, 2, "c",
+         f"bad token {oversized!r} at position 1: index out of range for genus 2"),
+    ]
+    for text, genus, base, message in messages:
+        with pytest.raises(WordParseError) as e:
+            parse_word(text, genus, base=base)
+        assert str(e.value) == message
 
 
 def test_format_word():
@@ -299,6 +326,75 @@ def test_format_word():
 @settings(max_examples=100, deadline=None)
 def test_parse_format_round_trip(w):
     assert parse_word(format_word(w), 3) == w
+
+
+def test_str_split_separates_where_the_regex_does():
+    """parse_word splits with str.split, the reference with [\\s*]+: the
+    two whitespace classes agree on every code point."""
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert {ch for ch in every if ch.isspace()} == set(re.findall(r"\s", every))
+
+
+def _outcome(parser, text, genus, base):
+    try:
+        return parser(text, genus, base=base)
+    except WordParseError as exc:
+        return str(exc), exc.token, exc.position
+
+
+@given(text=st.text(st.sampled_from(list("cCaAeéİ019١^-*") + ["\t", " ", "\xa0", "\u3000", "\n"]),
+                    max_size=30),
+       genus=st.sampled_from([2, 3, 64, 65, 10**6]),
+       base=st.sampled_from(["c", "a", "e", "é", "İ"]))
+@settings(max_examples=1500, deadline=None)
+def test_parse_word_agrees_with_the_regex_parser(text, genus, base):
+    """The same tuple, or a WordParseError with the same text, token and
+    position.  Tokens stay short: the reference's int raises ValueError
+    past 4300 digits, which test_parse_word_errors covers."""
+    assert _outcome(parse_word, text, genus, base) == _outcome(
+        parse_word_reference, text, genus, base)
+
+
+@given(text=st.lists(st.sampled_from(["c1", "c01", "C١", "c2^-1", "C12", "C1^-1", "e", "a3",
+                                      "A3", "c0", "é1", "É1^-1", "İ2", "i̇2", "e1", "E1"]),
+                     max_size=8).map(" ".join),
+       genus=st.sampled_from([2, 3, 64, 65]),
+       base=st.sampled_from(["c", "a", "e", "é", "İ"]))
+@settings(max_examples=500, deadline=None)
+def test_parse_word_agrees_on_token_shaped_text(text, genus, base):
+    assert _outcome(parse_word, text, genus, base) == _outcome(
+        parse_word_reference, text, genus, base)
+
+
+@given(w=st.lists(st.one_of(st.integers(), st.sampled_from(
+    [0, 2 * MAX_GENUS, -2 * MAX_GENUS, 2 * MAX_GENUS + 1, -2 * MAX_GENUS - 1])),
+    min_size=1, max_size=12).map(tuple),
+       base=st.sampled_from(["c", "a", "é", ""]))
+@settings(max_examples=500, deadline=None)
+def test_format_word_matches_the_f_string(w, base):
+    assert format_word(w, base=base) == " ".join(
+        f"{base}{x}" if x > 0 else f"{base}{-x}^-1" for x in w)
+
+
+def test_a_huge_descriptor_genus_builds_no_table(tmp_path, monkeypatch, capsys):
+    """load_descriptor parses the order line with the file's genus before
+    that genus is refused; no token table is built for it."""
+    genera = []
+    table = group_core._token_letters
+
+    def spy(genus, base):
+        genera.append(genus)
+        return table(genus, base)
+
+    monkeypatch.setattr(group_core, "_token_letters", spy)
+    pres = tmp_path / "P.pres"
+    pres.write_text("genus 1000000\na1 a2 A1 A2 a3 a4 A3 A4\n", encoding="utf-8")
+    size = table.cache_info().currsize
+    assert main(["translate", "--presentation", f"file:{pres}", "a1"]) == 1
+    assert capsys.readouterr().out == ""
+    assert parse_word("c1 c2000000", 10**6) == (1, 2000000)
+    assert table.cache_info().currsize == size
+    assert all(g <= MAX_GENUS for g in genera)
 
 
 def test_the_package_has_no_assert_and_no_bare_assertion_error():

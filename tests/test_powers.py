@@ -88,7 +88,7 @@ def test_each_splice_check_raises(ctx2, monkeypatch, power, corrupt, message):
 
 
 def test_a_core_that_is_not_cyclically_irreducible_raises(ctx2, monkeypatch):
-    monkeypatch.setattr(powers, "is_cyclically_irreducible", lambda ctx, w: False)
+    monkeypatch.setattr(powers, "is_cyclically_irreducible", lambda ctx, w, **kw: False)
     with pytest.raises(VerificationError, match="not cyclically irreducible"):
         power_decompose(ctx2, SPLICED)
 

@@ -13,6 +13,7 @@ from helpers import (
     find_reducible_reference,
     normalize_leftmost,
     normalize_random,
+    random_cyclic_core,
     random_freely_reduced,
     random_relator_heavy,
     special_instances,
@@ -200,6 +201,23 @@ def test_cyclically_irreducible(ctx2):
         if is_cyclically_irreducible(ctx2, w):
             for r in cyclic_rotations(w):
                 assert is_irreducible(ctx2, r)
+
+
+@pytest.mark.parametrize("genus", [2, 3, 8])
+def test_cyclically_irreducible_from_one_copy(genus):
+    """On an irreducible word, appending one copy to it decides what
+    normalizing the whole square decides."""
+    ctx = GroupContext(genus)
+    rng = random.Random(genus)
+    words = [nf(ctx, random_relator_heavy(ctx, rng.randrange(1, 60), rng)) for _ in range(150)]
+    words += [nf(ctx, random_freely_reduced(ctx, rng.randrange(1, 12), rng)) for _ in range(150)]
+    words += [random_cyclic_core(ctx, rng.randrange(1, 20), rng) for _ in range(50)]
+    verdicts = set()
+    for w in words:
+        verdict = is_cyclically_irreducible(ctx, w)
+        assert is_cyclically_irreducible(ctx, w, normal=True) == verdict
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_find_all_steps_are_applicable(ctx2):
