@@ -1,0 +1,56 @@
+"""Census of the greedy splice over every short freely reduced word.
+
+power_decompose takes the longest-common-prefix pair of splice points
+without trying any other, and checks its result on every call: the
+growth formula, both seams and the core.  Why the greedy pair is the
+splice is observed, not proved (see its docstring).  This script is
+that observation: it decomposes every nontrivial freely reduced word of
+length up to --max-length and prints how many it decomposed per length.
+A word whose decomposition fails the check ends the run with exit code
+1 and is named.
+"""
+
+import argparse
+import sys
+
+from surfgroup import GroupContext, VerificationError, format_word, nf, power_decompose
+
+
+def freely_reduced(letters, length, w=()):
+    """Every freely reduced word of the given length that extends w."""
+    if len(w) == length:
+        yield w
+        return
+    for x in letters:
+        if not w or x != -w[-1]:
+            yield from freely_reduced(letters, length, w + (x,))
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--genus", type=int, default=2)
+    parser.add_argument("--max-length", type=int, default=5)
+    args = parser.parse_args()
+
+    ctx = GroupContext(args.genus)
+    print(f"genus {args.genus}, nontrivial freely reduced words of length <= {args.max_length}")
+    print(f"{'length':>6} {'words':>9}")
+    total = 0
+    for length in range(1, args.max_length + 1):
+        count = 0
+        for w in freely_reduced(ctx.letters, length):
+            n1 = nf(ctx, w)
+            if not n1:
+                continue
+            try:
+                power_decompose(ctx, n1, normal=True)
+            except VerificationError as exc:
+                sys.exit(f"the greedy splice failed on {format_word(w)}: {exc}")
+            count += 1
+        print(f"{length:>6} {count:>9}")
+        total += count
+    print(f"total {total}")
+
+
+if __name__ == "__main__":
+    main()

@@ -84,13 +84,16 @@ def _mod1(v: int, n: int) -> int:
     return (v - 1) % n + 1
 
 
+def _foreign_letter(p: PresentationDescriptor, x) -> DomainError:
+    return DomainError(
+        f"letter {x} is outside the alphabet of presentation {p.label!r}")
+
+
 def _position(p: PresentationDescriptor, x: int) -> int:
     try:
         return p.theta[x]
     except KeyError:
-        raise DomainError(
-            f"letter {x} is outside the alphabet of presentation {p.label!r}"
-        ) from None
+        raise _foreign_letter(p, x) from None
 
 
 def o_value(p: PresentationDescriptor, x: int) -> int:
@@ -102,37 +105,58 @@ def o_sequence(p: PresentationDescriptor, w: Word) -> tuple:
     return tuple(o_value(p, x) for x in w)
 
 
+@functools.cache
+def _rotation_tables(order: tuple) -> tuple:
+    """(pos, step) for the cyclic order `order` of 4g signed letters.
+
+    pos[x] is the 0-based position theta(x) - 1 of x, and step[x] =
+    (O(x) + 2g) mod 4g is the rotation x adds once it is read.
+    """
+    n4 = len(order)
+    pos = {x: i for i, x in enumerate(order)}
+    step = {x: (pos[x] - pos[-x] + n4 // 2) % n4 for x in order}
+    return pos, step
+
+
 def translate(p: PresentationDescriptor, w: Word) -> Word:
     """The word bijection h into the symmetric alphabet, letter by letter.
 
     Letter k of w is sent through the rotation accumulated over letters
     1..k-1; words equal in p's group are mapped to words equal in the
-    symmetric group, with length preserved letterwise.
+    symmetric group, with length preserved letterwise.  Each letter costs
+    one lookup in each of the two tables _rotation_tables keeps per cyclic
+    order: its position and the rotation step it adds.
     """
-    sym = symmetric_descriptor(p.genus)
-    n4 = 4 * p.genus
-    g2 = 2 * p.genus
-    rotation = 0
+    pos, step = _rotation_tables(p.cyclic_order)
+    sym = symmetric_descriptor(p.genus).cyclic_order
+    n4 = len(sym)
+    rot = 0
     out = []
-    for x in w:
-        idx = _mod1(_position(p, x) + rotation, n4)
-        out.append(sym.cyclic_order[idx - 1])
-        rotation = (rotation + o_value(p, x) + g2) % n4
+    try:
+        for x in w:
+            out.append(sym[(pos[x] + rot) % n4])
+            rot = (rot + step[x]) % n4
+    except KeyError:
+        raise _foreign_letter(p, x) from None
     return tuple(out)
 
 
 def untranslate(p: PresentationDescriptor, w: Word) -> Word:
     """Inverse of translate on words of the same length."""
     sym = symmetric_descriptor(p.genus)
-    n4 = 4 * p.genus
-    g2 = 2 * p.genus
-    rotation = 0
+    sym_pos = _rotation_tables(sym.cyclic_order)[0]
+    step = _rotation_tables(p.cyclic_order)[1]
+    order = p.cyclic_order
+    n4 = len(order)
+    rot = 0
     out = []
-    for s in w:
-        idx = _mod1(_position(sym, s) - rotation, n4)
-        x = p.cyclic_order[idx - 1]
-        out.append(x)
-        rotation = (rotation + o_value(p, x) + g2) % n4
+    try:
+        for s in w:
+            x = order[(sym_pos[s] - rot) % n4]
+            out.append(x)
+            rot = (rot + step[x]) % n4
+    except KeyError:
+        raise _foreign_letter(sym, s) from None
     return tuple(out)
 
 

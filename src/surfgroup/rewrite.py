@@ -29,7 +29,10 @@ that out, and such a letter is appended inline.  The inverse pops the
 last letter (S1), and a successor is appended inline when its chain has
 length 2, because every other rule needs a chain of at least 2g >= 4
 letters.  Only a successor on a longer chain goes through _append_step,
-which reads the one rule it fires, if any, off the relator table.  Every
+which reads the one rule it fires, if any, off the relator table.  It
+does not walk the chain back: one probe of the letter 2g-1 places back
+rules out a chain shorter than 2g, and the slice up to it is compared
+with the relator table only when that probe matches.  Every
 caller takes these same decisions; a trace, built only on request,
 records them as genuine S-rule applications on the evolving word, so
 replaying them by splicing reproduces the normal form.
@@ -137,37 +140,39 @@ def _append_step(ctx: GroupContext, acc: list, letter: int):
     Returns (rule, n_pop, tail): pop n_pop letters off acc, then extend
     it with tail; rule is None, and tail the plain letter, when no rule
     fires.
+
+    Only chains of 2g and 2g+1 letters fire a rule; acc is irreducible,
+    so none is longer.  With E the relator-table entry that starts at
+    `letter`, the chain reaches 2g letters exactly when acc ends with
+    E[2g+1:], and 2g+1 when the letter before that is E[2g].  One probe
+    of the far letter acc[-(2g-1)] rules most chains out; only when it
+    matches is the slice compared.
     """
     g2 = ctx.n_gens
-    amb = ctx.pair_ambient(acc[-1], letter)
-    # longest successor chain ending at the appended letter; acc is
-    # irreducible so the chain never exceeds 2g+1.  Walked inline: through
-    # a chain_backward call, nf on relator-heavy words ran 13-24% slower
-    pred = ctx._pred[amb]
-    cl = 3
-    i = len(acc) - 2
-    while cl <= g2 and i >= 1 and pred[acc[i]] == acc[i - 1]:
-        i -= 1
-        cl += 1
-    if cl == g2 + 1:
-        F = ctx.entry_at(acc[i], amb)
-        return RuleId("S2", g2 + 1), g2, invert_word(F[g2 + 1:])
-    if cl == g2:
-        E = ctx.entry_at(acc[i], amb)
-        blk = list(E[:g2 - 1])
-        L = g2 - 1
-        t = 0
-        end = len(acc)
-        while end >= L and acc[end - L:end] == blk:
-            t += 1
-            end -= L
-        m = t * L
-        prev = acc[-m - 1] if len(acc) > m else None
-        if prev == E[-1]:
-            # t == 1 here would have been the 2g+1 chain above
-            return RuleId("S3", t), m + 1, _rev(E[:g2 - 1]) * t
-        if ctx.greater(E[0], E[g2 - 1]):
-            return RuleId("S4b", t), m, (letter,) + _rev(E[:g2 - 1]) * t
+    E = ctx.entry_at(letter, ctx.pair_ambient(acc[-1], letter))
+    k = len(acc) - g2 + 1
+    if k < 0 or acc[k] != E[g2 + 1]:
+        return None, 0, (letter,)
+    blk = acc[k:]
+    if blk != list(E[g2 + 1:]):
+        return None, 0, (letter,)
+    if k and acc[k - 1] == E[g2]:
+        return RuleId("S2", g2 + 1), g2, invert_word(E[1:g2])
+    # the chain E[2g+1:] + (letter,) has exactly 2g letters; count the
+    # run of t whole blocks E[2g+1:] that ends acc
+    L = g2 - 1
+    t = 0
+    end = len(acc)
+    while end >= L and acc[end - L:end] == blk:
+        t += 1
+        end -= L
+    m = t * L
+    prev = acc[-m - 1] if len(acc) > m else None
+    if prev == E[g2]:
+        # t == 1 here would have been the 2g+1 chain above
+        return RuleId("S3", t), m + 1, _rev(blk) * t
+    if ctx.greater(E[g2 + 1], letter):
+        return RuleId("S4b", t), m, (letter,) + _rev(blk) * t
     return None, 0, (letter,)
 
 

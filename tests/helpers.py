@@ -1,7 +1,9 @@
 """Shared word generators for the test suite, the quadratic references
 the linear library code is held against, the candidate searches the
 direct splice and conjugator constructions are held against, the regex
-word parser the token table is held against, and the
+word parser the token table is held against, the letter-by-letter
+presentation translation and the chain-walking append step the table
+and probe versions are held against, and the
 tools that only the tests use: word and chain utilities, other reduction
 orders, the power length formula by plain concatenation, and the three
 special shapes."""
@@ -27,11 +29,19 @@ from surfgroup.group_core import (
 from surfgroup.conjugacy import _least_rotations
 from surfgroup.oracle import DehnForm, _find_long_run
 from surfgroup.powers import PowerDecomposition
+from surfgroup.presentations import (
+    PresentationDescriptor,
+    _mod1,
+    _position,
+    o_value,
+    symmetric_descriptor,
+)
 from surfgroup.rewrite import (
     ReductionStep,
     ReductionTrace,
     RuleId,
     _nf_concat,
+    _rev,
     apply_step,
     is_cyclically_irreducible,
     is_irreducible,
@@ -440,6 +450,73 @@ def reversed_conjugators_reference(ctx: GroupContext, w, rev_rotations, suffix, 
         # rev_base is a rotation of the core reversed, so its least rotation is alt
         for a in starts:
             yield rev_base[a:] + (-entry[g2 - 1],) + u1 + suffix
+
+
+# --- presentation translation
+
+def translate_reference(p: PresentationDescriptor, w: Word) -> Word:
+    """translate as it was before its two tables: _position and o_value
+    per letter."""
+    sym = symmetric_descriptor(p.genus)
+    n4 = 4 * p.genus
+    g2 = 2 * p.genus
+    rotation = 0
+    out = []
+    for x in w:
+        idx = _mod1(_position(p, x) + rotation, n4)
+        out.append(sym.cyclic_order[idx - 1])
+        rotation = (rotation + o_value(p, x) + g2) % n4
+    return tuple(out)
+
+
+def untranslate_reference(p: PresentationDescriptor, w: Word) -> Word:
+    """untranslate as it was before its two tables."""
+    sym = symmetric_descriptor(p.genus)
+    n4 = 4 * p.genus
+    g2 = 2 * p.genus
+    rotation = 0
+    out = []
+    for s in w:
+        idx = _mod1(_position(sym, s) - rotation, n4)
+        x = p.cyclic_order[idx - 1]
+        out.append(x)
+        rotation = (rotation + o_value(p, x) + g2) % n4
+    return tuple(out)
+
+
+# --- the append step
+
+def append_step_reference(ctx: GroupContext, acc: list, letter: int):
+    """rewrite._append_step as it was before the far-letter probe: it
+    walks the successor chain back one letter at a time."""
+    g2 = ctx.n_gens
+    amb = ctx.pair_ambient(acc[-1], letter)
+    pred = ctx._pred[amb]
+    cl = 3
+    i = len(acc) - 2
+    while cl <= g2 and i >= 1 and pred[acc[i]] == acc[i - 1]:
+        i -= 1
+        cl += 1
+    if cl == g2 + 1:
+        F = ctx.entry_at(acc[i], amb)
+        return RuleId("S2", g2 + 1), g2, invert_word(F[g2 + 1:])
+    if cl == g2:
+        E = ctx.entry_at(acc[i], amb)
+        blk = list(E[:g2 - 1])
+        L = g2 - 1
+        t = 0
+        end = len(acc)
+        while end >= L and acc[end - L:end] == blk:
+            t += 1
+            end -= L
+        m = t * L
+        prev = acc[-m - 1] if len(acc) > m else None
+        if prev == E[-1]:
+            # t == 1 here would have been the 2g+1 chain above
+            return RuleId("S3", t), m + 1, _rev(E[:g2 - 1]) * t
+        if ctx.greater(E[0], E[g2 - 1]):
+            return RuleId("S4b", t), m, (letter,) + _rev(E[:g2 - 1]) * t
+    return None, 0, (letter,)
 
 
 # --- words and successor chains

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from helpers import random_freely_reduced
+from helpers import random_freely_reduced, translate_reference, untranslate_reference
 from surfgroup.group_core import DomainError, GroupContext
 from surfgroup.presentations import (
     PresentationDescriptor,
@@ -64,6 +64,51 @@ def test_translation_of_short_words():
     assert translate(can, (1,)) == (1,)
     assert translate(can, (1, 1)) == (1, 3)
     assert translate(can, (1, -1)) == (1, -1)
+
+
+def _orders(genus, rng):
+    """The canonical and symmetric orders and two seeded shuffles of the
+    4g signed letters."""
+    letters = [x for i in range(1, 2 * genus + 1) for x in (i, -i)]
+    yield canonical_descriptor(genus)
+    yield symmetric_descriptor(genus)
+    for k in range(2):
+        yield PresentationDescriptor(genus, tuple(rng.sample(letters, len(letters))), f"shuffled{k}")
+
+
+@pytest.mark.parametrize("genus", [2, 3, 8, 64])
+def test_table_translation_matches_the_reference(genus):
+    """translate and untranslate give the words the per-letter
+    _position / o_value loops in tests/helpers.py give, on the empty
+    word, short words and 8,000-letter words, not freely reduced."""
+    rng = random.Random(900 + genus)
+    letters = GroupContext(genus).letters
+    for p in _orders(genus, rng):
+        words = [()] + [tuple(rng.choices(letters, k=rng.randrange(1, 40))) for _ in range(30)]
+        words.append(tuple(rng.choices(letters, k=8000)))
+        for w in words:
+            assert translate(p, w) == translate_reference(p, w)
+            assert untranslate(p, w) == untranslate_reference(p, w)
+            assert untranslate(p, translate(p, w)) == w
+
+
+@pytest.mark.parametrize("genus", [2, 64])
+def test_translation_names_the_first_foreign_letter(genus):
+    """A foreign letter after good ones raises the DomainError the
+    reference raises: it names the letter, and the presentation whose
+    alphabet it is outside (the symmetric one for untranslate)."""
+    can = canonical_descriptor(genus)
+    bad = 2 * genus + 1
+    for fn, ref, label in ((translate, translate_reference, "canonical"),
+                           (untranslate, untranslate_reference, "symmetric")):
+        for w, first in (((1, 2, bad, 0), bad), ((1, -2, 0, bad), 0), ((-bad,), -bad)):
+            text = f"letter {first} is outside the alphabet of presentation {label!r}"
+            with pytest.raises(DomainError) as got:
+                fn(can, w)
+            assert str(got.value) == text
+            with pytest.raises(DomainError) as want:
+                ref(can, w)
+            assert str(want.value) == text
 
 
 def test_symmetric_translation_is_identity():

@@ -1,6 +1,7 @@
 """Rewriting engines: agreement, confluence, traces, rule shapes."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import (
     all_freely_reduced,
     all_words,
+    append_step_reference,
     chain_backward,
     find_all_steps,
     find_reducible_reference,
@@ -359,6 +361,59 @@ def test_untraced_normalize_and_prefix_extension_at_high_genus(genus):
         assert trace.replay() == final
         assert _nf_concat(ctx, final, v) == nf(ctx, final + v) == nf(ctx, w + v)
         assert _nf_concat(ctx, final, final) == nf(ctx, w + w)
+
+
+@pytest.mark.parametrize("genus", [2, 3, 5, 16, 64])
+def test_chain_probe_matches_the_chain_walk(genus):
+    """_append_step gives the (rule, n_pop, tail) of the walk it replaced
+    (append_step_reference in tests/helpers.py).  For every entry E of
+    the relator table, the letter E[0] is appended to irreducible words
+    that end in a successor chain of E: of each length 2 .. 2g up to
+    g = 16, and of 2g-1, 2g and four seeded lengths past that.  Before
+    the chain come t = 0 .. 3 whole blocks E[2g+1:].  Only on a chain of
+    2g-1 does what precedes them decide the rule (S3, S4b or none); it is
+    nothing, E[2g] or a seeded letter there, and a seeded letter on a
+    chain of 2g.  A shorter chain comes alone, which makes words shorter
+    than 2g-1 letters, after a seeded t and letter, and after a decoy:
+    the block E[2g+1:] with a seeded letter in place of the one just
+    before the chain, so that the far letter the probe reads matches."""
+    ctx = GroupContext(genus)
+    g2, n4 = ctx.n_gens, ctx.alphabet_size
+    rng = random.Random(1400 + genus)
+    chains = Counter()
+    rules = Counter()
+    for E in ctx.relator_table:
+        letter, blk = E[0], E[g2 + 1:]
+        lengths = range(2, g2 + 1) if genus <= 16 else \
+            sorted(rng.sample(range(2, g2 - 1), 4)) + [g2 - 1, g2]
+        for c in lengths:
+            chain = E[n4 - c:]
+            if c < g2 - 1:
+                other = rng.choice([x for x in ctx.letters if x != E[n4 - c - 1]])
+                accs = [chain,
+                        (rng.choice(ctx.letters),) + blk * rng.randrange(4) + chain,
+                        blk[:g2 - 2 - c] + (other,) + chain]
+            elif c == g2 - 1:
+                accs = [lead + blk * t + chain for t in range(4)
+                        for lead in ((), (E[g2],), (rng.choice(ctx.letters),))]
+            else:
+                accs = [(rng.choice(ctx.letters),) + blk * t + chain for t in range(4)]
+            for acc in accs:
+                if nf(ctx, acc) != acc:
+                    continue
+                got = rewrite._append_step(ctx, list(acc), letter)
+                assert got == append_step_reference(ctx, list(acc), letter), (acc, letter)
+                near = acc[-n4:] + (letter,)
+                cl = chain_backward(ctx, near, len(near) - 1, n4)[0]
+                chains[cl] += 1
+                rules[got[0].family if got[0] else None] += 1
+                if len(acc) < g2 - 1:
+                    chains["short"] += 1
+                elif cl < g2 and acc[-(g2 - 1)] == blk[0]:
+                    chains["decoy"] += 1
+    assert set(range(3, g2 + 2)) | {"short"} <= set(chains)
+    assert genus == 2 or chains["decoy"]
+    assert {"S2", "S3", "S4b", None} <= set(rules)
 
 
 @pytest.mark.parametrize("genus", [2, 3, 5, 64])
