@@ -19,20 +19,17 @@ from .group_core import (
     free_reduce,
     invert_word,
     parse_word,
-    word_sort_key,
 )
 from .rewrite import (
     ReductionStep,
     ReductionTrace,
     RuleId,
-    append_letter_nf,
     d_basis_normalize,
     enumerate_ball,
     is_cyclically_irreducible,
     is_irreducible,
     nf,
     normalize,
-    prepend_letter_nf,
 )
 from .powers import (
     PowerDecomposition,
@@ -80,18 +77,15 @@ __all__ = [
     "free_reduce",
     "invert_word",
     "parse_word",
-    "word_sort_key",
     "ReductionStep",
     "ReductionTrace",
     "RuleId",
-    "append_letter_nf",
     "d_basis_normalize",
     "enumerate_ball",
     "is_cyclically_irreducible",
     "is_irreducible",
     "nf",
     "normalize",
-    "prepend_letter_nf",
     "PowerDecomposition",
     "nf_power",
     "power_decompose",

@@ -220,12 +220,6 @@ def compare_words(ctx: GroupContext, u: Word, v: Word) -> int:
     return 0
 
 
-def word_sort_key(ctx: GroupContext, w: Word) -> tuple:
-    """Sort key realising the word order: min() of keys is the least word."""
-    rank = ctx.lex_rank
-    return (len(w), tuple(rank[x] for x in w))
-
-
 def abelianize(ctx: GroupContext, w: Word) -> tuple:
     """Exponent-sum vector of w, one entry per generator."""
     ctx.check_word(w)

@@ -7,7 +7,10 @@ position i of the symmetric presentation's order extends to a graph
 isomorphism, and reading the isomorphism along edge paths gives a
 letter-length-preserving bijection h onto words in the symmetric
 alphabet.  The rotation offset advances by O(x) + 2g at each step,
-where O(x) is the position gap between x and its inverse.
+where O(x) is the position gap between x and its inverse.  Positions
+and rotation steps come from _rotation_tables alone, one cached pair of
+dicts per cyclic order; translation, its inverse and t_parameter all
+read them.
 
 Everything here reduces questions about an arbitrary such presentation
 (lengths, translation numbers, coarse power-length formulae) to the
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .group_core import (
@@ -29,21 +32,19 @@ from .group_core import (
     parse_word,
 )
 from .powers import MAX_POWER_LETTERS, translation_number
-from .rewrite import nf
+from .rewrite import _extend, nf
 
 
 @dataclass(frozen=True)
 class PresentationDescriptor:
     """A presentation named by its cyclic order of signed generators.
 
-    cyclic_order lists all 4g signed letters; theta maps each letter to
-    its 1-based position.
+    cyclic_order lists all 4g signed letters.
     """
 
     genus: int
     cyclic_order: tuple
     label: str
-    theta: dict = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not 2 <= self.genus <= MAX_GENUS:
@@ -52,9 +53,6 @@ class PresentationDescriptor:
         full |= {-i for i in full}
         if len(self.cyclic_order) != 4 * self.genus or set(self.cyclic_order) != full:
             raise DomainError("cyclic order must list each signed generator once")
-        object.__setattr__(
-            self, "theta", {x: i for i, x in enumerate(self.cyclic_order, start=1)}
-        )
 
 
 @functools.cache
@@ -72,44 +70,16 @@ def canonical_descriptor(genus: int) -> PresentationDescriptor:
     return PresentationDescriptor(genus, tuple(order), "canonical")
 
 
-def canonical_relator(genus: int) -> Word:
-    """Product of commutators [a_1,a_2]...[a_{2g-1},a_{2g}]."""
-    word = []
-    for i in range(1, genus + 1):
-        word += [2 * i - 1, 2 * i, -(2 * i - 1), -2 * i]
-    return tuple(word)
-
-
-def _mod1(v: int, n: int) -> int:
-    return (v - 1) % n + 1
-
-
 def _foreign_letter(p: PresentationDescriptor, x) -> DomainError:
     return DomainError(
         f"letter {x} is outside the alphabet of presentation {p.label!r}")
-
-
-def _position(p: PresentationDescriptor, x: int) -> int:
-    try:
-        return p.theta[x]
-    except KeyError:
-        raise _foreign_letter(p, x) from None
-
-
-def o_value(p: PresentationDescriptor, x: int) -> int:
-    """Position gap theta(x) - theta(x^-1), as a representative in 1..4g."""
-    return _mod1(_position(p, x) - _position(p, -x), 4 * p.genus)
-
-
-def o_sequence(p: PresentationDescriptor, w: Word) -> tuple:
-    return tuple(o_value(p, x) for x in w)
 
 
 @functools.cache
 def _rotation_tables(order: tuple) -> tuple:
     """(pos, step) for the cyclic order `order` of 4g signed letters.
 
-    pos[x] is the 0-based position theta(x) - 1 of x, and step[x] =
+    pos[x] is the 0-based position of x in order, and step[x] =
     (O(x) + 2g) mod 4g is the rotation x adds once it is read.
     """
     n4 = len(order)
@@ -166,16 +136,14 @@ def _check_genus(ctx: GroupContext, p: PresentationDescriptor) -> None:
             f"presentation {p.label!r} has genus {p.genus}, not {ctx.genus}")
 
 
-def length_in(ctx: GroupContext, p: PresentationDescriptor, w: Word) -> int:
-    """Word length of the element of w over p's generating set."""
-    _check_genus(ctx, p)
-    return len(nf(ctx, translate(p, w)))
-
-
 def t_parameter(p: PresentationDescriptor) -> int:
-    """The exponent step t = 4g / gcd(2g, gcd of all position gaps)."""
-    gaps = math.gcd(*(o_value(p, d) for d in p.cyclic_order))
-    return 4 * p.genus // math.gcd(2 * p.genus, gaps)
+    """The exponent step t = 4g / gcd(2g, gcd of all position gaps O(x)).
+
+    step[x] = O(x) + 2g mod 4g is O(x) mod 2g, and gcd(2g, a) depends
+    only on a mod 2g, so the gcd is taken over the step table.
+    """
+    step = _rotation_tables(p.cyclic_order)[1]
+    return 4 * p.genus // math.gcd(2 * p.genus, *step.values())
 
 
 def check_coarse_formulae(
@@ -187,9 +155,14 @@ def check_coarse_formulae(
     |x^{2t}| must exceed |x^t|, the lengths |x^{tm}| must grow linearly
     with slope |x^{2t}| - |x^t|, and that slope must equal t times the
     translation number (checked in the symmetric engine as well).
-    The powers normalized add up to t*|x|*K(K+1)/2 letters, K =
-    max(k_max, 2); past powers.MAX_POWER_LETTERS that is refused with
-    DomainError before any of them is built.
+
+    The rotation x^t accumulates is 0 mod 4g by the choice of t, so
+    translate(p, x^{tm}) is T^m with T = translate(p, x^t): each next
+    normal form is the last one with T appended, and K = max(k_max, 2)
+    powers cost t*|x|*K letters of normalization.  The power words
+    x^t, .., x^{tK} add up to t*|x|*K(K+1)/2 letters; past
+    powers.MAX_POWER_LETTERS that is refused with DomainError before
+    anything is built.
     """
     _check_genus(ctx, p)
     t = t_parameter(p)
@@ -201,22 +174,19 @@ def check_coarse_formulae(
             f"more than the limit of {MAX_POWER_LETTERS}")
     if not nf(ctx, translate(p, x)):
         raise DomainError("coarse formulae need a nontrivial element")
-    cache: dict = {}
-
-    def power_len(m: int) -> int:
-        if m not in cache:
-            cache[m] = len(nf(ctx, translate(p, x * (t * m))))
-        return cache[m]
-
-    lt = power_len(1)
-    l2t = power_len(2)
-    slope = l2t - lt
+    T = translate(p, x * t)
+    acc: list = []
+    _extend(ctx, acc, T, None)
+    lt = len(acc)
+    _extend(ctx, acc, T, None)
+    slope = len(acc) - lt
     if slope <= 0 or slope % t:
         return False
-    for m in range(1, top + 1):
-        if power_len(m) != (m - 1) * slope + lt:
+    for m in range(3, top + 1):
+        _extend(ctx, acc, T, None)
+        if len(acc) != (m - 1) * slope + lt:
             return False
-    return translation_number(ctx, translate(p, x * t)) == slope
+    return translation_number(ctx, T) == slope
 
 
 def load_descriptor(path) -> PresentationDescriptor:

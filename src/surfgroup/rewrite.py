@@ -23,6 +23,8 @@ other.
 
 `normalize` reduces incrementally: it appends one letter at a time to an
 irreducible accumulator, and at most one rule fires per appended letter.
+Words only ever grow on the right; no left-extension matcher is kept
+beside _append_step.
 A rule can fire only when the letter is the inverse of the last one or
 one of its two successors in a relator; one dict lookup per letter rules
 that out, and such a letter is appended inline.  The inverse pops the
@@ -174,61 +176,6 @@ def _append_step(ctx: GroupContext, acc: list, letter: int):
     if ctx.greater(E[g2 + 1], letter):
         return RuleId("S4b", t), m, (letter,) + _rev(blk) * t
     return None, 0, (letter,)
-
-
-#: the case of the one-letter extension table each rule family is: 1 free
-#: cancellation, 2 fractional-relator overflow, 3 repeated-block overflow,
-#: 4 block transport; case 5, where no rule fires, is the plain push
-_CASE = {"S1": 1, "S2": 2, "S3": 3, "S4b": 4}
-
-
-def append_letter_nf(ctx: GroupContext, x: Word, letter: int):
-    """Normal form of x*letter for irreducible x, with the case tag 1..5."""
-    ctx.check_word(x)
-    ctx.check_word((letter,))
-    if not is_irreducible(ctx, x):
-        raise ValueError("append_letter_nf requires an irreducible word")
-    acc = list(x)
-    steps = []
-    _extend(ctx, acc, (letter,), steps)
-    return tuple(acc), _CASE[steps[0].rule.family] if steps else 5
-
-
-def prepend_letter_nf(ctx: GroupContext, letter: int, x: Word):
-    """Normal form of letter*x for irreducible x, with the case tag 1..5."""
-    ctx.check_word(x)
-    ctx.check_word((letter,))
-    if not is_irreducible(ctx, x):
-        raise ValueError("prepend_letter_nf requires an irreducible word")
-    g2 = ctx.n_gens
-    if x and x[0] == -letter:
-        return x[1:], 1
-    if not x:
-        return (letter,), 5
-    amb = ctx.pair_ambient(letter, x[0])
-    if amb is None:
-        return (letter,) + x, 5
-    # the chain through letter continues into x only in its own ambient
-    run, a = ctx.chain_forward(x, 0, g2)
-    cl = 1 + (run if a == amb else 1)
-    E = ctx.entry_at(letter, amb)
-    if cl == g2 + 1:
-        return invert_word(E[g2 + 1:]) + x[g2:], 2
-    if cl == g2:
-        blk = E[1:g2]
-        L = g2 - 1
-        t = 0
-        pos = 0
-        while x[pos:pos + L] == blk:
-            t += 1
-            pos += L
-        nxt = x[pos] if pos < len(x) else None
-        if nxt == E[g2]:
-            # t == 1 here would have been the 2g+1 chain above
-            return _rev(blk) * t + x[pos + 1:], 3
-        if ctx.greater(E[0], E[g2 - 1]):
-            return _rev(blk) * t + (letter,) + x[pos:], 4
-    return (letter,) + x, 5
 
 
 def _extend(ctx: GroupContext, acc: list, letters, steps) -> None:

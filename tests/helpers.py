@@ -3,10 +3,13 @@ the linear library code is held against, the candidate searches the
 direct splice and conjugator constructions are held against, the regex
 word parser the token table is held against, the letter-by-letter
 presentation translation and the chain-walking append step the table
-and probe versions are held against, and the
-tools that only the tests use: word and chain utilities, other reduction
-orders, the power length formula by plain concatenation, and the three
-special shapes."""
+and probe versions are held against, the per-power coarse-formula check
+the linear one is held against, and the
+tools that only the tests use: word and chain utilities, the word sort
+key, the one-letter extension tables on both sides with their case
+tags, the position gaps O(x), the canonical relator and lengths over
+other presentations, other reduction orders, the power length formula
+by plain concatenation, and the three special shapes."""
 
 from __future__ import annotations
 
@@ -24,22 +27,23 @@ from surfgroup.group_core import (
     cyclic_rotations,
     free_reduce,
     invert_word,
-    word_sort_key,
 )
 from surfgroup.conjugacy import _least_rotations
 from surfgroup.oracle import DehnForm, _find_long_run
-from surfgroup.powers import PowerDecomposition
+from surfgroup.powers import MAX_POWER_LETTERS, PowerDecomposition, translation_number
 from surfgroup.presentations import (
     PresentationDescriptor,
-    _mod1,
-    _position,
-    o_value,
+    _check_genus,
+    _foreign_letter,
     symmetric_descriptor,
+    t_parameter,
+    translate,
 )
 from surfgroup.rewrite import (
     ReductionStep,
     ReductionTrace,
     RuleId,
+    _extend,
     _nf_concat,
     _rev,
     apply_step,
@@ -454,6 +458,75 @@ def reversed_conjugators_reference(ctx: GroupContext, w, rev_rotations, suffix, 
 
 # --- presentation translation
 
+def canonical_relator(genus: int) -> Word:
+    """Product of commutators [a_1,a_2]...[a_{2g-1},a_{2g}]."""
+    word = []
+    for i in range(1, genus + 1):
+        word += [2 * i - 1, 2 * i, -(2 * i - 1), -2 * i]
+    return tuple(word)
+
+
+def _mod1(v: int, n: int) -> int:
+    return (v - 1) % n + 1
+
+
+def _position(p: PresentationDescriptor, x: int) -> int:
+    """The 1-based position theta(x) of x in p's cyclic order."""
+    try:
+        return p.cyclic_order.index(x) + 1
+    except ValueError:
+        raise _foreign_letter(p, x) from None
+
+
+def o_value(p: PresentationDescriptor, x: int) -> int:
+    """Position gap theta(x) - theta(x^-1), as a representative in 1..4g."""
+    return _mod1(_position(p, x) - _position(p, -x), 4 * p.genus)
+
+
+def o_sequence(p: PresentationDescriptor, w: Word) -> tuple:
+    return tuple(o_value(p, x) for x in w)
+
+
+def length_in(ctx: GroupContext, p: PresentationDescriptor, w: Word) -> int:
+    """Word length of the element of w over p's generating set."""
+    _check_genus(ctx, p)
+    return len(nf(ctx, translate(p, w)))
+
+
+def check_coarse_formulae_reference(
+    ctx: GroupContext, p: PresentationDescriptor, x: Word, k_max: int
+) -> bool:
+    """check_coarse_formulae as it was before it appended translate(p,
+    x^t) once per power: every x^{tm} is translated and normalized from
+    scratch."""
+    _check_genus(ctx, p)
+    t = t_parameter(p)
+    top = max(k_max, 2)
+    letters = t * len(x) * top * (top + 1) // 2
+    if letters > MAX_POWER_LETTERS:
+        raise DomainError(
+            f"checking up to k = {top} normalizes {letters} letters, "
+            f"more than the limit of {MAX_POWER_LETTERS}")
+    if not nf(ctx, translate(p, x)):
+        raise DomainError("coarse formulae need a nontrivial element")
+    cache: dict = {}
+
+    def power_len(m: int) -> int:
+        if m not in cache:
+            cache[m] = len(nf(ctx, translate(p, x * (t * m))))
+        return cache[m]
+
+    lt = power_len(1)
+    l2t = power_len(2)
+    slope = l2t - lt
+    if slope <= 0 or slope % t:
+        return False
+    for m in range(1, top + 1):
+        if power_len(m) != (m - 1) * slope + lt:
+            return False
+    return translation_number(ctx, translate(p, x * t)) == slope
+
+
 def translate_reference(p: PresentationDescriptor, w: Word) -> Word:
     """translate as it was before its two tables: _position and o_value
     per letter."""
@@ -519,7 +592,71 @@ def append_step_reference(ctx: GroupContext, acc: list, letter: int):
     return None, 0, (letter,)
 
 
+# --- the one-letter extension tables
+
+#: the case of the one-letter extension table each rule family is: 1 free
+#: cancellation, 2 fractional-relator overflow, 3 repeated-block overflow,
+#: 4 block transport (S4a on the left, S4b on the right); case 5, where no
+#: rule fires, is the plain push
+CASE_OF_FAMILY = {"S1": 1, "S2": 2, "S3": 3, "S4a": 4, "S4b": 4, None: 5}
+
+
+def append_letter_nf(ctx: GroupContext, x: Word, letter: int):
+    """Normal form of x*letter for irreducible x, with the case tag 1..5."""
+    ctx.check_word(x)
+    ctx.check_word((letter,))
+    if not is_irreducible(ctx, x):
+        raise ValueError("append_letter_nf requires an irreducible word")
+    acc = list(x)
+    steps = []
+    _extend(ctx, acc, (letter,), steps)
+    return tuple(acc), CASE_OF_FAMILY[steps[0].rule.family if steps else None]
+
+
+def prepend_letter_nf(ctx: GroupContext, letter: int, x: Word):
+    """Normal form of letter*x for irreducible x, with the case tag 1..5."""
+    ctx.check_word(x)
+    ctx.check_word((letter,))
+    if not is_irreducible(ctx, x):
+        raise ValueError("prepend_letter_nf requires an irreducible word")
+    g2 = ctx.n_gens
+    if x and x[0] == -letter:
+        return x[1:], 1
+    if not x:
+        return (letter,), 5
+    amb = ctx.pair_ambient(letter, x[0])
+    if amb is None:
+        return (letter,) + x, 5
+    # the chain through letter continues into x only in its own ambient
+    run, a = ctx.chain_forward(x, 0, g2)
+    cl = 1 + (run if a == amb else 1)
+    E = ctx.entry_at(letter, amb)
+    if cl == g2 + 1:
+        return invert_word(E[g2 + 1:]) + x[g2:], 2
+    if cl == g2:
+        blk = E[1:g2]
+        L = g2 - 1
+        t = 0
+        pos = 0
+        while x[pos:pos + L] == blk:
+            t += 1
+            pos += L
+        nxt = x[pos] if pos < len(x) else None
+        if nxt == E[g2]:
+            # t == 1 here would have been the 2g+1 chain above
+            return _rev(blk) * t + x[pos + 1:], 3
+        if ctx.greater(E[0], E[g2 - 1]):
+            return _rev(blk) * t + (letter,) + x[pos:], 4
+    return (letter,) + x, 5
+
+
 # --- words and successor chains
+
+def word_sort_key(ctx: GroupContext, w: Word) -> tuple:
+    """Sort key realising the word order: min() of keys is the least word."""
+    rank = ctx.lex_rank
+    return (len(w), tuple(rank[x] for x in w))
+
 
 def reverse_word(w: Word) -> Word:
     """The word read backwards (no letter inversion)."""

@@ -24,15 +24,12 @@ from surfgroup.group_core import (
     abelianize,
     cyclic_rotations,
     invert_word,
-    word_sort_key,
 )
 from surfgroup.oracle import dehn_conjugate, dehn_equal, dehn_reduce
 from surfgroup.powers import ci, nf_power, power_decompose
 from surfgroup.presentations import (
     canonical_descriptor,
-    canonical_relator,
     check_coarse_formulae,
-    length_in,
     symmetric_descriptor,
     t_parameter,
     translate,
@@ -42,10 +39,13 @@ from surfgroup.rewrite import d_basis_normalize, enumerate_ball, is_irreducible,
 
 from helpers import (
     all_words,
+    canonical_relator,
     check_length_formula,
     expected_core_of_fragment,
+    length_in,
     random_freely_reduced,
     random_nontrivial,
+    word_sort_key,
 )
 
 

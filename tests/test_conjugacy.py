@@ -17,6 +17,7 @@ from helpers import (
     random_relator_heavy,
     reversed_conjugators_reference,
     special_instances,
+    word_sort_key,
 )
 from helpers import reversed_conjugators_reference as _reversed_conjugators
 from surfgroup import conjugacy
@@ -38,7 +39,6 @@ from surfgroup.group_core import (
     VerificationError,
     cyclic_rotations,
     invert_word,
-    word_sort_key,
 )
 from surfgroup.powers import ci, nf_power, power_decompose
 from surfgroup.rewrite import nf

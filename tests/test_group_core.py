@@ -17,6 +17,7 @@ from helpers import (
     llfr_at,
     parse_word_reference,
     reverse_word,
+    word_sort_key,
 )
 from surfgroup import group_core
 from surfgroup.cli import main
@@ -34,7 +35,6 @@ from surfgroup.group_core import (
     format_word,
     invert_word,
     parse_word,
-    word_sort_key,
 )
 from surfgroup.oracle import dehn_conjugate
 from surfgroup.rewrite import d_basis_normalize, enumerate_ball, normalize
@@ -395,6 +395,35 @@ def test_a_huge_descriptor_genus_builds_no_table(tmp_path, monkeypatch, capsys):
     assert parse_word("c1 c2000000", 10**6) == (1, 2000000)
     assert table.cache_info().currsize == size
     assert all(g <= MAX_GENUS for g in genera)
+
+
+def test_every_public_name_has_a_caller():
+    """Each name in surfgroup.__all__ is loaded or imported by a package
+    module other than __init__ (its own def or class statement is not a
+    load), or named as a whole word in scripts/, bench/ or the README.
+    Code that only the tests call lives in tests/helpers.py."""
+    root = Path(__file__).resolve().parent.parent
+    used = set()
+    for path in (root / "src" / "surfgroup").glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(a.name for a in node.names)
+    texts = [root / "README.md"]
+    texts += sorted((root / "scripts").glob("*.py")) + sorted((root / "bench").glob("*.py"))
+    text = "\n".join(path.read_text(encoding="utf-8") for path in texts)
+    public = [name for name in surfgroup.__all__ if name != "__version__"]
+    assert public
+    uncalled = [
+        name for name in public
+        if name not in used and not re.search(rf"\b{re.escape(name)}\b", text)
+    ]
+    assert uncalled == [], uncalled
 
 
 def test_the_package_has_no_assert_and_no_bare_assertion_error():

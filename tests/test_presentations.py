@@ -1,20 +1,27 @@
 """Cyclic orders, the word bijection h, rotation bookkeeping, coarse formulae."""
 
+import math
 import random
+from collections import Counter
 
 import pytest
 
-from helpers import random_freely_reduced, translate_reference, untranslate_reference
+from helpers import (
+    canonical_relator,
+    check_coarse_formulae_reference,
+    length_in,
+    o_sequence,
+    o_value,
+    random_freely_reduced,
+    translate_reference,
+    untranslate_reference,
+)
 from surfgroup.group_core import DomainError, GroupContext
 from surfgroup.presentations import (
     PresentationDescriptor,
     canonical_descriptor,
-    canonical_relator,
     check_coarse_formulae,
-    length_in,
     load_descriptor,
-    o_sequence,
-    o_value,
     symmetric_descriptor,
     t_parameter,
     translate,
@@ -66,13 +73,13 @@ def test_translation_of_short_words():
     assert translate(can, (1, -1)) == (1, -1)
 
 
-def _orders(genus, rng):
-    """The canonical and symmetric orders and two seeded shuffles of the
-    4g signed letters."""
+def _orders(genus, rng, shuffles=2):
+    """The canonical and symmetric orders and seeded shuffles of the 4g
+    signed letters."""
     letters = [x for i in range(1, 2 * genus + 1) for x in (i, -i)]
     yield canonical_descriptor(genus)
     yield symmetric_descriptor(genus)
-    for k in range(2):
+    for k in range(shuffles):
         yield PresentationDescriptor(genus, tuple(rng.sample(letters, len(letters))), f"shuffled{k}")
 
 
@@ -169,6 +176,62 @@ def test_aligned_gap_sums_commute_with_powers():
         image = translate(can, w)
         for m in (2, 3, 4):
             assert translate(can, w * m) == image * m
+
+
+@pytest.mark.parametrize("genus", [2, 3, 5, 8, 16, 64])
+def test_t_parameter_is_the_gap_formula(genus):
+    """t_parameter reads its gcd off the rotation steps; it equals
+    4g / gcd(2g, gcd of the gaps O(x)) on the canonical, the symmetric
+    and 50 shuffled orders."""
+    rng = random.Random(1300 + genus)
+    for p in _orders(genus, rng, shuffles=50):
+        gaps = math.gcd(*(o_value(p, d) for d in p.cyclic_order))
+        assert t_parameter(p) == 4 * genus // math.gcd(2 * genus, gaps), p
+
+
+@pytest.mark.parametrize("genus", [2, 3, 5, 8, 16, 64])
+def test_powers_of_x_to_the_t_translate_to_powers(genus):
+    """x^t accumulates no rotation, so translate(x^{tm}) is
+    translate(x^t)^m: the identity check_coarse_formulae appends by."""
+    rng = random.Random(1350 + genus)
+    letters = GroupContext(genus).letters
+    for p in _orders(genus, rng, shuffles=50):
+        t = t_parameter(p)
+        for _ in range(3):
+            x = tuple(rng.choices(letters, k=rng.randrange(1, 6)))
+            image = translate(p, x * t)
+            for m in (2, 3):
+                assert translate(p, x * (t * m)) == image * m, (p, x)
+
+
+def _verdict(check, ctx, p, x, k_max):
+    try:
+        return check(ctx, p, x, k_max)
+    except DomainError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("genus", [2, 3, 5])
+def test_coarse_check_by_appending_matches_the_reference(genus):
+    """check_coarse_formulae, which appends translate(x^t) once per
+    power, gives the verdict or the DomainError text of the reference,
+    which normalizes every x^{tm} from scratch, on random words (not
+    freely reduced, trivial ones included) over the canonical, the
+    symmetric and shuffled orders."""
+    rng = random.Random(1400 + genus)
+    ctx = GroupContext(genus)
+    seen = Counter()
+    for p in _orders(genus, rng, shuffles=2):
+        words = [(), (1, -1), canonical_relator(genus)]
+        words += [tuple(rng.choices(ctx.letters, k=rng.randrange(1, 7))) for _ in range(25)]
+        for x in words:
+            for k_max in (1, 2, 3, 8):
+                got = _verdict(check_coarse_formulae, ctx, p, x, k_max)
+                assert got == _verdict(check_coarse_formulae_reference, ctx, p, x, k_max), (p, x, k_max)
+                seen[got] += 1
+    # a shuffled order need not be geometric; there x^t can translate to
+    # a trivial word while x does not, and the check says False
+    assert seen[True] and seen[False] and seen["coarse formulae need a nontrivial element"]
 
 
 def test_check_coarse_formulae():

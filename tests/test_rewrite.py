@@ -7,14 +7,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    CASE_OF_FAMILY,
     all_freely_reduced,
     all_words,
+    append_letter_nf,
     append_step_reference,
     chain_backward,
     find_all_steps,
     find_reducible_reference,
     normalize_leftmost,
     normalize_random,
+    prepend_letter_nf,
     random_cyclic_core,
     random_freely_reduced,
     random_relator_heavy,
@@ -25,14 +28,12 @@ from surfgroup.group_core import GroupContext, compare_words, cyclic_rotations, 
 from surfgroup import rewrite
 from surfgroup.rewrite import (
     _nf_concat,
-    append_letter_nf,
     apply_step,
     d_basis_normalize,
     is_cyclically_irreducible,
     is_irreducible,
     nf,
     normalize,
-    prepend_letter_nf,
 )
 
 letters_g2 = st.sampled_from([1, 2, 3, 4, -1, -2, -3, -4])
@@ -118,9 +119,6 @@ def test_normalize_random_confluence(ctx2, ctx3):
         for _ in range(80):
             w = random_freely_reduced(ctx, rng.randrange(0, 24), rng)
             assert normalize_random(ctx, w, rng) == nf(ctx, w)
-
-
-CASE_OF_FAMILY = {"S1": 1, "S2": 2, "S3": 3, "S4a": 4, "S4b": 4, None: 5}
 
 
 def test_append_letter_nf(ctx2):
