@@ -5,9 +5,9 @@ to x.  It is computed from the cyclically irreducible core W of x: it is
 the least rotation of W or, when W has the exceptional shape
 (b_{i+1}..b_{2g-1}b_1..b_i)^t for a relator-table entry, the least
 rotation of W or of W reversed.  The shape is read off the first 2g-1
-letters of W, which miss the successor map of the entry's ambient at
-exactly one cyclic place, the seam before b_1; a successor pair lies in
-one ambient only, so no other entry or i matches.  No rotation but the
+letters of W: one cyclic pair, the seam before b_1, has no row, and
+the row after it spells the rest of the block; a successor pair lies
+on one row only, so no other entry or i matches.  No rotation but the
 winner is built: the least rotation is found by Duval's Lyndon
 factorisation over the rank-mapped core, once for W and once for W
 reversed, so a class normal form costs O(|x|).  The conjugator is
@@ -119,23 +119,25 @@ def _exceptional_match(ctx: GroupContext, w: Word):
     """(entry, i) with w = (b_{i+1}..b_{2g-1}b_1..b_i)^t for the relator-table
     entry b and some t, 1 <= i <= 2g-1, or None.
 
-    The block b_1..b_{2g-1} follows its ambient's successor map at every
-    cyclic place but one, the seam b_{2g-1}b_1, so the first 2g-1 letters
-    of w must miss that map exactly once; the letter after the miss is
-    b_1.  The match is unique: the seam fixes b_1 in its ambient, and the
-    other ambient misses at least twice, because a successor pair lies
-    in one ambient only and the block has 2g-2 >= 2 of them.
+    Every cyclic pair of the block b_1..b_{2g-1} has a row in ctx.follow
+    but the seam b_{2g-1}b_1 (b_1 lies 2g+2 places after b_{2g-1} on b,
+    2g-2 places after it on b^-1), so the first 2g-1 letters of w have
+    exactly one pair without a row, and the letter after it is b_1.  The
+    row E after the seam, from b_2 round to b_1, must spell b_2..b_{2g-1};
+    b is the row that ends at E[-2] and starts at E[-1] = b_1.
     """
     blk = ctx.n_gens - 1
     head = w[:blk]
     if len(w) % blk or w != head * (len(w) // blk):
         return None
-    for amb, succ in enumerate(ctx._succ):
-        seams = [k for k, a in enumerate(head, 1) if succ[a] != head[k % blk]]
-        if len(seams) == 1:
-            s = seams[0] % blk
-            return ctx.entry_at(head[s], amb), blk - s
-    return None
+    follow = ctx.follow
+    seams = [k for k in range(blk) if follow[head[k - 1]].get(head[k]) is None]
+    if len(seams) != 1:
+        return None
+    s = seams[0]
+    block = head[s:] + head[:s]
+    E = follow[block[0]][block[1]]
+    return (follow[E[-2]][E[-1]], blk - s) if block[1:] == E[:blk - 1] else None
 
 
 def class_nf(ctx: GroupContext, x: Word) -> ConjugacyCertificate:

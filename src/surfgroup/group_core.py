@@ -17,10 +17,12 @@ least letter overall.
 The single defining relator d = c_1...c_2g c_1^-1...c_2g^-1 gives rise
 to two cyclic words, d and d^-1, and the closure of {d} under cyclic
 rotation and inversion is exactly the set of 8g rotations of those two.
-Every letter occurs exactly once in each cyclic word, so a subword of
-length >= 2 of either cyclic word ("fractional relator") determines its
-ambient cyclic word and position uniquely.  GroupContext precomputes the
-successor/predecessor maps that make those lookups O(1).
+Every letter occurs exactly once in each cyclic word and its two
+successors differ, so a successor pair (a, b) lies on exactly one
+rotation, the row of relator_table that starts at b and ends at a.
+GroupContext precomputes that row map, follow[a][b], which places any
+fractional relator (a subword of length >= 2 of a rotation) by one
+lookup.
 """
 
 from __future__ import annotations
@@ -114,38 +116,24 @@ class GroupContext:
         # fixed iteration order for deterministic enumeration
         self.letters = tuple(range(1, g2 + 1)) + tuple(-i for i in range(1, g2 + 1))
         self.relator = tuple(range(1, g2 + 1)) + tuple(-i for i in range(1, g2 + 1))
-        self.relator_inverse = invert_word(self.relator)
-        n4 = self.alphabet_size
-        table = [self.relator[i:] + self.relator[:i] for i in range(n4)]
-        table += [self.relator_inverse[i:] + self.relator_inverse[:i] for i in range(n4)]
-        self.relator_table = tuple(table)
+        # rows 0..4g-1 rotate the relator, rows 4g..8g-1 its inverse
+        self.relator_table = tuple(c[i:] + c[:i] for c in (self.relator, invert_word(self.relator))
+                                   for i in range(self.alphabet_size))
         # ascending rank: c_2g -> 0 ... c_1 -> 2g-1, c_1^-1 -> 2g ... c_2g^-1 -> 4g-1
         rank = {}
         for i in range(1, g2 + 1):
             rank[i] = g2 - i
             rank[-i] = g2 - 1 + i
         self.lex_rank = rank
-        # navigation in the two ambient cyclic words (0 = relator, 1 = its inverse)
-        cycles = (self.relator, self.relator_inverse)
-        self._pos = tuple({x: i for i, x in enumerate(c)} for c in cycles)
-        self._succ = tuple(
-            {x: c[(i + 1) % n4] for i, x in enumerate(c)} for c in cycles
-        )
-        self._pred = tuple(
-            {x: c[(i - 1) % n4] for i, x in enumerate(c)} for c in cycles
-        )
-        # the letters that can fire a rule when appended after x: its
-        # inverse and its two successors; key 0 stands for the empty word.
-        # Each successor maps to x's predecessor in the same ambient, the
-        # letter that must precede x for the chain to outgrow length 2;
-        # the inverse maps to 0
-        self._live = {
-            x: {-x: 0,
-                self._succ[0][x]: self._pred[0][x],
-                self._succ[1][x]: self._pred[1][x]}
-            for x in self.letters
-        }
-        self._live[0] = {}
+        # follow[a] holds the three letters that can fire a rule when
+        # appended after a: each of its two successors b maps to the row
+        # that starts at b and ends at a, and its inverse maps to None.
+        # Key 0 stands for the empty word
+        follow = {x: {-x: None} for x in self.letters}
+        for E in self.relator_table:
+            follow[E[-1]][E[0]] = E
+        follow[0] = {}
+        self.follow = follow
         self._letter_set = frozenset(self.letters)
 
     def __repr__(self):
@@ -170,41 +158,22 @@ class GroupContext:
         """True when letter a is above letter b in the generator order."""
         return self.lex_rank[a] > self.lex_rank[b]
 
-    def pair_ambient(self, a: int, b: int):
-        """Return 0 or 1 when b follows a in that cyclic word, else None.
-
-        At most one ambient matches: each letter occurs once per cyclic
-        word and the two successors of a letter always differ.
-        """
-        if self._succ[0][a] == b:
-            return 0
-        if self._succ[1][a] == b:
-            return 1
-        return None
-
-    def entry_at(self, letter: int, ambient: int) -> Word:
-        """The relator-table entry (rotation) starting at `letter` in `ambient`."""
-        return self.relator_table[ambient * self.alphabet_size + self._pos[ambient][letter]]
-
     def chain_forward(self, w, p: int, cap: int) -> tuple:
-        """(length, ambient) of the longest successor chain in w starting at p.
+        """(length, E) of the longest successor chain w[p]·E[:length-1] in w.
 
-        A chain of length 1 (pair not fractional) reports ambient None.
-        Length is capped at `cap`.
+        E is the row follow[w[p]][w[p+1]]; a chain of length 1 (pair not
+        fractional) reports E None.  Length is capped at `cap` <= 4g.
         """
         n = len(w)
         if p + 1 >= n:
             return 1, None
-        amb = self.pair_ambient(w[p], w[p + 1])
-        if amb is None:
+        E = self.follow[w[p]].get(w[p + 1])
+        if E is None:
             return 1, None
-        succ = self._succ[amb]
         length = 2
-        q = p + 1
-        while length < cap and q + 1 < n and succ[w[q]] == w[q + 1]:
-            q += 1
+        while length < cap and p + length < n and w[p + length] == E[length - 1]:
             length += 1
-        return length, amb
+        return length, E
 
 
 def compare_words(ctx: GroupContext, u: Word, v: Word) -> int:

@@ -8,7 +8,8 @@ presentation; the same replacement rule is valid for the symmetric
 presentation because its pieces (common fragments of two distinct
 relator rotations) all have length 1, a small-cancellation condition
 far stronger than the C'(1/6) needed for Greendlinger's lemma.  The
-oracle shares only the relator table with the rewriting engine, and
+oracle shares only the relator table with the rewriting engine: both
+read its rows, and nothing else, through GroupContext.follow.  It
 imports nothing from the rewriting, power or conjugacy modules (a test
 checks this), so agreement between them is meaningful evidence.
 
@@ -65,12 +66,12 @@ class DehnForm:
 
 def _find_long_run(ctx: GroupContext, w: Word, start: int, stop: int, cap: int):
     """Leftmost position in [start, stop) where a relator run of length
-    > half the relator begins, with its capped length and ambient."""
+    > half the relator begins, with its capped length and row."""
     threshold = ctx.n_gens + 1
     for p in range(start, stop):
-        length, amb = ctx.chain_forward(w, p, cap)
+        length, E = ctx.chain_forward(w, p, cap)
         if length >= threshold:
-            return p, length, amb
+            return p, length, E
     return None
 
 
@@ -90,11 +91,11 @@ def dehn_reduce(ctx: GroupContext, w: Word) -> DehnForm:
         stop = len(head) - cap + 1 if tail else len(head)
         hit = _find_long_run(ctx, head, start, stop, cap)
         if hit is not None:
-            p, length, amb = hit
+            p, length, E = hit
             tail += reversed(head[p + length:])
             # the chain is maximal, so its replacement cannot cancel against
             # the suffix; only the prefix can cancel against what follows it
-            tail += map(neg, ctx.entry_at(head[p], amb)[length:])
+            tail += map(neg, E[length - 1:-1])
             del head[p:]
             while head and tail and head[-1] == -tail[-1]:
                 head.pop()

@@ -39,7 +39,9 @@ from .rewrite import _extend, nf
 class PresentationDescriptor:
     """A presentation named by its cyclic order of signed generators.
 
-    cyclic_order lists all 4g signed letters.
+    cyclic_order lists all 4g signed letters in any order, so that the
+    tables can be tested on arbitrary ones; only the one-face orders that
+    load_descriptor admits are geometric, where translate respects the group.
     """
 
     genus: int
@@ -114,7 +116,7 @@ def translate(p: PresentationDescriptor, w: Word) -> Word:
 def untranslate(p: PresentationDescriptor, w: Word) -> Word:
     """Inverse of translate on words of the same length."""
     sym = symmetric_descriptor(p.genus)
-    sym_pos = _rotation_tables(sym.cyclic_order)[0]
+    sym_at = _rotation_tables(sym.cyclic_order)[0]
     step = _rotation_tables(p.cyclic_order)[1]
     order = p.cyclic_order
     n4 = len(order)
@@ -122,7 +124,7 @@ def untranslate(p: PresentationDescriptor, w: Word) -> Word:
     out = []
     try:
         for s in w:
-            x = order[(sym_pos[s] - rot) % n4]
+            x = order[(sym_at[s] - rot) % n4]
             out.append(x)
             rot = (rot + step[x]) % n4
     except KeyError:
@@ -170,8 +172,8 @@ def check_coarse_formulae(
     letters = t * len(x) * top * (top + 1) // 2
     if letters > MAX_POWER_LETTERS:
         raise DomainError(
-            f"checking up to k = {top} normalizes {letters} letters, "
-            f"more than the limit of {MAX_POWER_LETTERS}")
+            f"checking up to k = {top}: the power words x^{t} .. x^{t * top} add up "
+            f"to {letters} letters, more than the limit of {MAX_POWER_LETTERS}")
     if not nf(ctx, translate(p, x)):
         raise DomainError("coarse formulae need a nontrivial element")
     T = translate(p, x * t)
@@ -189,12 +191,29 @@ def check_coarse_formulae(
     return translation_number(ctx, T) == slope
 
 
+def _face_count(order: tuple) -> int:
+    """Number of cycles of the face permutation x -> order[pos(x^-1) + 1]:
+    the faces of the one-vertex ribbon graph with 2g loops that `order`
+    rotates.  By Euler's formula 1 - 2g + F = 2 - 2g, a geometric order,
+    a one-vertex gluing of the 4g-gon, has F = 1."""
+    pos = _rotation_tables(order)[0]
+    face = {x: order[(pos[-x] + 1) % len(order)] for x in order}
+    count = 0
+    while face:
+        x = next(iter(face))
+        while x in face:
+            x = face.pop(x)
+        count += 1
+    return count
+
+
 def load_descriptor(path) -> PresentationDescriptor:
     """Read a descriptor file: a genus line, then the cyclic order.
 
     Blank lines and '#' comments are skipped.  The order line uses the
     usual word grammar; any single-letter generator name is accepted
-    (a1 A2 .., or c1 C2 ..).
+    (a1 A2 .., or c1 C2 ..).  An order with more than one face is no
+    geometric presentation and is refused with DomainError.
     """
     path = Path(path)
     try:
@@ -221,4 +240,9 @@ def load_descriptor(path) -> PresentationDescriptor:
         raise DomainError(f"{path}: first line must be 'genus <g>'") from None
     base = next((ch for ch in lines[1] if ch.isalpha()), "c").lower()
     order = parse_word(lines[1], genus, base=base)
-    return PresentationDescriptor(genus, order, path.stem)
+    pres = PresentationDescriptor(genus, order, path.stem)
+    faces = _face_count(order)
+    if faces != 1:
+        raise DomainError(f"{path}: the cyclic order has {faces} faces, not 1, so it is "
+                          f"not a one-vertex gluing of the {4 * genus}-gon")
+    return pres

@@ -135,8 +135,9 @@ def is_cyclically_irreducible(ctx: GroupContext, w: Word, *, normal: bool = Fals
     return is_irreducible(ctx, w + w)
 
 
-def _append_step(ctx: GroupContext, acc: list, letter: int):
-    """The rule that appending `letter` to the irreducible word `acc` fires.
+def _append_step(ctx: GroupContext, acc: list, E: Word):
+    """The rule that appending the letter E[0] to the irreducible word
+    `acc` fires, where E is the row ctx.follow[acc[-1]][E[0]].
 
     Called by _extend only for a successor whose chain has length >= 3.
     Returns (rule, n_pop, tail): pop n_pop letters off acc, then extend
@@ -144,14 +145,13 @@ def _append_step(ctx: GroupContext, acc: list, letter: int):
     fires.
 
     Only chains of 2g and 2g+1 letters fire a rule; acc is irreducible,
-    so none is longer.  With E the relator-table entry that starts at
-    `letter`, the chain reaches 2g letters exactly when acc ends with
-    E[2g+1:], and 2g+1 when the letter before that is E[2g].  One probe
-    of the far letter acc[-(2g-1)] rules most chains out; only when it
-    matches is the slice compared.
+    so none is longer.  The chain reaches 2g letters exactly when acc
+    ends with E[2g+1:], and 2g+1 when the letter before that is E[2g].
+    One probe of the far letter acc[-(2g-1)] rules most chains out; only
+    when it matches is the slice compared.
     """
     g2 = ctx.n_gens
-    E = ctx.entry_at(letter, ctx.pair_ambient(acc[-1], letter))
+    letter = E[0]
     k = len(acc) - g2 + 1
     if k < 0 or acc[k] != E[g2 + 1]:
         return None, 0, (letter,)
@@ -181,34 +181,35 @@ def _append_step(ctx: GroupContext, acc: list, letter: int):
 def _extend(ctx: GroupContext, acc: list, letters, steps) -> None:
     """Append letters one at a time to the irreducible list acc, in place.
 
-    A letter that is neither the inverse of acc[-1] nor one of its two
-    successors cannot fire a rule, so it is appended inline.  The inverse
-    is popped inline (S1), and a successor is appended inline unless
-    acc[-2] is its predecessor in the same ambient: its chain then has
-    length 2, and no rule but S1 fires on a chain shorter than 2g.  Only
-    a successor on a longer chain goes through _append_step.  Each rule
-    that fires is recorded in steps, unless steps is None.
+    A letter that is not a key of ctx.follow[acc[-1]], neither the
+    inverse of acc[-1] nor one of its two successors, cannot fire a rule
+    and is appended inline.  The inverse (mapped to None) is popped
+    inline (S1).  A successor maps to its row E, which ends at acc[-1];
+    unless acc[-2] is E[-2] its chain has length 2, no rule but S1 fires
+    on a chain shorter than 2g, and it is appended inline.  Only a
+    successor on a longer chain goes through _append_step, with E.  Each
+    rule that fires is recorded in steps, unless steps is None.
     """
-    live = ctx._live
+    follow = ctx.follow
     last = acc[-1] if acc else 0
     for letter in letters:
-        nxt = live[last]
+        nxt = follow[last]
         if letter not in nxt:
             acc.append(letter)
             last = letter
             continue
-        before = nxt[letter]
-        if not before:
+        E = nxt[letter]
+        if E is None:
             if steps is not None:
                 steps.append(ReductionStep(RuleId("S1"), len(acc) - 1, (last, letter), ()))
             acc.pop()
             last = acc[-1] if acc else 0
             continue
-        if len(acc) < 2 or acc[-2] != before:
+        if len(acc) < 2 or acc[-2] != E[-2]:
             acc.append(letter)
             last = letter
             continue
-        rule, n_pop, tail = _append_step(ctx, acc, letter)
+        rule, n_pop, tail = _append_step(ctx, acc, E)
         if rule is not None and steps is not None:
             start = len(acc) - n_pop
             steps.append(ReductionStep(rule, start, tuple(acc[start:]) + (letter,), tail))

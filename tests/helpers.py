@@ -7,12 +7,16 @@ and probe versions are held against, the per-power coarse-formula check
 the linear one is held against, and the
 tools that only the tests use: word and chain utilities, the word sort
 key, the one-letter extension tables on both sides with their case
-tags, the position gaps O(x), the canonical relator and lengths over
-other presentations, other reduction orders, the power length formula
-by plain concatenation, and the three special shapes."""
+tags, the position gaps O(x), the canonical relator, lengths and face
+relators over other presentations, the two ambient cyclic words (the
+relator and its inverse) with their successor maps, which the
+references walk instead of the library's row map, other reduction
+orders, the power length formula by plain concatenation, and the three
+special shapes."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -29,7 +33,7 @@ from surfgroup.group_core import (
     invert_word,
 )
 from surfgroup.conjugacy import _least_rotations
-from surfgroup.oracle import DehnForm, _find_long_run
+from surfgroup.oracle import DehnForm
 from surfgroup.powers import MAX_POWER_LETTERS, PowerDecomposition, translation_number
 from surfgroup.presentations import (
     PresentationDescriptor,
@@ -105,7 +109,7 @@ def random_cyclic_core(ctx, length, rng):
     in a relator, so no rule can match in any power of the word.
     """
     def fits(a, b):
-        return a != -b and ctx.pair_ambient(a, b) is None
+        return a != -b and pair_ambient(ctx, a, b) is None
 
     while True:
         w = [rng.choice(ctx.letters)]
@@ -242,11 +246,11 @@ def find_reducible_reference(ctx, w):
         a, b = w[p], w[p + 1]
         if a == -b:
             return ReductionStep(RuleId("S1"), p, (a, b), ())
-        amb = ctx.pair_ambient(a, b)
+        amb = pair_ambient(ctx, a, b)
         if amb is None:
             continue
-        cl, _ = ctx.chain_forward(w, p, n4)
-        E = ctx.entry_at(a, amb)
+        cl, _ = chain_forward_reference(ctx, w, p, n4)
+        E = entry_at(ctx, a, amb)
         if cl >= g2 + 1:
             return ReductionStep(
                 RuleId("S2", cl), p, w[p:p + cl], invert_word(E[cl:])
@@ -342,11 +346,11 @@ def dehn_reduce_reference(ctx, w):
     cur = free_reduce(w)
     cap = ctx.alphabet_size
     while True:
-        hit = _find_long_run(ctx, cur, 0, len(cur), cap)
+        hit = _long_run_reference(ctx, cur, 0, len(cur), cap)
         if hit is None:
             break
         p, length, amb = hit
-        entry = ctx.entry_at(cur[p], amb)
+        entry = entry_at(ctx, cur[p], amb)
         cur = free_reduce(cur[:p] + invert_word(entry[length:]) + cur[p + length:])
     n = len(cur)
     if n == 0:
@@ -356,7 +360,7 @@ def dehn_reduce_reference(ctx, w):
     elif n <= ctx.n_gens:
         cyclic = True
     else:
-        cyclic = _find_long_run(ctx, cur + cur, 0, n, min(cap, n)) is None
+        cyclic = _long_run_reference(ctx, cur + cur, 0, n, min(cap, n)) is None
     return DehnForm(cur, cyclic)
 
 
@@ -372,7 +376,7 @@ def dehn_reduce_cyclic_reference(ctx, w):
             continue
         n = len(cur)
         if n > ctx.n_gens:
-            hit = _find_long_run(ctx, cur + cur, 0, n, min(ctx.alphabet_size, n))
+            hit = _long_run_reference(ctx, cur + cur, 0, n, min(ctx.alphabet_size, n))
             if hit is not None:
                 cur = dehn_reduce_reference(ctx, cur[hit[0]:] + cur[:hit[0]]).word
                 continue
@@ -487,6 +491,24 @@ def o_sequence(p: PresentationDescriptor, w: Word) -> tuple:
     return tuple(o_value(p, x) for x in w)
 
 
+def face_relators(p: PresentationDescriptor) -> list:
+    """The cycles x, f(x), f(f(x)), .. of the face permutation
+    f(x) = the letter after x^-1 in p's cyclic order, as words.  A
+    geometric order has one, the boundary word of its 4g-gon."""
+    order = p.cyclic_order
+    seen = set()
+    faces = []
+    for x in order:
+        face = []
+        while x not in seen:
+            seen.add(x)
+            face.append(x)
+            x = order[_position(p, -x) % len(order)]
+        if face:
+            faces.append(tuple(face))
+    return faces
+
+
 def length_in(ctx: GroupContext, p: PresentationDescriptor, w: Word) -> int:
     """Word length of the element of w over p's generating set."""
     _check_genus(ctx, p)
@@ -563,18 +585,18 @@ def append_step_reference(ctx: GroupContext, acc: list, letter: int):
     """rewrite._append_step as it was before the far-letter probe: it
     walks the successor chain back one letter at a time."""
     g2 = ctx.n_gens
-    amb = ctx.pair_ambient(acc[-1], letter)
-    pred = ctx._pred[amb]
+    amb = pair_ambient(ctx, acc[-1], letter)
+    pred = pred_map(ctx, amb)
     cl = 3
     i = len(acc) - 2
     while cl <= g2 and i >= 1 and pred[acc[i]] == acc[i - 1]:
         i -= 1
         cl += 1
     if cl == g2 + 1:
-        F = ctx.entry_at(acc[i], amb)
+        F = entry_at(ctx, acc[i], amb)
         return RuleId("S2", g2 + 1), g2, invert_word(F[g2 + 1:])
     if cl == g2:
-        E = ctx.entry_at(acc[i], amb)
+        E = entry_at(ctx, acc[i], amb)
         blk = list(E[:g2 - 1])
         L = g2 - 1
         t = 0
@@ -624,13 +646,13 @@ def prepend_letter_nf(ctx: GroupContext, letter: int, x: Word):
         return x[1:], 1
     if not x:
         return (letter,), 5
-    amb = ctx.pair_ambient(letter, x[0])
+    amb = pair_ambient(ctx, letter, x[0])
     if amb is None:
         return (letter,) + x, 5
     # the chain through letter continues into x only in its own ambient
-    run, a = ctx.chain_forward(x, 0, g2)
+    run, a = chain_forward_reference(ctx, x, 0, g2)
     cl = 1 + (run if a == amb else 1)
-    E = ctx.entry_at(letter, amb)
+    E = entry_at(ctx, letter, amb)
     if cl == g2 + 1:
         return invert_word(E[g2 + 1:]) + x[g2:], 2
     if cl == g2:
@@ -663,14 +685,83 @@ def reverse_word(w: Word) -> Word:
     return tuple(reversed(w))
 
 
+# --- the two ambient cyclic words, 0 = the relator and 1 = its inverse,
+# built from ctx.relator alone, so that the references stay independent
+# of the row map GroupContext.follow that the library reads
+
+@functools.cache
+def _ambients(relator: Word) -> tuple:
+    """(cycles, succ, pred): the two cyclic words and their successor and
+    predecessor maps."""
+    n4 = len(relator)
+    cycles = (relator, invert_word(relator))
+    succ = tuple({x: c[(i + 1) % n4] for i, x in enumerate(c)} for c in cycles)
+    pred = tuple({x: c[(i - 1) % n4] for i, x in enumerate(c)} for c in cycles)
+    return cycles, succ, pred
+
+
+def succ_map(ctx: GroupContext, amb: int) -> dict:
+    return _ambients(ctx.relator)[1][amb]
+
+
+def pred_map(ctx: GroupContext, amb: int) -> dict:
+    return _ambients(ctx.relator)[2][amb]
+
+
+def pair_ambient(ctx: GroupContext, a: int, b: int):
+    """0 or 1 when b follows a in that cyclic word, else None.
+
+    At most one ambient matches: each letter occurs once per cyclic word
+    and the two successors of a letter always differ.
+    """
+    for amb in (0, 1):
+        if succ_map(ctx, amb)[a] == b:
+            return amb
+    return None
+
+
+def entry_at(ctx: GroupContext, letter: int, amb: int) -> Word:
+    """The rotation of cyclic word amb that starts at `letter`."""
+    c = _ambients(ctx.relator)[0][amb]
+    i = c.index(letter)
+    return c[i:] + c[:i]
+
+
+def chain_forward_reference(ctx, w, p: int, cap: int) -> tuple:
+    """(length, ambient) of the longest successor chain in w starting at p,
+    walked along the successor map; ambient None for length 1."""
+    if p + 1 >= len(w):
+        return 1, None
+    amb = pair_ambient(ctx, w[p], w[p + 1])
+    if amb is None:
+        return 1, None
+    succ = succ_map(ctx, amb)
+    length = 2
+    q = p + 1
+    while length < cap and q + 1 < len(w) and succ[w[q]] == w[q + 1]:
+        q += 1
+        length += 1
+    return length, amb
+
+
+def _long_run_reference(ctx, w, start: int, stop: int, cap: int):
+    """oracle._find_long_run with the chain walked along the successor map:
+    (p, length, ambient) of the leftmost chain of more than 2g letters."""
+    for p in range(start, stop):
+        length, amb = chain_forward_reference(ctx, w, p, cap)
+        if length > ctx.n_gens:
+            return p, length, amb
+    return None
+
+
 def chain_backward(ctx, w, p: int, cap: int) -> tuple:
     """(length, ambient) of the longest successor chain in w ending at p."""
     if p <= 0:
         return 1, None
-    amb = ctx.pair_ambient(w[p - 1], w[p])
+    amb = pair_ambient(ctx, w[p - 1], w[p])
     if amb is None:
         return 1, None
-    pred = ctx._pred[amb]
+    pred = pred_map(ctx, amb)
     length = 2
     q = p - 1
     while length < cap and q - 1 >= 0 and pred[w[q]] == w[q - 1]:
@@ -684,10 +775,10 @@ def is_fractional_relator(ctx: GroupContext, w: Word) -> bool:
     ctx.check_word(w)
     if not 2 <= len(w) <= ctx.alphabet_size:
         raise ValueError(f"fractional relators have length 2..{ctx.alphabet_size}, got {len(w)}")
-    amb = ctx.pair_ambient(w[0], w[1])
+    amb = pair_ambient(ctx, w[0], w[1])
     if amb is None:
         return False
-    succ = ctx._succ[amb]
+    succ = succ_map(ctx, amb)
     return all(succ[w[i]] == w[i + 1] for i in range(1, len(w) - 1))
 
 
@@ -702,10 +793,10 @@ def llfr_at(ctx: GroupContext, w: Word, j: int):
     ctx.check_word(w)
     if not 0 <= j < len(w) - 1:
         raise ValueError(f"junction {j} out of range for a word of length {len(w)}")
-    amb = ctx.pair_ambient(w[j], w[j + 1])
+    amb = pair_ambient(ctx, w[j], w[j + 1])
     if amb is None:
         return None
-    succ = ctx._succ[amb]
+    succ = succ_map(ctx, amb)
     cap = ctx.alphabet_size
     left = j
     size = 2

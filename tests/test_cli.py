@@ -144,12 +144,29 @@ def test_oversized_power_exits_1_at_once(capsys):
 
 
 def test_oversized_check_exits_1_at_once(capsys):
-    # t = 4 for the canonical order, so k up to 10^5 would normalize
-    # 4 * 2 * 10^5 * (10^5 + 1) / 2 letters; it is refused before any power
+    # t = 4 for the canonical order, so the power words x^4 .. x^400000
+    # add up to 4 * 2 * 10^5 * (10^5 + 1) / 2 letters; it is refused
+    # before any power
     assert main(["check", "--presentation", "canonical", "--kmax", "100000", "a1 a2"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: checking up to k = 100000 normalizes")
+    assert captured.err == (
+        "error: checking up to k = 100000: the power words x^4 .. x^400000 add up "
+        "to 40000400000 letters, more than the limit of 10000000\n")
+
+
+def test_order_with_more_than_one_face_exits_1(tmp_path, capsys):
+    # faces of 6, 1 and 1 letters: no gluing of the 8-gon, so the check
+    # is refused instead of answering "holds: no"
+    path = tmp_path / "faces.pres"
+    path.write_text("genus 2\nC2 c2 c1 C3 c3 c4 C1 C4\n")
+    assert main(["check", "--presentation", f"file:{path}", "c2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {path}: the cyclic order has 3 faces, not 1, so it is not "
+        "a one-vertex gluing of the 8-gon\n")
+    assert main(["check", "--presentation", f"file:{DATA / 'golden_pres_g2.txt'}", "a1 a2"]) == 0
 
 
 def test_presentation_of_another_genus_exits_1(tmp_path, capsys):

@@ -13,10 +13,15 @@ from hypothesis import given, settings, strategies as st
 import surfgroup
 from helpers import (
     chain_backward,
+    chain_forward_reference,
+    entry_at,
     is_fractional_relator,
     llfr_at,
+    pair_ambient,
     parse_word_reference,
+    pred_map,
     reverse_word,
+    succ_map,
     word_sort_key,
 )
 from surfgroup import group_core
@@ -55,7 +60,6 @@ def test_alphabet_and_relator(ctx2):
     assert ctx2.alphabet_size == 8
     assert ctx2.letters == (1, 2, 3, 4, -1, -2, -3, -4)
     assert ctx2.relator == (1, 2, 3, 4, -1, -2, -3, -4)
-    assert ctx2.relator_inverse == invert_word(ctx2.relator)
 
 
 def test_relator_table_is_all_rotations(ctx2, ctx3):
@@ -65,7 +69,7 @@ def test_relator_table_is_all_rotations(ctx2, ctx3):
         for i in range(n4):
             d = ctx.relator
             assert ctx.relator_table[i] == d[i:] + d[:i]
-            di = ctx.relator_inverse
+            di = invert_word(d)
             assert ctx.relator_table[n4 + i] == di[i:] + di[:i]
         # every entry spells each signed letter exactly once
         full = set(ctx.letters)
@@ -109,51 +113,32 @@ def test_sort_key_realises_compare(u, v):
     assert c == (ku > kv) - (ku < kv)
 
 
-def test_pair_ambient_unique(ctx2, ctx3):
-    """A two-letter fractional word determines its cyclic word and position."""
-    for ctx in (ctx2, ctx3):
-        n4 = ctx.alphabet_size
-        seen = {}
-        for amb, cyc in enumerate((ctx.relator, ctx.relator_inverse)):
-            for i in range(n4):
-                pair = (cyc[i], cyc[(i + 1) % n4])
-                assert pair not in seen
-                seen[pair] = (amb, i)
-                assert ctx.pair_ambient(*pair) == amb
-        assert len(seen) == 2 * n4
-        # non-successor pairs report no ambient
-        for a in ctx.letters:
-            followers = {b for b in ctx.letters if ctx.pair_ambient(a, b) is not None}
-            assert len(followers) == 2
-
-
-def test_live_letters_name_the_letter_before(ctx2, ctx3):
-    """_live[x] holds the three letters that can fire a rule after x: the
-    inverse, mapped to 0, and each successor, mapped to x's predecessor
-    in that successor's ambient; the empty word (key 0) has none."""
-    for ctx in (ctx2, ctx3):
-        assert ctx._live[0] == {}
-        for x in ctx.letters:
-            expected = {-x: 0}
-            for b in ctx.letters:
-                amb = ctx.pair_ambient(x, b)
-                if amb is not None:
-                    expected[b] = ctx._pred[amb][x]
-            assert len(expected) == 3
-            assert ctx._live[x] == expected
-
-
-def test_entry_lookup_round_trip(ctx2):
-    """entry_at starts at the letter, follows the ambient's successor map
-    all the way round, and is a row of relator_table itself, not a copy."""
-    rows = {id(E) for E in ctx2.relator_table}
-    for amb in (0, 1):
-        succ = ctx2._succ[amb]
-        for letter in ctx2.letters:
-            E = ctx2.entry_at(letter, amb)
-            assert E[0] == letter
-            assert all(succ[a] == b for a, b in zip(E, E[1:] + E[:1]))
+@pytest.mark.parametrize("genus", [2, 3, 64])
+def test_row_map_names_the_row_of_every_successor_pair(genus):
+    """follow[a] has three keys: the inverse of a, mapped to None, and
+    the two letters that follow a in a cyclic word (the relator or its
+    inverse, walked in tests/helpers.py from ctx.relator alone), each
+    mapped to the rotation that starts at it and ends at a.  That
+    rotation is a row of relator_table itself, not a copy, and every row
+    E is follow[E[-1]][E[0]]: a two-letter fractional word determines
+    its cyclic word and position.  The empty word (key 0) has no key."""
+    ctx = GroupContext(genus)
+    follow = ctx.follow
+    assert follow[0] == {}
+    assert set(follow) == set(ctx.letters) | {0}
+    for E in ctx.relator_table:
+        assert follow[E[-1]][E[0]] is E
+    rows = {id(E) for E in ctx.relator_table}
+    for a in ctx.letters:
+        assert len(follow[a]) == 3
+        assert follow[a][-a] is None
+        for amb in (0, 1):
+            b = succ_map(ctx, amb)[a]
+            assert pair_ambient(ctx, a, b) == amb
+            E = follow[a][b]
             assert id(E) in rows
+            assert E == entry_at(ctx, b, amb)
+            assert E[-1] == a and E[-2] == pred_map(ctx, amb)[a]
 
 
 @pytest.mark.parametrize("genus", [2, 3])
@@ -179,10 +164,13 @@ def test_operations_leave_the_context_unchanged(genus):
 def test_chain_forward_backward(ctx2):
     E = ctx2.relator_table[3]
     n4 = ctx2.alphabet_size
-    length, amb = ctx2.chain_forward(E, 0, n4)
+    length, row = ctx2.chain_forward(E, 0, n4)
     assert length == n4
-    assert ctx2.entry_at(E[0], amb) == E
-    assert ctx2.chain_forward(E, 0, 3) == (3, amb)
+    # the chain E[0]·row[:n4-1] is E, on the row that starts at E[1]
+    assert (E[0],) + row[:-1] == E
+    assert ctx2.chain_forward(E, 0, 3) == (3, row)
+    amb = chain_forward_reference(ctx2, E, 0, n4)[1]
+    assert entry_at(ctx2, E[0], amb) == E
     assert chain_backward(ctx2, E, n4 - 1, n4) == (n4, amb)
     assert ctx2.chain_forward((1, 1), 0, n4) == (1, None)
     assert chain_backward(ctx2, (1, 1), 1, n4) == (1, None)

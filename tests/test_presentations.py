@@ -9,6 +9,7 @@ import pytest
 from helpers import (
     canonical_relator,
     check_coarse_formulae_reference,
+    face_relators,
     length_in,
     o_sequence,
     o_value,
@@ -16,7 +17,7 @@ from helpers import (
     translate_reference,
     untranslate_reference,
 )
-from surfgroup.group_core import DomainError, GroupContext
+from surfgroup.group_core import DomainError, GroupContext, format_word
 from surfgroup.presentations import (
     PresentationDescriptor,
     canonical_descriptor,
@@ -301,6 +302,54 @@ def test_load_descriptor(tmp_path):
     assert p.label == "mixed"
     assert p.cyclic_order == canonical_descriptor(2).cyclic_order
     assert t_parameter(p) == 4
+
+
+def _write_descriptor(path, p):
+    path.write_text(f"genus {p.genus}\n{format_word(p.cyclic_order, 'a')}\n")
+    return path
+
+
+def test_load_descriptor_refuses_an_order_with_three_faces(tmp_path):
+    """The order C2 c2 c1 C3 c3 c4 C1 C4 has faces of 6, 1 and 1 letters;
+    translate does not respect the group there (it sends c2 to a
+    nontrivial word and c2^8 to a rotation of the relator)."""
+    order = (-2, 2, 1, -3, 3, 4, -1, -4)
+    p = PresentationDescriptor(2, order, "three-faces")
+    assert sorted(map(len, face_relators(p))) == [1, 1, 6]
+    path = tmp_path / "three-faces.pres"
+    path.write_text("genus 2\nC2 c2 c1 C3 c3 c4 C1 C4\n")
+    with pytest.raises(DomainError, match="has 3 faces, not 1"):
+        load_descriptor(path)
+    for q in (canonical_descriptor(2), symmetric_descriptor(2)):
+        assert load_descriptor(_write_descriptor(tmp_path / f"{q.label}.pres", q)).cyclic_order \
+            == q.cyclic_order
+
+
+@pytest.mark.parametrize("genus", [2, 3, 5])
+def test_loader_accepts_exactly_the_orders_that_respect_the_relators(genus, tmp_path):
+    """On seeded shuffled orders the loader accepts an order exactly when
+    its translation sends every face relator, placed between random
+    words, to the identity: u.r.v and u.v translate to equal elements."""
+    rng = random.Random(1500 + genus)
+    ctx = GroupContext(genus)
+    seen = Counter()
+    for k, p in enumerate(_orders(genus, rng, shuffles=60)):
+        respects = all(
+            nf(ctx, translate(p, u + r + v)) == nf(ctx, translate(p, u + v))
+            for r in face_relators(p)
+            for u, v in [(random_freely_reduced(ctx, rng.randrange(0, 8), rng),
+                          random_freely_reduced(ctx, rng.randrange(0, 8), rng))
+                         for _ in range(3)]
+        )
+        try:
+            load_descriptor(_write_descriptor(tmp_path / f"order{k}.pres", p))
+            accepted = True
+        except DomainError as exc:
+            assert f"has {len(face_relators(p))} faces, not 1" in str(exc)
+            accepted = False
+        assert accepted == respects, p
+        seen[accepted] += 1
+    assert seen[True] > 2 and seen[False]
 
 
 def test_load_descriptor_rejects_malformed(tmp_path):

@@ -13,10 +13,12 @@ from helpers import (
     append_letter_nf,
     append_step_reference,
     chain_backward,
+    entry_at,
     find_all_steps,
     find_reducible_reference,
     normalize_leftmost,
     normalize_random,
+    pair_ambient,
     prepend_letter_nf,
     random_cyclic_core,
     random_freely_reduced,
@@ -399,7 +401,7 @@ def test_chain_probe_matches_the_chain_walk(genus):
             for acc in accs:
                 if nf(ctx, acc) != acc:
                     continue
-                got = rewrite._append_step(ctx, list(acc), letter)
+                got = rewrite._append_step(ctx, list(acc), E)
                 assert got == append_step_reference(ctx, list(acc), letter), (acc, letter)
                 near = acc[-n4:] + (letter,)
                 cl = chain_backward(ctx, near, len(near) - 1, n4)[0]
@@ -442,12 +444,14 @@ def test_untraced_fast_path_agrees_and_leaves_only_long_chains(genus, monkeypatc
     reached = []
     append_step = rewrite._append_step
 
-    def counted(ctx, acc, letter):
+    def counted(ctx, acc, E):
+        letter = E[0]
         inverse = bool(acc) and acc[-1] == -letter
         near = tuple(acc[-ctx.alphabet_size:]) + (letter,)
         chain = chain_backward(ctx, near, len(near) - 1, ctx.alphabet_size)[0]
         reached.append((inverse, chain))
-        return append_step(ctx, acc, letter)
+        assert E == entry_at(ctx, letter, pair_ambient(ctx, acc[-1], letter))
+        return append_step(ctx, acc, E)
 
     monkeypatch.setattr(rewrite, "_append_step", counted)
     cancellations = 0
@@ -467,7 +471,7 @@ def test_untraced_fast_path_agrees_and_leaves_only_long_chains(genus, monkeypatc
         # two successors of its last letter
         x = expected[w]
         for a in ctx.letters:
-            if x and (a == -x[-1] or ctx.pair_ambient(x[-1], a) is not None):
+            if x and (a == -x[-1] or pair_ambient(ctx, x[-1], a) is not None):
                 assert append_letter_nf(ctx, x, a)[0] == nf(ctx, x + (a,))
     ball = rewrite.enumerate_ball(ctx, {2: 4, 3: 3}.get(genus, 2))
     assert len(set(ball)) == len(ball)
