@@ -113,32 +113,84 @@ def test_sort_key_realises_compare(u, v):
     assert c == (ku > kv) - (ku < kv)
 
 
+def test_pair_ambient_unique(ctx2, ctx3):
+    """A two-letter fractional word determines its cyclic word and position,
+    and the two letters that follow a letter are the keys of its row map
+    other than its inverse."""
+    for ctx in (ctx2, ctx3):
+        n4 = ctx.alphabet_size
+        seen = {}
+        for amb, cyc in enumerate((ctx.relator, invert_word(ctx.relator))):
+            for i in range(n4):
+                pair = (cyc[i], cyc[(i + 1) % n4])
+                assert pair not in seen
+                seen[pair] = (amb, i)
+                assert pair_ambient(ctx, *pair) == amb
+        assert len(seen) == 2 * n4
+        # non-successor pairs report no ambient
+        for a in ctx.letters:
+            followers = {b for b in ctx.letters if pair_ambient(ctx, a, b) is not None}
+            assert len(followers) == 2
+            assert followers == set(ctx.follow[a]) - {-a}
+
+
+def test_live_letters_name_the_letter_before(ctx2, ctx3):
+    """follow[x] holds the three letters that can fire a rule after x: the
+    inverse, mapped to None, and each successor, mapped to a row that ends
+    at x with x's predecessor in that successor's ambient just before it;
+    the empty word (key 0) has none."""
+    for ctx in (ctx2, ctx3):
+        assert ctx.follow[0] == {}
+        assert set(ctx.follow) == set(ctx.letters) | {0}
+        for x in ctx.letters:
+            expected = {-x: None}
+            for b in ctx.letters:
+                amb = pair_ambient(ctx, x, b)
+                if amb is not None:
+                    expected[b] = pred_map(ctx, amb)[x]
+            assert len(expected) == 3
+            row_map = ctx.follow[x]
+            assert set(row_map) == set(expected)
+            assert row_map[-x] is None
+            for b, before in expected.items():
+                if before is not None:
+                    assert row_map[b][-1] == x and row_map[b][-2] == before
+
+
+def test_entry_lookup_round_trip(ctx2):
+    """follow[a][b] starts at b, follows the ambient's successor map all
+    the way round to a, and is a row of relator_table itself, not a copy."""
+    rows = {id(E) for E in ctx2.relator_table}
+    for amb in (0, 1):
+        succ = succ_map(ctx2, amb)
+        for a in ctx2.letters:
+            letter = succ[a]
+            E = ctx2.follow[a][letter]
+            assert E[0] == letter
+            assert all(succ[x] == y for x, y in zip(E, E[1:] + E[:1]))
+            assert id(E) in rows
+            assert E == entry_at(ctx2, letter, amb)
+
+
 @pytest.mark.parametrize("genus", [2, 3, 64])
 def test_row_map_names_the_row_of_every_successor_pair(genus):
-    """follow[a] has three keys: the inverse of a, mapped to None, and
-    the two letters that follow a in a cyclic word (the relator or its
-    inverse, walked in tests/helpers.py from ctx.relator alone), each
-    mapped to the rotation that starts at it and ends at a.  That
-    rotation is a row of relator_table itself, not a copy, and every row
-    E is follow[E[-1]][E[0]]: a two-letter fractional word determines
-    its cyclic word and position.  The empty word (key 0) has no key."""
+    """Every row E of relator_table is follow[E[-1]][E[0]], and each
+    letter a maps its inverse to None and the letter that follows it in
+    the relator and in its inverse (walked in tests/helpers.py from
+    ctx.relator alone) to the rotation of that cyclic word that starts
+    there: a two-letter fractional word determines its row."""
     ctx = GroupContext(genus)
     follow = ctx.follow
     assert follow[0] == {}
     assert set(follow) == set(ctx.letters) | {0}
     for E in ctx.relator_table:
         assert follow[E[-1]][E[0]] is E
-    rows = {id(E) for E in ctx.relator_table}
     for a in ctx.letters:
         assert len(follow[a]) == 3
         assert follow[a][-a] is None
         for amb in (0, 1):
             b = succ_map(ctx, amb)[a]
-            assert pair_ambient(ctx, a, b) == amb
-            E = follow[a][b]
-            assert id(E) in rows
-            assert E == entry_at(ctx, b, amb)
-            assert E[-1] == a and E[-2] == pred_map(ctx, amb)[a]
+            assert follow[a][b] == entry_at(ctx, b, amb)
 
 
 @pytest.mark.parametrize("genus", [2, 3])
