@@ -158,23 +158,6 @@ class GroupContext:
         """True when letter a is above letter b in the generator order."""
         return self.lex_rank[a] > self.lex_rank[b]
 
-    def chain_forward(self, w, p: int, cap: int) -> tuple:
-        """(length, E) of the longest successor chain w[p]·E[:length-1] in w.
-
-        E is the row follow[w[p]][w[p+1]]; a chain of length 1 (pair not
-        fractional) reports E None.  Length is capped at `cap` <= 4g.
-        """
-        n = len(w)
-        if p + 1 >= n:
-            return 1, None
-        E = self.follow[w[p]].get(w[p + 1])
-        if E is None:
-            return 1, None
-        length = 2
-        while length < cap and p + length < n and w[p + length] == E[length - 1]:
-            length += 1
-        return length, E
-
 
 def compare_words(ctx: GroupContext, u: Word, v: Word) -> int:
     """-1, 0 or 1 as u is below, equal to, or above v (length, then letters)."""

@@ -24,9 +24,11 @@ letters inside that unchanged prefix, so it still falls short, and
 the scan resumes at s - 2g instead of 0 with the same result as a
 rescan.  Each replacement removes at least 2 letters and moves the
 scan back at most 2g positions beyond the letters it cancels, so at
-most O(g|w|) positions are tested, each in O(g) steps: linear in |w|
-at a fixed genus (Lyndon-Schupp, ch. V; Domanski-Anshel 1985).  The
-word is held as the scanned list and the unread rest reversed, so a
+most O(g|w|) positions are scanned.  A scan reads each of its
+positions O(1) times, because it carries the chain from letter to
+letter instead of walking it again from every start: linear in |w| at
+a fixed genus (Lyndon-Schupp, ch. V; Domanski-Anshel 1985).  The word
+is held as the scanned list and the unread rest reversed, so a
 replacement changes only their two ends and moves a bounded number of
 letters between them.  Whether every rotation of the result is reduced
 as well is decided by the chains that start in its last 2g letters and
@@ -65,13 +67,32 @@ class DehnForm:
 
 
 def _find_long_run(ctx: GroupContext, w: Word, start: int, stop: int, cap: int):
-    """Leftmost position in [start, stop) where a relator run of length
-    > half the relator begins, with its capped length and row."""
-    threshold = ctx.n_gens + 1
-    for p in range(start, stop):
-        length, E = ctx.chain_forward(w, p, cap)
-        if length >= threshold:
-            return p, length, E
+    """(p, length, E) for the leftmost p in [start, stop) where a chain
+    of more than 2g letters begins: w[p]·E[:length-1], length capped at
+    cap (2g < cap <= 4g), E the row follow[w[p]][w[p+1]].
+
+    The scan carries the chain that ends at the current letter, as its
+    row E and its length run.  Pieces have length 1, so the chains that
+    start later on it lie on the same cyclic relator and end where it
+    ends; the first chain to reach 2g+1 letters starts leftmost.  A
+    letter is compared with E unless the chain breaks there, and only
+    then is the row of the new chain looked up.
+    """
+    g2 = ctx.n_gens
+    follow = ctx.follow
+    n = len(w)
+    E, run = None, 1
+    for i in range(start + 1, min(stop + g2, n)):
+        if E is not None and w[i] == E[run - 1]:
+            run += 1
+            if run > g2:
+                p = i - g2
+                while run < cap and p + run < n and w[p + run] == E[run - 1]:
+                    run += 1
+                return p, run, E
+        else:
+            E = follow[w[i - 1]].get(w[i])
+            run = 1 if E is None else 2
     return None
 
 

@@ -40,8 +40,9 @@ class PresentationDescriptor:
     """A presentation named by its cyclic order of signed generators.
 
     cyclic_order lists all 4g signed letters in any order, so that the
-    tables can be tested on arbitrary ones; only the one-face orders that
-    load_descriptor admits are geometric, where translate respects the group.
+    tables can be tested on arbitrary ones.  Only the one-face orders are
+    geometric, where translate respects the group; load_descriptor and
+    check_coarse_formulae refuse the others.
     """
 
     genus: int
@@ -164,9 +165,12 @@ def check_coarse_formulae(
     powers cost t*|x|*K letters of normalization.  The power words
     x^t, .., x^{tK} add up to t*|x|*K(K+1)/2 letters; past
     powers.MAX_POWER_LETTERS that is refused with DomainError before
-    anything is built.
+    anything is built.  The formulae are about geometric presentations,
+    so an order with more than one face is refused as load_descriptor
+    refuses it.
     """
     _check_genus(ctx, p)
+    _check_one_face(p, f"presentation {p.label!r}")
     t = t_parameter(p)
     top = max(k_max, 2)
     letters = t * len(x) * top * (top + 1) // 2
@@ -207,6 +211,13 @@ def _face_count(order: tuple) -> int:
     return count
 
 
+def _check_one_face(p: PresentationDescriptor, where) -> None:
+    faces = _face_count(p.cyclic_order)
+    if faces != 1:
+        raise DomainError(f"{where}: the cyclic order has {faces} faces, not 1, so it is "
+                          f"not a one-vertex gluing of the {4 * p.genus}-gon")
+
+
 def load_descriptor(path) -> PresentationDescriptor:
     """Read a descriptor file: a genus line, then the cyclic order.
 
@@ -241,8 +252,5 @@ def load_descriptor(path) -> PresentationDescriptor:
     base = next((ch for ch in lines[1] if ch.isalpha()), "c").lower()
     order = parse_word(lines[1], genus, base=base)
     pres = PresentationDescriptor(genus, order, path.stem)
-    faces = _face_count(order)
-    if faces != 1:
-        raise DomainError(f"{path}: the cyclic order has {faces} faces, not 1, so it is "
-                          f"not a one-vertex gluing of the {4 * genus}-gon")
+    _check_one_face(pres, path)
     return pres

@@ -28,13 +28,13 @@ beside _append_step.
 A rule can fire only when the letter is the inverse of the last one or
 one of its two successors in a relator; one dict lookup per letter rules
 that out, and such a letter is appended inline.  The inverse pops the
-last letter (S1), and a successor is appended inline when its chain has
-length 2, because every other rule needs a chain of at least 2g >= 4
-letters.  Only a successor on a longer chain goes through _append_step,
-which reads the one rule it fires, if any, off the relator table.  It
-does not walk the chain back: one probe of the letter 2g-1 places back
-rules out a chain shorter than 2g, and the slice up to it is compared
-with the relator table only when that probe matches.  Every
+last letter (S1).  Every other rule needs a chain of at least 2g >= 4
+letters, so a successor is appended inline too unless the letters 2
+and 2g-1 places back both lie on its chain: two probes, without a
+call, and the chain is never walked back.  Only when both match is the
+slice between them compared with the relator table, so only a
+successor on a chain of 2g or more letters goes through _append_step,
+which reads the one rule it fires, if any, off the table.  Every
 caller takes these same decisions; a trace, built only on request,
 records them as genuine S-rule applications on the evolving word, so
 replaying them by splicing reproduces the normal form.
@@ -139,29 +139,23 @@ def _append_step(ctx: GroupContext, acc: list, E: Word):
     """The rule that appending the letter E[0] to the irreducible word
     `acc` fires, where E is the row ctx.follow[acc[-1]][E[0]].
 
-    Called by _extend only for a successor whose chain has length >= 3.
-    Returns (rule, n_pop, tail): pop n_pop letters off acc, then extend
-    it with tail; rule is None, and tail the plain letter, when no rule
-    fires.
+    Called by _extend only when acc ends with E[2g+1:], so that the
+    chain of the letter has at least 2g letters.  Returns (rule, n_pop,
+    tail): pop n_pop letters off acc, then extend it with tail; rule is
+    None, and tail the plain letter, when no rule fires.
 
     Only chains of 2g and 2g+1 letters fire a rule; acc is irreducible,
-    so none is longer.  The chain reaches 2g letters exactly when acc
-    ends with E[2g+1:], and 2g+1 when the letter before that is E[2g].
-    One probe of the far letter acc[-(2g-1)] rules most chains out; only
-    when it matches is the slice compared.
+    so none is longer.  The chain reaches 2g+1 letters when the letter
+    before E[2g+1:] is E[2g].
     """
     g2 = ctx.n_gens
     letter = E[0]
     k = len(acc) - g2 + 1
-    if k < 0 or acc[k] != E[g2 + 1]:
-        return None, 0, (letter,)
-    blk = acc[k:]
-    if blk != list(E[g2 + 1:]):
-        return None, 0, (letter,)
     if k and acc[k - 1] == E[g2]:
         return RuleId("S2", g2 + 1), g2, invert_word(E[1:g2])
     # the chain E[2g+1:] + (letter,) has exactly 2g letters; count the
     # run of t whole blocks E[2g+1:] that ends acc
+    blk = acc[k:]
     L = g2 - 1
     t = 0
     end = len(acc)
@@ -184,13 +178,17 @@ def _extend(ctx: GroupContext, acc: list, letters, steps) -> None:
     A letter that is not a key of ctx.follow[acc[-1]], neither the
     inverse of acc[-1] nor one of its two successors, cannot fire a rule
     and is appended inline.  The inverse (mapped to None) is popped
-    inline (S1).  A successor maps to its row E, which ends at acc[-1];
-    unless acc[-2] is E[-2] its chain has length 2, no rule but S1 fires
-    on a chain shorter than 2g, and it is appended inline.  Only a
-    successor on a longer chain goes through _append_step, with E.  Each
-    rule that fires is recorded in steps, unless steps is None.
+    inline (S1).  A successor maps to its row E, which ends at acc[-1].
+    No rule but S1 fires on a chain shorter than 2g, and a chain of 2g
+    ends acc with E[2g+1:].  Unless acc[-2] is E[-2] and the far letter
+    acc[-(2g-1)] is E[2g+1], the successor is appended inline after
+    these two probes; only when both match is the whole slice compared.
+    So only a successor on a chain of 2g or more letters goes through
+    _append_step, with E.  Each rule that fires is recorded in steps,
+    unless steps is None.
     """
     follow = ctx.follow
+    g2 = ctx.n_gens
     last = acc[-1] if acc else 0
     for letter in letters:
         nxt = follow[last]
@@ -205,7 +203,8 @@ def _extend(ctx: GroupContext, acc: list, letters, steps) -> None:
             acc.pop()
             last = acc[-1] if acc else 0
             continue
-        if len(acc) < 2 or acc[-2] != E[-2]:
+        k = len(acc) - g2 + 1
+        if k < 0 or acc[-2] != E[-2] or acc[k] != E[g2 + 1] or acc[k:] != list(E[g2 + 1:]):
             acc.append(letter)
             last = letter
             continue

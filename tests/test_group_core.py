@@ -216,15 +216,16 @@ def test_operations_leave_the_context_unchanged(genus):
 def test_chain_forward_backward(ctx2):
     E = ctx2.relator_table[3]
     n4 = ctx2.alphabet_size
-    length, row = ctx2.chain_forward(E, 0, n4)
+    length, amb = chain_forward_reference(ctx2, E, 0, n4)
     assert length == n4
     # the chain E[0]·row[:n4-1] is E, on the row that starts at E[1]
+    row = entry_at(ctx2, E[1], amb)
+    assert row == ctx2.follow[E[0]][E[1]]
     assert (E[0],) + row[:-1] == E
-    assert ctx2.chain_forward(E, 0, 3) == (3, row)
-    amb = chain_forward_reference(ctx2, E, 0, n4)[1]
+    assert chain_forward_reference(ctx2, E, 0, 3) == (3, amb)
     assert entry_at(ctx2, E[0], amb) == E
     assert chain_backward(ctx2, E, n4 - 1, n4) == (n4, amb)
-    assert ctx2.chain_forward((1, 1), 0, n4) == (1, None)
+    assert chain_forward_reference(ctx2, (1, 1), 0, n4) == (1, None)
     assert chain_backward(ctx2, (1, 1), 1, n4) == (1, None)
 
 

@@ -2,14 +2,18 @@
 
 import ast
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from helpers import (
+    _long_run_reference,
     all_words,
+    chain_forward_reference,
     dehn_reduce_cyclic_reference,
     dehn_reduce_reference,
+    entry_at,
     random_freely_reduced,
     random_nontrivial,
     random_relator_heavy,
@@ -30,7 +34,7 @@ from surfgroup.rewrite import _ball_size_floor, enumerate_ball, is_irreducible, 
 def has_long_run(ctx, w):
     threshold = ctx.n_gens + 1
     return any(
-        ctx.chain_forward(w, p, ctx.alphabet_size)[0] >= threshold
+        chain_forward_reference(ctx, w, p, ctx.alphabet_size)[0] >= threshold
         for p in range(len(w))
     )
 
@@ -147,6 +151,70 @@ def test_dehn_reduce_matches_the_rescanning_reference(genus, monkeypatch):
     # the inputs do reach the replacement and the flag both ways
     assert any(len(f.word) < len(free_reduce(w)) for w, (f, _) in zip(words, got))
     assert {f.cyclically_reduced for f, _ in got} == {True, False}
+
+
+@pytest.mark.parametrize("genus", [2, 3, 64])
+def test_find_long_run_matches_the_chain_walk_on_every_window(genus):
+    """The incremental _find_long_run returns what _long_run_reference,
+    which walks the chain from every start, returns: the same start and
+    capped length, and the row of the reference's ambient.  The answer
+    from each start is the reference's on that one position, or else the
+    answer from the next start; a window (start, stop) keeps it when it
+    starts before stop.  Every window of relator-heavy words, whole
+    relators, E^k and runs of chains of 2g-1 .. 2g+2 letters is checked
+    at cap 4g, at g = 64 every start with the stops that bracket its
+    answer and a seeded one: among them windows that start inside a
+    chain and windows whose stop cuts a chain that only reaches 2g+1
+    letters past stop.  So are the windows (start, stop <= n) of the
+    w + w that _wrapped_long_run scans, at its cap min(4g, n), and
+    _wrapped_long_run itself."""
+    ctx = GroupContext(genus)
+    rng = random.Random(1500 + genus)
+    g2, n4 = ctx.n_gens, ctx.alphabet_size
+    high = genus == 64
+    rows = rng.sample(ctx.relator_table, 2 if high else 6)
+    words = [E * k for E in rows for k in (1, 2) if not high or k == 1]
+    words += [random_relator_heavy(ctx, rng.randrange(1, (2 if high else 5) * n4), rng)
+              for _ in range(3 if high else 30)]
+    # chains of every length around 2g+1, cut by single letters
+    words += [sum((E[:c] + (rng.choice(ctx.letters),) for c in range(g2 - 1, g2 + 3)), ())
+              for E in rows]
+    seen = Counter()
+
+    def check_windows(w, last, cap):
+        hits = [None] * (last + 1)
+        for p in range(last - 1, -1, -1):
+            hits[p] = _long_run_reference(ctx, w, p, p + 1, cap) or hits[p + 1]
+        for start in range(last + 1):
+            hit = hits[start]
+            stops = range(start, last + 1)
+            if high:
+                stops = {start, start + 1, last, rng.randrange(start, last + 1)}
+                if hit is not None:
+                    stops |= {hit[0], hit[0] + 1, hit[0] + g2}
+                stops = [s for s in stops if s <= last]
+            for stop in stops:
+                got = oracle._find_long_run(ctx, w, start, stop, cap)
+                if hit is None or hit[0] >= stop:
+                    assert got is None, (w, start, stop, cap)
+                    continue
+                p, length, amb = hit
+                assert got == (p, length, entry_at(ctx, w[p + 1], amb)), (w, start, stop, cap)
+                seen["capped"] += length == cap < len(w) - p
+                seen["cut"] += p + g2 >= stop
+                seen["inside"] += p == start > 0 and chain_forward_reference(ctx, w, p - 1, n4)[0] > 2
+
+    for w in words:
+        n = len(w)
+        check_windows(w, n, n4)
+        if n > g2:
+            cap = min(n4, n)
+            check_windows(w + w, n, cap)
+            got = oracle._wrapped_long_run(ctx, w)
+            want = _long_run_reference(ctx, w + w, n - g2, n, cap)
+            assert got == (want and want[:2] + (entry_at(ctx, w[(want[0] + 1) % n], want[2]),))
+            seen["wrapped"] += want is not None
+    assert all(seen[k] for k in ("capped", "cut", "inside", "wrapped")), seen
 
 
 def test_ball_counts_match_brute_force(ctx2):

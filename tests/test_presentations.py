@@ -17,9 +17,10 @@ from helpers import (
     translate_reference,
     untranslate_reference,
 )
-from surfgroup.group_core import DomainError, GroupContext, format_word
+from surfgroup.group_core import DomainError, GroupContext, format_word, parse_word
 from surfgroup.presentations import (
     PresentationDescriptor,
+    _face_count,
     canonical_descriptor,
     check_coarse_formulae,
     load_descriptor,
@@ -74,14 +75,19 @@ def test_translation_of_short_words():
     assert translate(can, (1, -1)) == (1, -1)
 
 
-def _orders(genus, rng, shuffles=2):
+def _orders(genus, rng, shuffles=2, one_face=False):
     """The canonical and symmetric orders and seeded shuffles of the 4g
-    signed letters."""
+    signed letters; with one_face, only shuffles with one face, the
+    geometric ones, are kept."""
     letters = [x for i in range(1, 2 * genus + 1) for x in (i, -i)]
     yield canonical_descriptor(genus)
     yield symmetric_descriptor(genus)
-    for k in range(shuffles):
-        yield PresentationDescriptor(genus, tuple(rng.sample(letters, len(letters))), f"shuffled{k}")
+    k = 0
+    while k < shuffles:
+        order = tuple(rng.sample(letters, len(letters)))
+        if not one_face or _face_count(order) == 1:
+            yield PresentationDescriptor(genus, order, f"shuffled{k}")
+            k += 1
 
 
 @pytest.mark.parametrize("genus", [2, 3, 8, 64])
@@ -218,11 +224,13 @@ def test_coarse_check_by_appending_matches_the_reference(genus):
     power, gives the verdict or the DomainError text of the reference,
     which normalizes every x^{tm} from scratch, on random words (not
     freely reduced, trivial ones included) over the canonical, the
-    symmetric and shuffled orders."""
+    symmetric and shuffled one-face orders.  The formulae hold for every
+    nontrivial word there.  An order with more than one face is no
+    geometric presentation, and the check refuses it."""
     rng = random.Random(1400 + genus)
     ctx = GroupContext(genus)
     seen = Counter()
-    for p in _orders(genus, rng, shuffles=2):
+    for p in _orders(genus, rng, shuffles=2, one_face=True):
         words = [(), (1, -1), canonical_relator(genus)]
         words += [tuple(rng.choices(ctx.letters, k=rng.randrange(1, 7))) for _ in range(25)]
         for x in words:
@@ -230,9 +238,11 @@ def test_coarse_check_by_appending_matches_the_reference(genus):
                 got = _verdict(check_coarse_formulae, ctx, p, x, k_max)
                 assert got == _verdict(check_coarse_formulae_reference, ctx, p, x, k_max), (p, x, k_max)
                 seen[got] += 1
-    # a shuffled order need not be geometric; there x^t can translate to
-    # a trivial word while x does not, and the check says False
-    assert seen[True] and seen[False] and seen["coarse formulae need a nontrivial element"]
+    assert seen[True] and seen["coarse formulae need a nontrivial element"]
+    assert not seen[False]
+    faces = PresentationDescriptor(2, parse_word("C2 c2 c1 C3 c3 c4 C1 C4", 2), "faces")
+    with pytest.raises(DomainError, match="^presentation 'faces': the cyclic order has 3 faces, not 1"):
+        check_coarse_formulae(GroupContext(2), faces, (2,), 3)
 
 
 def test_check_coarse_formulae():

@@ -365,18 +365,24 @@ def test_untraced_normalize_and_prefix_extension_at_high_genus(genus):
 
 @pytest.mark.parametrize("genus", [2, 3, 5, 16, 64])
 def test_chain_probe_matches_the_chain_walk(genus):
-    """_append_step gives the (rule, n_pop, tail) of the walk it replaced
-    (append_step_reference in tests/helpers.py).  For every entry E of
-    the relator table, the letter E[0] is appended to irreducible words
-    that end in a successor chain of E: of each length 2 .. 2g up to
-    g = 16, and of 2g-1, 2g and four seeded lengths past that.  Before
-    the chain come t = 0 .. 3 whole blocks E[2g+1:].  Only on a chain of
-    2g-1 does what precedes them decide the rule (S3, S4b or none); it is
-    nothing, E[2g] or a seeded letter there, and a seeded letter on a
-    chain of 2g.  A shorter chain comes alone, which makes words shorter
-    than 2g-1 letters, after a seeded t and letter, and after a decoy:
-    the block E[2g+1:] with a seeded letter in place of the one just
-    before the chain, so that the far letter the probe reads matches."""
+    """Appending a successor gives what the chain walk that the probes
+    replaced gives (append_step_reference in tests/helpers.py, its
+    (rule, n_pop, tail) applied to the word).  For every entry E of the
+    relator table, the letter E[0] is appended to irreducible words that
+    end in a successor chain of E: of each length 2 .. 2g up to g = 16,
+    and of 2g-1, 2g and four seeded lengths past that.  Before the chain
+    come t = 0 .. 3 whole blocks E[2g+1:].  Only on a chain of 2g-1 does
+    what precedes them decide the rule (S3, S4b or none); it is nothing,
+    E[2g] or a seeded letter there, and a seeded letter on a chain of
+    2g.  A shorter chain comes alone, which makes words shorter than
+    2g-1 letters, after a seeded t and letter, and after a decoy: the
+    block E[2g+1:] with a seeded letter in place of the one just before
+    the chain, so that the far letter the probe reads matches.
+
+    Every word is extended by _nf_concat, so the probes inline in
+    _extend decide each chain length.  Where the word ends with
+    E[2g+1:], the one case _extend hands on, _append_step is also
+    called directly and must return the reference's triple."""
     ctx = GroupContext(genus)
     g2, n4 = ctx.n_gens, ctx.alphabet_size
     rng = random.Random(1400 + genus)
@@ -401,30 +407,36 @@ def test_chain_probe_matches_the_chain_walk(genus):
             for acc in accs:
                 if nf(ctx, acc) != acc:
                     continue
-                got = rewrite._append_step(ctx, list(acc), E)
-                assert got == append_step_reference(ctx, list(acc), letter), (acc, letter)
+                want = append_step_reference(ctx, list(acc), letter)
+                rule, n_pop, tail = want
+                assert _nf_concat(ctx, acc, (letter,)) == acc[:len(acc) - n_pop] + tail, (acc, letter)
+                if acc[-(g2 - 1):] == blk:
+                    assert rewrite._append_step(ctx, list(acc), E) == want, (acc, letter)
+                    chains["handed on"] += 1
                 near = acc[-n4:] + (letter,)
                 cl = chain_backward(ctx, near, len(near) - 1, n4)[0]
                 chains[cl] += 1
-                rules[got[0].family if got[0] else None] += 1
+                rules[rule.family if rule else None] += 1
                 if len(acc) < g2 - 1:
                     chains["short"] += 1
                 elif cl < g2 and acc[-(g2 - 1)] == blk[0]:
                     chains["decoy"] += 1
-    assert set(range(3, g2 + 2)) | {"short"} <= set(chains)
+    assert set(range(3, g2 + 2)) | {"short", "handed on"} <= set(chains)
     assert genus == 2 or chains["decoy"]
     assert {"S2", "S3", "S4b", None} <= set(rules)
 
 
 @pytest.mark.parametrize("genus", [2, 3, 5, 64])
 def test_untraced_fast_path_agrees_and_leaves_only_long_chains(genus, monkeypatch):
-    """_extend pops an inverse and appends a successor with a chain of
-    length 2 inline, for every caller.  On z x z^-1 with long z and on
-    relator-heavy words, nf and _nf_concat agree with the traced
-    normalize and the D engine.  Under nf, _nf_concat, the traced
-    normalize, append_letter_nf and enumerate_ball, the letters that
-    still reach _append_step are neither inverses nor on chains shorter
-    than 3, and every S1 step is a genuine cancellation that replays."""
+    """_extend pops an inverse and appends a successor inline, for every
+    caller, unless the successor's chain has at least 2g letters.  On
+    z x z^-1 with long z and on relator-heavy words, nf and _nf_concat
+    agree with the traced normalize and the D engine.  Under nf,
+    _nf_concat, the traced normalize, append_letter_nf and
+    enumerate_ball, every letter that still reaches _append_step ends a
+    chain of at least 2g letters whose far letter, 2g-1 places back,
+    matches the row, and every S1 step is a genuine cancellation that
+    replays."""
     ctx = GroupContext(genus)
     rng = random.Random(1100 + genus)
     words = []
@@ -446,10 +458,12 @@ def test_untraced_fast_path_agrees_and_leaves_only_long_chains(genus, monkeypatc
 
     def counted(ctx, acc, E):
         letter = E[0]
+        g2 = ctx.n_gens
         inverse = bool(acc) and acc[-1] == -letter
         near = tuple(acc[-ctx.alphabet_size:]) + (letter,)
         chain = chain_backward(ctx, near, len(near) - 1, ctx.alphabet_size)[0]
-        reached.append((inverse, chain))
+        far = len(acc) >= g2 - 1 and acc[-(g2 - 1)] == E[g2 + 1]
+        reached.append((inverse, chain, far))
         assert E == entry_at(ctx, letter, pair_ambient(ctx, acc[-1], letter))
         return append_step(ctx, acc, E)
 
@@ -477,4 +491,4 @@ def test_untraced_fast_path_agrees_and_leaves_only_long_chains(genus, monkeypatc
     assert len(set(ball)) == len(ball)
     assert cancellations, "no S1 step was traced"
     assert reached, "no letter reached _append_step"
-    assert not [r for r in reached if r[0] or r[1] < 3]
+    assert not [r for r in reached if r[0] or r[1] < 2 * genus or not r[2]]
