@@ -6,13 +6,19 @@ table _COMMANDS: its arity, help text, extra flags, executor and text
 renderer.  The argument parser, single requests and batch files are all
 driven by that table, so a new command is one new entry.  Words use the
 grammar of parse_word: whitespace- or '*'-separated tokens c1, c2^-1,
-C2, with e for the empty word.  Output is plain text or a JSON document
-with the stable fields {command, genus, input, result, length, trace?,
+C2, with e for the empty word.  They come from the arguments or from
+--file, never both.  Output is plain text or a JSON document with the
+stable fields {command, genus, input, result, length, trace?,
 certificate?}.
+
+Every request, a single one or a line of a batch file, goes through
+_attempt: it checks the word count, builds or reuses the context, runs
+the executor, builds the document and maps the errors to exit codes.
 
 Exit codes: 0 success, 1 domain error (trivial element where one is
 forbidden, genus out of range, power too long, ...), 2 parse error (bad
-flags or bad word syntax), 3 failed internal verification.
+flags, bad word syntax or the wrong number of words), 3 failed internal
+verification.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ from .oracle import dehn_conjugate, dehn_equal
 from .powers import ci, nf_power, translation_number
 from .presentations import (
     _check_genus,
+    _parse_named,
     canonical_descriptor,
     check_coarse_formulae,
     load_descriptor,
@@ -67,12 +74,6 @@ def _descriptor(name: str, ctx: GroupContext):
     pres = load_descriptor(name[5:])
     _check_genus(ctx, pres)
     return pres
-
-
-def _parse_auto(text: str, genus: int):
-    """Parse with the generator base letter sniffed from the text."""
-    base = next((ch for ch in text if ch.isalpha() and ch not in "eE"), "c")
-    return parse_word(text, genus, base=base.lower())
 
 
 def _parse(ctx, words) -> tuple:
@@ -149,12 +150,12 @@ def _conj_power(ctx, words, opt):
 
 def _translate(ctx, words, opt):
     pres = _descriptor(opt("presentation", "canonical"), ctx)
-    return _word_doc(translate(pres, _parse_auto(words[0], ctx.genus)))
+    return _word_doc(translate(pres, _parse_named(words[0], ctx.genus)))
 
 
 def _check(ctx, words, opt):
     pres = _descriptor(opt("presentation", "canonical"), ctx)
-    holds = check_coarse_formulae(ctx, pres, _parse_auto(words[0], ctx.genus),
+    holds = check_coarse_formulae(ctx, pres, _parse_named(words[0], ctx.genus),
                                   opt("k_max", 3))
     return _value_doc({"holds": holds, "t": t_parameter(pres)})
 
@@ -270,37 +271,40 @@ _COMMANDS = {
 }
 
 
-def _document(request: Request, doc: dict) -> dict:
-    return {
-        "command": request.command,
-        "genus": request.genus,
-        "input": list(request.words),
-        **doc,
-    }
-
-
-def _verification_message(exc, words) -> str:
-    inputs = ", ".join(repr(w) for w in words)
-    return f"verification failed for {inputs}: {exc}"
+def _attempt(request: Request, ctx=None):
+    """(0, document, ctx), or (exit code, error message, ctx) if the
+    request fails.  ctx is built on first need and handed back, so the
+    lines of a batch file share one context."""
+    spec = _COMMANDS.get(request.command)
+    words = request.words
+    try:
+        if spec is None:
+            raise DomainError(f"unknown command {request.command!r}")
+        if len(words) != spec.arity:
+            raise WordParseError(
+                f"expected {spec.arity} tab-separated word(s), got {len(words)}")
+        if ctx is None:
+            ctx = GroupContext(request.genus)
+        doc = spec.execute(ctx, words, request.options.get)
+    except WordParseError as exc:
+        return 2, str(exc), ctx
+    except DomainError as exc:
+        return 1, str(exc), ctx
+    except VerificationError as exc:
+        inputs = ", ".join(repr(w) for w in words)
+        return 3, f"verification failed for {inputs}: {exc}", ctx
+    return 0, {"command": request.command, "genus": request.genus,
+               "input": list(words), **doc}, ctx
 
 
 def run(request: Request):
     """Execute one request; returns (exit_code, stdout_text, stderr_text)."""
-    spec = _COMMANDS.get(request.command)
-    try:
-        ctx = GroupContext(request.genus)
-        if spec is None:
-            raise DomainError(f"unknown command {request.command!r}")
-        doc = spec.execute(ctx, request.words, request.options.get)
-    except WordParseError as exc:
-        return 2, "", f"error: {exc}"
-    except DomainError as exc:
-        return 1, "", f"error: {exc}"
-    except VerificationError as exc:
-        return 3, "", f"error: {_verification_message(exc, request.words)}"
+    code, doc, _ = _attempt(request)
+    if code:
+        return code, "", f"error: {doc}"
     if request.options.get("format") == "json":
-        return 0, json.dumps(_document(request, doc), indent=2), ""
-    return 0, "\n".join(spec.render(doc)), ""
+        return 0, json.dumps(doc, indent=2), ""
+    return 0, "\n".join(_COMMANDS[request.command].render(doc)), ""
 
 
 def run_file(path, command: str, options: dict):
@@ -309,12 +313,11 @@ def run_file(path, command: str, options: dict):
     Lines are words (tab-separated pairs for two-word commands); blank
     lines and '#' comments are skipped.  Text mode emits one result
     line per input line plus a summary; JSON mode emits an array.  The
-    first line with the right number of words builds the one context
+    first line that gets as far as needing a context builds the one
     that every line of the file shares.  The exit code is 3 if a line
     failed verification, else 1 if any line failed, else 0.
     """
     genus = options.get("genus", 2)
-    spec = _COMMANDS[command]
     try:
         with open(path, encoding="utf-8") as fh:
             raw = fh.read().splitlines()
@@ -330,26 +333,17 @@ def run_file(path, command: str, options: dict):
         text = line.strip()
         if not text or text.startswith("#"):
             continue
-        parts = [p.strip() for p in text.split("\t") if p.strip()]
-        try:
-            if len(parts) != spec.arity:
-                raise DomainError(
-                    f"expected {spec.arity} tab-separated word(s), got {len(parts)}")
-            if ctx is None:
-                ctx = GroupContext(genus)
-            doc = spec.execute(ctx, parts, options.get)
-        except (WordParseError, DomainError, VerificationError) as exc:
-            unverified = isinstance(exc, VerificationError)
-            message = _verification_message(exc, parts) if unverified else str(exc)
-            code = 3 if unverified else max(code, 1)
+        parts = tuple(p.strip() for p in text.split("\t") if p.strip())
+        status, doc, ctx = _attempt(Request(command, genus, parts, options), ctx)
+        if status:
+            code = 3 if status == 3 else max(code, 1)
             errors += 1
-            docs.append({"line": lineno, "error": message})
-            lines.append(f"line {lineno}: error: {message}")
+            docs.append({"line": lineno, "error": doc})
+            lines.append(f"line {lineno}: error: {doc}")
             continue
         ok += 1
-        request = Request(command, genus, tuple(parts), options)
-        docs.append({"line": lineno, **_document(request, doc)})
-        lines.append("; ".join(spec.render(doc)))
+        docs.append({"line": lineno, **doc})
+        lines.append("; ".join(_COMMANDS[command].render(doc)))
     if options.get("format") == "json":
         return code, json.dumps(docs, indent=2), ""
     if ok or errors:
@@ -398,12 +392,11 @@ def main(argv=None) -> int:
         command = options.pop("key")
         words = tuple(options.pop("words", None) or ())
         batch = options.pop("file", None)
-        arity = _COMMANDS[command].arity
-        if not batch and len(words) != arity:
-            parser.error(f"{command} expects {arity} word argument(s)")
+        if batch is not None and words:
+            parser.error("words and --file cannot be combined")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    if batch:
+    if batch is not None:
         code, out, err = run_file(batch, command, options)
     else:
         code, out, err = run(Request(command, options["genus"], words, options))
@@ -416,3 +409,7 @@ def main(argv=None) -> int:
         # the reader has gone; devnull keeps the flush at exit quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -234,8 +234,6 @@ def root(ctx: GroupContext, x: Word) -> RootResult:
 
 
 def _signed_power(ctx: GroupContext, x: Word, k: int) -> Word:
-    if k == 0:
-        return ()
     if k < 0:
         return nf_power(ctx, invert_word(x), -k)
     return nf_power(ctx, x, k)
@@ -264,9 +262,8 @@ def conj_power(ctx: GroupContext, x: Word, y: Word) -> ConjPowerResult:
             return ConjPowerResult(False, 0, 0, ())
         n = -n
     conj = nf(ctx, invert_word(z))
-    lhs = _signed_power(ctx, nx, m)
-    rhs = nf(ctx, conj + _signed_power(ctx, ny, n) + invert_word(conj))
-    if lhs != rhs:
+    if not _verify_conjugation(ctx, conj, _signed_power(ctx, ny, n),
+                               _signed_power(ctx, nx, m)):
         raise VerificationError("conjugate-power certificate failed verification")
     return ConjPowerResult(True, m, n, conj)
 

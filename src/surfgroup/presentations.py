@@ -218,6 +218,13 @@ def _check_one_face(p: PresentationDescriptor, where) -> None:
                           f"not a one-vertex gluing of the {4 * p.genus}-gon")
 
 
+def _parse_named(text: str, genus: int) -> Word:
+    """parse_word in the generator letter that text uses: the first
+    letter of its first token other than 'e', else 'c'."""
+    tok = next((t for t in text.replace("*", " ").split() if t != "e"), "c")
+    return parse_word(text, genus, base=tok[0].lower() if tok[0].isalpha() else "c")
+
+
 def load_descriptor(path) -> PresentationDescriptor:
     """Read a descriptor file: a genus line, then the cyclic order.
 
@@ -249,8 +256,7 @@ def load_descriptor(path) -> PresentationDescriptor:
         genus = int(head[1])
     except ValueError:
         raise DomainError(f"{path}: first line must be 'genus <g>'") from None
-    base = next((ch for ch in lines[1] if ch.isalpha()), "c").lower()
-    order = parse_word(lines[1], genus, base=base)
+    order = _parse_named(lines[1], genus)
     pres = PresentationDescriptor(genus, order, path.stem)
     _check_one_face(pres, path)
     return pres

@@ -135,6 +135,17 @@ def test_exit_codes():
     assert "genus must be between 2 and 64" in err
 
 
+def test_run_refuses_the_wrong_number_of_words():
+    """run checks the word count itself, as a batch line does: a missing
+    or an extra word is an error line with exit code 2, not a TypeError
+    or a word silently ignored."""
+    for request, arity, given in ((Request("nf", 2, ("c1", "c2")), 1, 2),
+                                  (Request("conj", 2, ("c1",)), 2, 1),
+                                  (Request("oracle-ball", 2, ("c1",), {"radius": 1}), 0, 1)):
+        assert run(request) == (
+            2, "", f"error: expected {arity} tab-separated word(s), got {given}")
+
+
 def test_oversized_power_exits_1_at_once(capsys):
     # k = 10^9 would be 2 * 10^9 letters; it is refused before allocation
     assert main(["power", "-k", "1000000000", "c1 c2"]) == 1
@@ -301,6 +312,12 @@ def test_main_entry_point(capsys):
     assert main(["nf"]) == 2  # missing word argument
     capsys.readouterr()
 
+    # words come from the arguments or from --file, never both
+    assert main(["nf", "c3 c4", "--file", str(DATA / "golden_words_g2.txt")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "words and --file cannot be combined" in captured.err
+
     assert main(["power", "-k", "2", "c1", "-g", "3"]) == 0
     assert capsys.readouterr().out.splitlines()[0] == "c1 c1"
 
@@ -375,6 +392,16 @@ def test_genus_line_that_int_refuses_exits_1(tmp_path, capsys, genus):
     assert captured.err == f"error: {pres}: first line must be 'genus <g>'\n"
 
 
+SRC = str(Path(surfgroup.__file__).parents[1])
+
+# the three ways to start the command line without an installed script
+_ENTRY_POINTS = (
+    ["-c", "import sys; from surfgroup.cli import main; sys.exit(main())"],
+    ["-m", "surfgroup"],
+    ["-m", "surfgroup.cli"],
+)
+
+
 @pytest.mark.parametrize("unbuffered", ["1", ""])
 @pytest.mark.parametrize("argv, code", [
     (["nf", "c1 c2 c3 c4"], 0),
@@ -382,20 +409,87 @@ def test_genus_line_that_int_refuses_exits_1(tmp_path, capsys, genus):
 ])
 def test_main_into_a_closed_pipe(argv, code, unbuffered):
     """A reader that has gone (`surfgroup nf ... | head -n 1`) costs no
-    traceback: stderr stays empty and the exit code is the request's own."""
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    env = dict(os.environ, PYTHONPATH=str(Path(surfgroup.__file__).parents[1]),
-               PYTHONUNBUFFERED=unbuffered)
-    try:
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys; from surfgroup.cli import main; sys.exit(main())",
-             *argv],
-            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
-    finally:
-        os.close(write_end)
-    assert proc.stderr == b""
-    assert proc.returncode == code
+    traceback: stderr stays empty and the exit code is the request's
+    own, whichever way the command line is started."""
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONUNBUFFERED=unbuffered)
+    for entry in _ENTRY_POINTS:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, *entry, *argv], stdout=write_end,
+                                  stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.stderr == b"", entry
+        assert proc.returncode == code, entry
+
+
+def _python_m(module, *argv):
+    """(exit code, stdout, stderr) of `python -m module argv...`."""
+    proc = subprocess.run([sys.executable, "-m", module, *argv], capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=SRC), timeout=60)
+    return proc.returncode, proc.stdout.decode("utf-8"), proc.stderr.decode("utf-8")
+
+
+@pytest.mark.parametrize("module", ["surfgroup", "surfgroup.cli"])
+def test_python_m_runs_the_cli(module):
+    assert _python_m(module, "nf", "c1 c2 c3 c4") == (0, "c4 c3 c2 c1\nlength 4\n", "")
+
+
+def test_python_m_smoke_checks(tmp_path):
+    """End-to-end checks through `python -m surfgroup`, which needs no
+    install: a batch file, an index int refuses, the g = 64 relator of
+    the canonical presentation, the --kmax letter cap and an order with
+    three faces."""
+    code, out, err = _python_m("surfgroup", "class-nf", "--file",
+                               str(DATA / "golden_words_g2.txt"))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "processed 6 ok 6 errors 0"
+
+    big = tmp_path / "big.txt"
+    big.write_text("c" + "9" * 5000 + "\nc1 c2\n")
+    code, out, err = _python_m("surfgroup", "nf", "--file", str(big))
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert lines[0].startswith("line 1: error: bad token ")
+    assert lines[-1] == "processed 2 ok 1 errors 1"
+
+    # [a1, a2][a3, a4]...[a127, a128], the relator, translated and reduced
+    relator = " ".join(f"a{i} a{i + 1} A{i} A{i + 1}" for i in range(1, 128, 2))
+    code, out, err = _python_m("surfgroup", "translate", "-g", "64", relator)
+    assert (code, err) == (0, "")
+    translated = out.splitlines()[0]
+    assert translated and translated != "e"
+    code, out, err = _python_m("surfgroup", "nf", "-g", "64", translated)
+    assert (code, out, err) == (0, "e\nlength 0\n", "")
+    assert _python_m("surfgroup", "oracle", "equal", "-g", "64", translated, "e") == (
+        0, "equal: yes\n", "")
+
+    # the up-front letter cap admits --kmax 1290 for a1 a2 a3, not 1291
+    check = ["check", "--presentation", "canonical", "a1 a2 a3", "--kmax"]
+    assert _python_m("surfgroup", *check, "1290") == (0, "holds: yes\nt 4\n", "")
+    code, out, err = _python_m("surfgroup", *check, "1291")
+    assert (code, out) == (1, "")
+    assert "more than the limit" in err
+
+    faces = tmp_path / "faces.pres"
+    faces.write_text("genus 2\nC2 c2 c1 C3 c3 c4 C1 C4\n")
+    code, out, err = _python_m("surfgroup", "check", "--presentation", f"file:{faces}", "c2")
+    assert (code, out) == (1, "")
+    assert "the cyclic order has 3 faces, not 1" in err
+
+
+def test_a_descriptor_named_in_e_reads_its_words_in_e(tmp_path, capsys):
+    """A descriptor's order and the words handed to it are read with one
+    rule for the letter: 'e' names generators unless it is a whole token.
+    The canonical order named in e and in a translates e1 e2 and a1 a2
+    to the same word."""
+    for order, word in (("e1 E2 E1 e2 e3 E4 E3 e4", "e1 e2"),
+                        ("a1 A2 A1 a2 a3 A4 A3 a4", "a1 a2")):
+        path = tmp_path / f"{word[0]}.pres"
+        path.write_text(f"genus 2\n{order}\n")
+        assert main(["translate", "--presentation", f"file:{path}", word]) == 0
+        assert capsys.readouterr() == ("c1 c2\nlength 2\n", "")
 
 
 # --- fuzzing main: every argv and every batch file ends in an exit code
@@ -432,7 +526,8 @@ _BATCH = st.binary(max_size=120) | st.lists(
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_main_never_raises(tmp_path, data):
-    """Drawn argv and raw batch-file bytes: main returns 0, 1, 2 or 3."""
+    """Drawn argv and raw batch-file bytes: main returns 0, 1, 2 or 3.
+    A drawn request handed to run with 0 to 3 words does too."""
     path = tmp_path / "batch.txt"
     path.write_bytes(data.draw(_BATCH))
     values = _flag_values(path)
@@ -451,3 +546,10 @@ def test_main_never_raises(tmp_path, data):
     arity = getattr(_COMMANDS.get(key), "arity", 1)
     argv += data.draw(st.lists(_WORD, min_size=arity, max_size=arity) | st.lists(_WORD, max_size=3))
     assert main(argv) in (0, 1, 2, 3)
+    # run, with no argument parser in front, checks its own requests
+    words = tuple(data.draw(st.lists(_WORD, max_size=3)))
+    request = Request(key, data.draw(st.sampled_from((2, 3, 1, 65))), words,
+                      {"format": data.draw(st.sampled_from(("text", "json")))})
+    code, out, err = run(request)
+    assert code in (0, 1, 2, 3)
+    assert (out == "") == err.startswith("error: ") == (code != 0)

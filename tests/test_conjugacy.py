@@ -419,6 +419,28 @@ def test_conj_power_inverse_orientation(ctx2):
     assert (res.m, res.n) == (3, -2)
 
 
+@pytest.mark.parametrize("x, y, m, n", [
+    ((1, 2, 1, 2), (3, 1, 2, 1, 2, 1, 2, -3), 3, 2),
+    ((1, 1), (-1, -1, -1), 3, -2),
+])
+def test_conj_power_checks_its_certificate_by_verify_conjugation(ctx2, monkeypatch,
+                                                                 x, y, m, n):
+    """conj_power's own check is a _verify_conjugation call: its
+    conjugator z with x = nf(y^n) and target = nf(x^m)."""
+    calls = []
+    real = conjugacy._verify_conjugation
+
+    def record(ctx, z, x, target):
+        calls.append((z, x, target))
+        return real(ctx, z, x, target)
+
+    monkeypatch.setattr(conjugacy, "_verify_conjugation", record)
+    res = conj_power(ctx2, x, y)
+    assert (res.found, res.m, res.n) == (True, m, n)
+    y_n = nf_power(ctx2, y if n > 0 else invert_word(y), abs(n))
+    assert (res.conjugator, y_n, nf_power(ctx2, x, m)) in calls
+
+
 def test_conj_power_negative_and_domain(ctx2):
     assert conj_power(ctx2, (1,), (2,)) == ConjPowerResult(False, 0, 0, ())
     with pytest.raises(DomainError):
