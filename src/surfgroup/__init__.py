@@ -48,7 +48,6 @@ from .conjugacy import (
     root,
 )
 from .oracle import (
-    DehnForm,
     dehn_conjugate,
     dehn_equal,
     dehn_reduce,
@@ -98,7 +97,6 @@ __all__ = [
     "conj_power",
     "reducing_pair",
     "root",
-    "DehnForm",
     "dehn_conjugate",
     "dehn_equal",
     "dehn_reduce",

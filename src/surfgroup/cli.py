@@ -371,7 +371,7 @@ def _build_parser():
                 ).add_subparsers(dest="oracle_command", required=True)
             group, name = oracle, key[len("oracle-"):]
         p = group.add_parser(name, help=spec.help)
-        p.set_defaults(key=key)
+        p.set_defaults(key=key, parser=p)
         p.add_argument("-g", "--genus", type=int, default=2,
                        help="genus of the surface (default 2)")
         p.add_argument("--format", choices=("text", "json"), default="text")
@@ -392,8 +392,10 @@ def main(argv=None) -> int:
         command = options.pop("key")
         words = tuple(options.pop("words", None) or ())
         batch = options.pop("file", None)
+        subparser = options.pop("parser")
         if batch is not None and words:
-            parser.error("words and --file cannot be combined")
+            # the subcommand's own parser prints its own usage line
+            subparser.error("words and --file cannot be combined")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     if batch is not None:

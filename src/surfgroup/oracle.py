@@ -30,14 +30,14 @@ letter instead of walking it again from every start: linear in |w| at
 a fixed genus (Lyndon-Schupp, ch. V; Domanski-Anshel 1985).  The word
 is held as the scanned list and the unread rest reversed, so a
 replacement changes only their two ends and moves a bounded number of
-letters between them.  Whether every rotation of the result is reduced
-as well is decided by the chains that start in its last 2g letters and
-run across its end; no other chain of a rotation can be long.
+letters between them.  dehn_reduce returns the reduced word; only
+dehn_reduce_cyclic decides whether every rotation of a word is reduced
+as well, from its end letters and the chains that start in its last 2g
+letters and run across its end.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import neg
 
 from .group_core import (
@@ -54,16 +54,15 @@ from .group_core import (
 _WINDOW = 256
 
 
-@dataclass(frozen=True)
-class DehnForm:
-    """A freely reduced word with no fragment longer than half a relator.
+class _Reduced(tuple):
+    """The word dehn_reduce returns.  .word is the word again, as a
+    plain tuple, for bench/test_bench.py, which still reads it."""
 
-    cyclically_reduced additionally asserts the property for every
-    rotation of the word.
-    """
+    __slots__ = ()
 
-    word: Word
-    cyclically_reduced: bool
+    @property
+    def word(self) -> Word:
+        return tuple(self)
 
 
 def _find_long_run(ctx: GroupContext, w: Word, start: int, stop: int, cap: int):
@@ -96,7 +95,7 @@ def _find_long_run(ctx: GroupContext, w: Word, start: int, stop: int, cap: int):
     return None
 
 
-def dehn_reduce(ctx: GroupContext, w: Word) -> DehnForm:
+def dehn_reduce(ctx: GroupContext, w: Word) -> Word:
     """Shorten w by Dehn replacements until none applies.
 
     The result is empty exactly when w represents the identity.
@@ -131,8 +130,7 @@ def dehn_reduce(ctx: GroupContext, w: Word) -> DehnForm:
         if m > 0:
             head += reversed(tail[-m:])
             del tail[-m:]
-    word = tuple(head)
-    return DehnForm(word, _cyclically_dehn_reduced(ctx, word))
+    return _Reduced(head)
 
 
 def _wrapped_long_run(ctx: GroupContext, w: Word):
@@ -146,44 +144,35 @@ def _wrapped_long_run(ctx: GroupContext, w: Word):
     return _find_long_run(ctx, w + w, n - ctx.n_gens, n, min(ctx.alphabet_size, n))
 
 
-def _cyclically_dehn_reduced(ctx: GroupContext, w: Word) -> bool:
-    """w is assumed Dehn-reduced; check every rotation is as well."""
-    n = len(w)
-    if n == 0:
-        return True
-    if w[0] == -w[-1]:
-        return False
-    if n <= ctx.n_gens:
-        return True
-    return _wrapped_long_run(ctx, w) is None
-
-
 def dehn_reduce_cyclic(ctx: GroupContext, w: Word) -> Word:
-    """Some cyclically Dehn-reduced word conjugate to w.
+    """Some cyclically Dehn-reduced word conjugate to w: w itself
+    exactly when every rotation of w is Dehn-reduced.
 
-    Alternates linear reduction, stripping inverse end pairs, and
-    rotating a wrap-around relator run to the front where the linear
-    pass can see it.  Every round shortens the word, so this stops.
+    After one linear reduction, alternates stripping inverse end pairs
+    and rotating a wrap-around relator run to the front where the linear
+    pass can see it.  Every strip or rotation shortens the word, so this
+    stops.
     """
-    cur = dehn_reduce(ctx, w).word
+    cur = dehn_reduce(ctx, w)
     while True:
-        if len(cur) >= 2 and cur[0] == -cur[-1]:
-            k = 1
-            while 2 * k + 2 <= len(cur) and cur[k] == -cur[-1 - k]:
-                k += 1
-            cur = dehn_reduce(ctx, cur[k:len(cur) - k]).word
-            continue
         n = len(cur)
+        if n >= 2 and cur[0] == -cur[-1]:
+            k = 1
+            while 2 * k + 2 <= n and cur[k] == -cur[-1 - k]:
+                k += 1
+            # a subword of a Dehn-reduced word is Dehn-reduced
+            cur = cur[k:n - k]
+            continue
         if n > ctx.n_gens:
             hit = _wrapped_long_run(ctx, cur)
             if hit is not None:
-                cur = dehn_reduce(ctx, cur[hit[0]:] + cur[:hit[0]]).word
+                cur = dehn_reduce(ctx, cur[hit[0]:] + cur[:hit[0]])
                 continue
         return cur
 
 
 def dehn_equal(ctx: GroupContext, u: Word, v: Word) -> bool:
-    return dehn_reduce(ctx, u + invert_word(v)).word == ()
+    return dehn_reduce(ctx, u + invert_word(v)) == ()
 
 
 def dehn_conjugate(ctx: GroupContext, u: Word, v: Word) -> bool:

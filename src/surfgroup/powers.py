@@ -78,6 +78,11 @@ def power_decompose(ctx: GroupContext, x: Word, *, normal: bool = False) -> Powe
 
     normal=True states that x is already nf(x), as it is for the callers
     in this package that have just normalized it, and skips that pass.
+    The statement is trusted, not checked, and the checks above do not
+    catch a false one: at g = 2, x = c1 c2 c3 c4 (nf c4 c3 c2 c1) with
+    normal=True passes them all and returns the prefix
+    c1 c2 c3 c4 c4 c3 c2 c1, which is neither irreducible nor part of a
+    decomposition of x.
     """
     n1 = x if normal else nf(ctx, x)
     if not n1:

@@ -158,6 +158,8 @@ def check_coarse_formulae(
     |x^{2t}| must exceed |x^t|, the lengths |x^{tm}| must grow linearly
     with slope |x^{2t}| - |x^t|, and that slope must equal t times the
     translation number (checked in the symmetric engine as well).
+    k_max below 1 is refused with DomainError, as nf_power refuses an
+    exponent below 1.
 
     The rotation x^t accumulates is 0 mod 4g by the choice of t, so
     translate(p, x^{tm}) is T^m with T = translate(p, x^t): each next
@@ -169,6 +171,8 @@ def check_coarse_formulae(
     so an order with more than one face is refused as load_descriptor
     refuses it.
     """
+    if k_max < 1:
+        raise DomainError(f"k_max must be >= 1, got {k_max}")
     _check_genus(ctx, p)
     _check_one_face(p, f"presentation {p.label!r}")
     t = t_parameter(p)

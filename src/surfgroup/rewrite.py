@@ -126,7 +126,9 @@ def is_cyclically_irreducible(ctx: GroupContext, w: Word, *, normal: bool = Fals
 
     normal=True states that w is irreducible already; then only the second
     copy is appended to it, and w + w is irreducible exactly when that
-    leaves it unchanged.
+    leaves it unchanged.  The statement is trusted, not checked: appending
+    to a w that is not irreducible breaks _extend's precondition, and the
+    answer is then not guaranteed.
     """
     if not w:
         return True

@@ -33,7 +33,6 @@ from surfgroup.group_core import (
     invert_word,
 )
 from surfgroup.conjugacy import _least_rotations
-from surfgroup.oracle import DehnForm
 from surfgroup.powers import MAX_POWER_LETTERS, PowerDecomposition, translation_number
 from surfgroup.presentations import (
     PresentationDescriptor,
@@ -337,6 +336,15 @@ def random_relator_heavy(ctx, length, rng):
     return tuple(w)
 
 
+@dataclass(frozen=True)
+class DehnReference:
+    """What dehn_reduce_reference finds: the Dehn-reduced word, and
+    whether every rotation of it is Dehn-reduced as well."""
+
+    word: Word
+    cyclically_reduced: bool
+
+
 def dehn_reduce_reference(ctx, w):
     """Dehn reduction that rescans from position 0 after every
     replacement, freely reduces the whole word each time, and tests
@@ -361,7 +369,7 @@ def dehn_reduce_reference(ctx, w):
         cyclic = True
     else:
         cyclic = _long_run_reference(ctx, cur + cur, 0, n, min(cap, n)) is None
-    return DehnForm(cur, cyclic)
+    return DehnReference(cur, cyclic)
 
 
 def dehn_reduce_cyclic_reference(ctx, w):

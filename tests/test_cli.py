@@ -166,6 +166,13 @@ def test_oversized_check_exits_1_at_once(capsys):
         "to 40000400000 letters, more than the limit of 10000000\n")
 
 
+def test_check_refuses_kmax_below_1(capsys):
+    # as power -k 0 is refused, instead of quietly checking up to k = 2
+    for k_max in ("0", "-5"):
+        assert main(["check", "--kmax", k_max, "a1"]) == 1
+        assert capsys.readouterr() == ("", f"error: k_max must be >= 1, got {k_max}\n")
+
+
 def test_order_with_more_than_one_face_exits_1(tmp_path, capsys):
     # faces of 6, 1 and 1 letters: no gluing of the 8-gon, so the check
     # is refused instead of answering "holds: no"
@@ -312,11 +319,16 @@ def test_main_entry_point(capsys):
     assert main(["nf"]) == 2  # missing word argument
     capsys.readouterr()
 
-    # words come from the arguments or from --file, never both
-    assert main(["nf", "c3 c4", "--file", str(DATA / "golden_words_g2.txt")]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "words and --file cannot be combined" in captured.err
+    # words come from the arguments or from --file, never both; the
+    # subcommand's own parser says so, with its own usage line
+    batch = str(DATA / "golden_words_g2.txt")
+    for argv, prog in ((["nf", "c3 c4", "--file", batch], "surfgroup nf"),
+                       (["oracle", "equal", "c1", "c2", "--file", batch], "surfgroup oracle equal")):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage: {prog} [-h]")
+        assert f"{prog}: error: words and --file cannot be combined" in captured.err
 
     assert main(["power", "-k", "2", "c1", "-g", "3"]) == 0
     assert capsys.readouterr().out.splitlines()[0] == "c1 c1"

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from helpers import (
+    DehnReference,
     _long_run_reference,
     all_words,
     chain_forward_reference,
@@ -22,7 +23,6 @@ from surfgroup import oracle
 from surfgroup.conjugacy import are_conjugate
 from surfgroup.group_core import DomainError, GroupContext, abelianize, free_reduce, invert_word
 from surfgroup.oracle import (
-    DehnForm,
     dehn_conjugate,
     dehn_equal,
     dehn_reduce,
@@ -39,11 +39,23 @@ def has_long_run(ctx, w):
     )
 
 
+def cyclically_dehn_reduced(ctx, w):
+    """Every rotation of w is Dehn-reduced: dehn_reduce_cyclic leaves
+    exactly such words unchanged, since each strip or rotation shortens."""
+    return dehn_reduce_cyclic(ctx, w) == w
+
+
 def test_dehn_reduce_examples(ctx2):
-    assert dehn_reduce(ctx2, ctx2.relator) == DehnForm((), True)
-    assert dehn_reduce(ctx2, (1, 2, 3, 4, -1, -2)) == DehnForm((4, 3), True)
-    assert dehn_reduce(ctx2, (4, 3, 2)) == DehnForm((4, 3, 2), True)
-    assert dehn_reduce(ctx2, (1, 2, -1)) == DehnForm((1, 2, -1), False)
+    for w, out, cyclic in (
+        (ctx2.relator, (), True),
+        ((1, 2, 3, 4, -1, -2), (4, 3), True),
+        ((4, 3, 2), (4, 3, 2), True),
+        ((1, 2, -1), (1, 2, -1), False),
+    ):
+        got = dehn_reduce(ctx2, w)
+        assert isinstance(got, tuple) and got == out
+        assert type(got.word) is tuple and got.word == out
+        assert cyclically_dehn_reduced(ctx2, out) == cyclic
 
 
 def test_dehn_reduce_structure(ctx2, ctx3):
@@ -51,28 +63,38 @@ def test_dehn_reduce_structure(ctx2, ctx3):
     for ctx in (ctx2, ctx3):
         for _ in range(80):
             w = random_freely_reduced(ctx, rng.randrange(0, 20), rng)
-            form = dehn_reduce(ctx, w)
-            out = form.word
+            out = dehn_reduce(ctx, w)
             assert free_reduce(out) == out
             assert not has_long_run(ctx, out)
-            assert dehn_reduce(ctx, out).word == out
+            assert dehn_reduce(ctx, out) == out
             assert abelianize(ctx, out) == abelianize(ctx, w)
             assert dehn_equal(ctx, w, out)
 
 
-def test_dehn_reduce_cyclic(ctx2):
+def test_dehn_reduce_cyclic():
     rng = random.Random(203)
-    for _ in range(80):
-        w = random_freely_reduced(ctx2, rng.randrange(0, 16), rng)
-        out = dehn_reduce_cyclic(ctx2, w)
-        assert dehn_reduce(ctx2, out) == DehnForm(out, True)
-        assert abelianize(ctx2, out) == abelianize(ctx2, w)
-        assert dehn_conjugate(ctx2, w, out)
+    for genus in (2, 3, 5, 8, 64):
+        ctx = GroupContext(genus)
+        words = [random_freely_reduced(ctx, rng.randrange(0, 16), rng) for _ in range(80)]
+        # conjugates of relator-heavy words, whose reduction strips end
+        # pairs and rotates wrap-around runs at every genus
+        for _ in range(20):
+            z = random_freely_reduced(ctx, rng.randrange(1, 6), rng)
+            u = random_relator_heavy(ctx, rng.randrange(1, 3 * ctx.alphabet_size), rng)
+            words.append(z + u + invert_word(z))
+        for w in words:
+            out = dehn_reduce_cyclic(ctx, w)
+            assert dehn_reduce(ctx, out) == out
+            assert cyclically_dehn_reduced(ctx, out)
+            assert dehn_reduce_reference(ctx, out) == DehnReference(out, True)
+            assert abelianize(ctx, out) == abelianize(ctx, w)
+            assert dehn_conjugate(ctx, w, out)
 
 
-def test_dehn_equal_is_engine_equality(ctx2, ctx3):
+def test_dehn_equal_is_engine_equality():
     rng = random.Random(207)
-    for ctx in (ctx2, ctx3):
+    for genus in (2, 3, 5, 8, 16, 64):
+        ctx = GroupContext(genus)
         for _ in range(120):
             u = random_freely_reduced(ctx, rng.randrange(0, 12), rng)
             if rng.random() < 0.5:
@@ -85,16 +107,27 @@ def test_dehn_equal_is_engine_equality(ctx2, ctx3):
             assert dehn_equal(ctx, u, v) == (nf(ctx, u) == nf(ctx, v))
 
 
-def test_dehn_conjugate_agrees_with_engine(ctx2):
+def test_dehn_conjugate_agrees_with_engine():
     rng = random.Random(211)
-    for _ in range(60):
-        u = random_nontrivial(ctx2, 8, rng)
-        if rng.random() < 0.5:
-            w = random_nontrivial(ctx2, 5, rng)
-            v = nf(ctx2, w + u + invert_word(w))
-        else:
-            v = random_nontrivial(ctx2, 8, rng)
-        assert dehn_conjugate(ctx2, u, v) == (are_conjugate(ctx2, u, v) is not None)
+    for genus in (2, 3, 5, 8, 64):
+        ctx = GroupContext(genus)
+        for _ in range(60):
+            u = random_nontrivial(ctx, 8, rng)
+            if rng.random() < 0.5:
+                w = random_nontrivial(ctx, 5, rng)
+                v = nf(ctx, w + u + invert_word(w))
+            else:
+                v = random_nontrivial(ctx, 8, rng)
+            assert dehn_conjugate(ctx, u, v) == (are_conjugate(ctx, u, v) is not None)
+        # the letters of u shuffled: the abelianizations agree, so the
+        # rotation search runs, and it mostly finds no conjugate
+        verdicts = []
+        for _ in range(5):
+            u = random_nontrivial(ctx, 8, rng)
+            v = tuple(rng.sample(u, len(u)))
+            verdicts.append(dehn_conjugate(ctx, u, v))
+            assert verdicts[-1] == (are_conjugate(ctx, u, v) is not None)
+        assert False in verdicts
 
 
 def test_dehn_conjugate_edges(ctx2):
@@ -121,9 +154,10 @@ def word_problem_word(ctx, n, rng, changed):
 
 @pytest.mark.parametrize("genus", [2, 3, 5, 8, 16, 64])
 def test_dehn_reduce_matches_the_rescanning_reference(genus, monkeypatch):
-    """The resuming scan returns the reference's DehnForm, flag included,
-    at the default window and at the narrowest, and dehn_reduce_cyclic
-    returns the reference's word."""
+    """The resuming scan returns the reference's word at the default
+    window and at the narrowest; dehn_reduce_cyclic leaves that word
+    unchanged exactly when the reference's flag says every rotation of
+    it is reduced, and returns the reference's cyclic word."""
     ctx = GroupContext(genus)
     rng = random.Random(800 + genus)
     n4 = ctx.alphabet_size
@@ -138,19 +172,27 @@ def test_dehn_reduce_matches_the_rescanning_reference(genus, monkeypatch):
     for _ in range(count // 5):
         z = random_freely_reduced(ctx, rng.randrange(1, size // 2), rng)
         words.append(z + random_relator_heavy(ctx, rng.randrange(1, size // 4), rng) + invert_word(z))
-    got = [(dehn_reduce(ctx, w), dehn_reduce_cyclic(ctx, w)) for w in words]
+
+    def answers(w):
+        out = dehn_reduce(ctx, w)
+        return out, cyclically_dehn_reduced(ctx, out), dehn_reduce_cyclic(ctx, w)
+
+    got = [answers(w) for w in words]
     with monkeypatch.context() as m:
         # a one-letter window puts a window edge at every position a
         # replacement can reach, on words of any length
         m.setattr(oracle, "_WINDOW", 1)
-        narrow = [(dehn_reduce(ctx, w), dehn_reduce_cyclic(ctx, w)) for w in words]
-    want = [(dehn_reduce_reference(ctx, w), dehn_reduce_cyclic_reference(ctx, w)) for w in words]
+        narrow = [answers(w) for w in words]
+    want = []
+    for w in words:
+        ref = dehn_reduce_reference(ctx, w)
+        want.append((ref.word, ref.cyclically_reduced, dehn_reduce_cyclic_reference(ctx, w)))
     for w, a, b, c in zip(words, got, narrow, want):
         assert a == c, w
         assert b == c, w
     # the inputs do reach the replacement and the flag both ways
-    assert any(len(f.word) < len(free_reduce(w)) for w, (f, _) in zip(words, got))
-    assert {f.cyclically_reduced for f, _ in got} == {True, False}
+    assert any(len(out) < len(free_reduce(w)) for w, (out, _, _) in zip(words, got))
+    assert {cyclic for _, cyclic, _ in got} == {True, False}
 
 
 @pytest.mark.parametrize("genus", [2, 3, 64])
