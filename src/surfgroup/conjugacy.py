@@ -16,9 +16,9 @@ this module has been re-verified by normalization (normalize(z.x.z^-1)
 equals the class word), and a failed check raises VerificationError, so
 an index or orientation slip cannot escape.
 
-Roots are found from the least period of W (a prefix-function scan),
-and the conjugate-power decision reduces to conjugacy of primitive
-roots.
+Roots are found from the least period of W, which the same Duval scan
+measures, and the conjugate-power decision reduces to conjugacy of
+primitive roots.
 """
 
 from __future__ import annotations
@@ -72,33 +72,16 @@ def _verify_conjugation(ctx, z: Word, x: Word, target: Word) -> bool:
     return nf(ctx, z + x + invert_word(z)) == target
 
 
-def _period(s) -> int:
-    """Least p dividing len(s) with s = s[:p]^(len(s)/p), in O(len(s)).
-
-    The prefix function gives the least period n - border; a period
-    that does not divide n rules out every shorter divisor period
-    (Fine and Wilf), leaving n itself.
-    """
-    n = len(s)
-    border = [0] * n
-    k = 0
-    for i in range(1, n):
-        c = s[i]
-        while k and s[k] != c:
-            k = border[k - 1]
-        if s[k] == c:
-            k += 1
-        border[i] = k
-    p = n - k
-    return p if n % p == 0 else n
-
-
 def _least_rotations(s) -> range:
     """Every k with s[k:] + s[:k] least among the rotations of s, ascending.
 
-    One least rotation comes from Duval's Lyndon factorisation of s.s;
-    the rotations equal to it lie exactly one period of s apart.  Linear
-    in len(s).
+    Duval's Lyndon factorisation of s.s finds one least rotation k0, the
+    start of its last round, and the least period p of s, the gap j - k
+    that round ends with: s.s is p-periodic and ss[k0:k0+p] is the
+    Lyndon conjugate v of the primitive root of s, so the round scans
+    ss[k0:2n] = v^m v' with v' a proper prefix of v, and the inner loop
+    runs to the end with j - k = |v| = p.  The rotations equal to the
+    least one lie exactly p apart.  Linear in n = len(s), for n >= 1.
     """
     n = len(s)
     ss = s + s
@@ -111,7 +94,7 @@ def _least_rotations(s) -> range:
             j += 1
         while i <= k:
             i += j - k
-    p = _period(s)
+    p = j - k
     return range(k0 % p, n, p)
 
 
@@ -217,15 +200,17 @@ def are_conjugate(ctx: GroupContext, x: Word, y: Word):
 def root(ctx: GroupContext, x: Word) -> RootResult:
     """Primitive root Y and exponent r with Y^r = x.
 
-    The core W is scanned for its least period d; the root is the
-    conjugate of that period block back through the splice prefix.
+    The least period d of the core W comes from the Duval scan of
+    _least_rotations (it does not depend on the letter order); the root
+    is the conjugate of that period block back through the splice
+    prefix.
     """
     n1 = nf(ctx, x)
     if not n1:
         raise DomainError("root of the trivial element")
     pd = power_decompose(ctx, n1, normal=True)
     w = pd.core
-    d = _period(w)
+    d = _least_rotations(w).step
     r = len(w) // d
     y = nf(ctx, pd.prefix + w[:d] + invert_word(pd.prefix))
     if nf_power(ctx, y, r) != n1:

@@ -19,7 +19,8 @@ own normal form, and that is how `is_irreducible` decides it.
 The D system is the explicit basis of eight rule families D1..D8 over
 the generators; it is a proper subset of the S system and is kept as a
 deliberately separate code path so the two engines can cross-check each
-other.
+other.  It uses none of the S engine's functions or trace types: a D
+match is a plain (end, replacement), spliced in place.
 
 `normalize` reduces incrementally: it appends one letter at a time to an
 irreducible accumulator, and at most one rule fires per appended letter.
@@ -34,10 +35,12 @@ and 2g-1 places back both lie on its chain: two probes, without a
 call, and the chain is never walked back.  Only when both match is the
 slice between them compared with the relator table, so only a
 successor on a chain of 2g or more letters goes through _append_step,
-which reads the one rule it fires, if any, off the table.  Every
-caller takes these same decisions; a trace, built only on request,
-records them as genuine S-rule applications on the evolving word, so
-replaying them by splicing reproduces the normal form.
+which reads the one rule it fires, if any, off the table and returns
+it as plain values.  Every caller takes these same decisions; a trace,
+built only on request, records them as genuine S-rule applications
+(RuleId, ReductionStep) on the evolving word, so replaying them by
+splicing reproduces the normal form.  Without a trace no rule record
+is built.
 Because an irreducible word passes through unchanged, nf(u v) for an
 irreducible u starts from u and costs only the letters of v.
 enumerate_ball lists the normal forms up to a radius by the same
@@ -62,8 +65,8 @@ from .group_core import (
 class RuleId:
     """Identifies one rewriting rule instance.
 
-    family: S1, S2, S3, S4a, S4b or D1..D8.  param is k for S2, t for
-    S3/S4 and the family index i/j for D rules (0 when meaningless).
+    family: S1, S2, S3, S4a or S4b.  param is k for S2, t for S3/S4
+    and 0 for S1.  Only a trace builds one.
     """
 
     family: str
@@ -142,9 +145,9 @@ def _append_step(ctx: GroupContext, acc: list, E: Word):
     `acc` fires, where E is the row ctx.follow[acc[-1]][E[0]].
 
     Called by _extend only when acc ends with E[2g+1:], so that the
-    chain of the letter has at least 2g letters.  Returns (rule, n_pop,
-    tail): pop n_pop letters off acc, then extend it with tail; rule is
-    None, and tail the plain letter, when no rule fires.
+    chain of the letter has at least 2g letters.  Returns (family,
+    param, n_pop, tail): pop n_pop letters off acc, then extend it with
+    tail; family is None, and tail the plain letter, when no rule fires.
 
     Only chains of 2g and 2g+1 letters fire a rule; acc is irreducible,
     so none is longer.  The chain reaches 2g+1 letters when the letter
@@ -154,7 +157,7 @@ def _append_step(ctx: GroupContext, acc: list, E: Word):
     letter = E[0]
     k = len(acc) - g2 + 1
     if k and acc[k - 1] == E[g2]:
-        return RuleId("S2", g2 + 1), g2, invert_word(E[1:g2])
+        return "S2", g2 + 1, g2, invert_word(E[1:g2])
     # the chain E[2g+1:] + (letter,) has exactly 2g letters; count the
     # run of t whole blocks E[2g+1:] that ends acc
     blk = acc[k:]
@@ -168,10 +171,10 @@ def _append_step(ctx: GroupContext, acc: list, E: Word):
     prev = acc[-m - 1] if len(acc) > m else None
     if prev == E[g2]:
         # t == 1 here would have been the 2g+1 chain above
-        return RuleId("S3", t), m + 1, _rev(blk) * t
+        return "S3", t, m + 1, _rev(blk) * t
     if ctx.greater(E[g2 + 1], letter):
-        return RuleId("S4b", t), m, (letter,) + _rev(blk) * t
-    return None, 0, (letter,)
+        return "S4b", t, m, (letter,) + _rev(blk) * t
+    return None, 0, 0, (letter,)
 
 
 def _extend(ctx: GroupContext, acc: list, letters, steps) -> None:
@@ -186,8 +189,8 @@ def _extend(ctx: GroupContext, acc: list, letters, steps) -> None:
     acc[-(2g-1)] is E[2g+1], the successor is appended inline after
     these two probes; only when both match is the whole slice compared.
     So only a successor on a chain of 2g or more letters goes through
-    _append_step, with E.  Each rule that fires is recorded in steps,
-    unless steps is None.
+    _append_step, with E.  Each rule that fires is recorded in steps as
+    a ReductionStep, unless steps is None; no record is built then.
     """
     follow = ctx.follow
     g2 = ctx.n_gens
@@ -210,10 +213,11 @@ def _extend(ctx: GroupContext, acc: list, letters, steps) -> None:
             acc.append(letter)
             last = letter
             continue
-        rule, n_pop, tail = _append_step(ctx, acc, E)
-        if rule is not None and steps is not None:
+        family, param, n_pop, tail = _append_step(ctx, acc, E)
+        if family is not None and steps is not None:
             start = len(acc) - n_pop
-            steps.append(ReductionStep(rule, start, tuple(acc[start:]) + (letter,), tail))
+            steps.append(ReductionStep(RuleId(family, param), start,
+                                       tuple(acc[start:]) + (letter,), tail))
         del acc[len(acc) - n_pop:]
         acc.extend(tail)
         last = acc[-1]
@@ -278,10 +282,11 @@ def enumerate_ball(ctx: GroupContext, radius: int, cap: int = 10**6) -> list:
 
     Each normal form of length L+1 extends exactly one of length L by
     one letter (the plain-push case of the append operation, where
-    _extend records no step), so the frontier extension is
-    duplicate-free.  Raises DomainError before it enumerates anything
-    when a lower bound on the ball size exceeds cap, and otherwise once
-    the element count would exceed cap.
+    appending the letter leaves it in place: no rule rewrites a word to
+    itself), so the frontier extension is duplicate-free.  Raises
+    DomainError before it enumerates anything when a lower bound on the
+    ball size exceeds cap, and otherwise once the element count would
+    exceed cap.
     """
     if radius < 0:
         raise DomainError("ball radius must be nonnegative")
@@ -296,12 +301,11 @@ def enumerate_ball(ctx: GroupContext, radius: int, cap: int = 10**6) -> list:
         nxt = []
         for w in frontier:
             for a in ctx.letters:
-                steps = []
-                _extend(ctx, list(w), (a,), steps)
-                if not steps:
+                wa = w + (a,)
+                if _nf_concat(ctx, w, (a,)) == wa:
                     if len(out) + len(nxt) >= cap:
                         raise DomainError("ball enumeration exceeded the element cap")
-                    nxt.append(w + (a,))
+                    nxt.append(wa)
         out.extend(nxt)
         frontier = nxt
     return out
@@ -311,47 +315,48 @@ def enumerate_ball(ctx: GroupContext, radius: int, cap: int = 10**6) -> list:
 
 @functools.cache
 def _d_rules(g2: int):
-    """Rule tables for the D engine over 2g = g2 generators."""
-    fixed = []  # (lead, replacement, family)
-    fixed.append((tuple(-i for i in range(g2, 0, -1)),
-                  tuple(-i for i in range(1, g2 + 1)), "D3"))
-    fixed.append((tuple(range(1, g2 + 1)),
-                  tuple(range(g2, 0, -1)), "D4"))
-    for i in range(2, g2 + 1):
+    """Rule tables for the D engine over 2g = g2 generators.
+
+    D7 and D8, the inverse pairs, need no table.
+    """
+    fixed = []  # (lead, replacement)
+    fixed.append((tuple(-i for i in range(g2, 0, -1)),  # D3
+                  tuple(-i for i in range(1, g2 + 1))))
+    fixed.append((tuple(range(1, g2 + 1)),  # D4
+                  tuple(range(g2, 0, -1))))
+    for i in range(2, g2 + 1):  # D5
         lead = tuple(-j for j in range(i, g2 + 1)) + tuple(range(1, i))
         rep = tuple(range(i - 1, 0, -1)) + tuple(-j for j in range(g2, i - 1, -1))
-        fixed.append((lead, rep, "D5"))
-    for i in range(2, g2 + 1):
+        fixed.append((lead, rep))
+    for i in range(2, g2 + 1):  # D6
         lead = tuple(-j for j in range(i - 1, 0, -1)) + tuple(range(g2, i - 1, -1))
         rep = tuple(range(i, g2 + 1)) + tuple(-j for j in range(1, i))
-        fixed.append((lead, rep, "D6"))
+        fixed.append((lead, rep))
     by_first = {}
-    for lead, rep, fam in fixed:
-        by_first.setdefault(lead[0], []).append((lead, rep, fam))
-    conj = {}  # j -> list of (block, rep_block, family)
+    for lead, rep in fixed:
+        by_first.setdefault(lead[0], []).append((lead, rep))
+    conj = {}  # j -> [(block, rep_block) of D1, of D2]
     for j in range(2, g2 + 1):
         bl1 = tuple(range(j - 1, 0, -1)) + tuple(-i for i in range(g2, j, -1))
         rb1 = tuple(-i for i in range(j + 1, g2 + 1)) + tuple(range(1, j))
         bl2 = tuple(range(j + 1, g2 + 1)) + tuple(-i for i in range(1, j))
         rb2 = tuple(-i for i in range(j - 1, 0, -1)) + tuple(range(g2, j, -1))
-        conj[j] = [(bl1, rb1, "D1"), (bl2, rb2, "D2")]
+        conj[j] = [(bl1, rb1), (bl2, rb2)]
     return by_first, conj
 
 
 def _d_match(ctx: GroupContext, w: Word, p: int):
-    """First D-rule match at position p, or None."""
+    """(end, replacement) for the first D rule matching w[p:end], or None."""
     by_first, conj = _d_rules(ctx.n_gens)
     n = len(w)
     a = w[p]
-    # D7 / D8: inverse pairs
-    if p + 1 < n and w[p + 1] == -a:
-        fam = "D7" if a < 0 else "D8"
-        return ReductionStep(RuleId(fam, abs(a)), p, (a, w[p + 1]), ())
-    for lead, rep, fam in by_first.get(a, ()):
+    if p + 1 < n and w[p + 1] == -a:  # an inverse pair
+        return p + 2, ()
+    for lead, rep in by_first.get(a, ()):
         if w[p:p + len(lead)] == lead:
-            return ReductionStep(RuleId(fam), p, lead, rep)
-    if a >= 2:  # D1/D2 conjugation rules start with a positive letter c_j, j >= 2
-        for block, rep_block, fam in conj[a]:
+            return p + len(lead), rep
+    if a >= 2:  # a conjugation rule starts with a positive letter c_j, j >= 2
+        for block, rep_block in conj[a]:
             L = len(block)
             t = 0
             q = p + 1
@@ -359,9 +364,7 @@ def _d_match(ctx: GroupContext, w: Word, p: int):
                 t += 1
                 q += L
             if t >= 1 and q < n and w[q] == -a:
-                return ReductionStep(
-                    RuleId(fam, t), p, w[p:q + 1], rep_block * t
-                )
+                return q + 1, rep_block * t
     return None
 
 
@@ -373,11 +376,11 @@ def d_basis_normalize(ctx: GroupContext, w: Word) -> Word:
     ctx.check_word(w)
     cur = w
     while True:
-        step = None
         for p in range(len(cur)):
-            step = _d_match(ctx, cur, p)
-            if step is not None:
+            match = _d_match(ctx, cur, p)
+            if match is not None:
+                end, rep = match
+                cur = cur[:p] + rep + cur[end:]
                 break
-        if step is None:
+        else:
             return cur
-        cur = apply_step(cur, step)

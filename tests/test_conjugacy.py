@@ -1,5 +1,6 @@
 """Class normal forms, roots, conjugate powers, reducing pairs."""
 
+import itertools
 import math
 import random
 import tracemalloc
@@ -369,9 +370,11 @@ def test_root_examples(ctx2):
         root(ctx2, ctx2.relator)
 
 
-def test_root_reassembles_and_is_primitive(ctx2, ctx3):
+def test_root_reassembles_and_is_primitive():
+    """At the genera MAX_GENUS admits, from 2 up to 64."""
     rng = random.Random(109)
-    for ctx in (ctx2, ctx3):
+    for genus in (2, 3, 5, 16, 64):
+        ctx = GroupContext(genus)
         for _ in range(40):
             y = ci(ctx, random_nontrivial(ctx, 8, rng))
             r = rng.randrange(1, 5)
@@ -381,6 +384,24 @@ def test_root_reassembles_and_is_primitive(ctx2, ctx3):
             assert root(ctx, res.root).exponent == 1
             assert res.exponent % r == 0 or r % res.exponent == 0
             assert res.exponent == r * root(ctx, y).exponent
+
+
+def test_least_rotations_exhaustive_small():
+    """Every sequence over 2 symbols up to length 12 and over 3 up to
+    length 8: the indices are the least rotations, and the step is the
+    least period dividing the length."""
+    count = 0
+    for base, top in ((2, 12), (3, 8)):
+        for n in range(1, top + 1):
+            for s in itertools.product(range(base), repeat=n):
+                rotations = [s[k:] + s[:k] for k in range(n)]
+                least = min(rotations)
+                got = _least_rotations(s)
+                assert list(got) == [k for k in range(n) if rotations[k] == least], s
+                assert got.step == next(p for p in range(1, n + 1)
+                                        if n % p == 0 and s[p:] + s[:p] == s), s
+                count += 1
+    assert count == 2 ** 13 - 2 + (3 ** 9 - 3) // 2
 
 
 def test_root_exponent_matches_divisor_scan(ctx2):

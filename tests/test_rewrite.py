@@ -1,7 +1,9 @@
 """Rewriting engines: agreement, confluence, traces, rule shapes."""
 
+import ast
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -411,7 +413,9 @@ def test_chain_probe_matches_the_chain_walk(genus):
                 rule, n_pop, tail = want
                 assert _nf_concat(ctx, acc, (letter,)) == acc[:len(acc) - n_pop] + tail, (acc, letter)
                 if acc[-(g2 - 1):] == blk:
-                    assert rewrite._append_step(ctx, list(acc), E) == want, (acc, letter)
+                    plain = (rule.family, rule.param) if rule else (None, 0)
+                    assert rewrite._append_step(ctx, list(acc), E) == plain + (n_pop, tail), \
+                        (acc, letter)
                     chains["handed on"] += 1
                 near = acc[-n4:] + (letter,)
                 cl = chain_backward(ctx, near, len(near) - 1, n4)[0]
@@ -492,3 +496,44 @@ def test_untraced_fast_path_agrees_and_leaves_only_long_chains(genus, monkeypatc
     assert cancellations, "no S1 step was traced"
     assert reached, "no letter reached _append_step"
     assert not [r for r in reached if r[0] or r[1] < 2 * genus or not r[2]]
+
+
+def test_the_d_engine_uses_no_s_engine_name():
+    """The D engine is a cross-check only while it shares no code with
+    the S engine: its functions name neither the S rewriting nor the S
+    trace types."""
+    s_engine = {"_extend", "_append_step", "normalize", "nf", "_nf_concat",
+                "RuleId", "ReductionStep", "apply_step"}
+    tree = ast.parse(Path(rewrite.__file__).read_text(encoding="utf-8"))
+    bodies = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name in ("_d_rules", "_d_match", "d_basis_normalize"):
+        used = {n.id for n in ast.walk(bodies[name]) if isinstance(n, ast.Name)}
+        used |= {n.attr for n in ast.walk(bodies[name]) if isinstance(n, ast.Attribute)}
+        assert used & s_engine == set(), name
+
+
+@pytest.mark.parametrize("genus", [2, 3, 64])
+def test_untraced_paths_build_no_rule_record(genus, monkeypatch):
+    """nf and _nf_concat fire S2, S3 and S4 rules without building a
+    RuleId or a ReductionStep: with both made to raise they still return
+    the traced normalize's words."""
+    ctx = GroupContext(genus)
+    rng = random.Random(1800 + genus)
+    words = [random_relator_heavy(ctx, rng.randrange(8 * genus, 24 * genus), rng)
+             for _ in range(12)]
+    expected = {}
+    fired = set()
+    for w in words:
+        expected[w], trace = normalize(ctx, w)
+        fired |= {step.rule.family for step in trace.steps}
+    assert {"S2", "S3", "S4b"} <= fired
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a rule record was built on an untraced path")
+
+    monkeypatch.setattr(rewrite, "RuleId", refuse)
+    monkeypatch.setattr(rewrite, "ReductionStep", refuse)
+    for w in words:
+        assert nf(ctx, w) == expected[w]
+        h = len(w) // 2
+        assert _nf_concat(ctx, nf(ctx, w[:h]), w[h:]) == expected[w]
