@@ -13,7 +13,9 @@ from collections import Counter
 from surfgroup import GroupContext, nf, power_decompose
 
 
-def sample_word(ctx, max_length, rng):
+def sample(ctx, max_length, rng):
+    """A random freely reduced word that is not trivial, and its
+    decomposition."""
     while True:
         w = []
         for _ in range(rng.randrange(1, max_length + 1)):
@@ -21,8 +23,9 @@ def sample_word(ctx, max_length, rng):
             while w and x == -w[-1]:
                 x = rng.choice(ctx.letters)
             w.append(x)
-        if nf(ctx, tuple(w)):
-            return tuple(w)
+        pd = power_decompose(ctx, tuple(w))
+        if pd.word:
+            return tuple(w), pd
 
 
 def main() -> None:
@@ -39,12 +42,10 @@ def main() -> None:
     taus = Counter()
     already_core = 0
     for _ in range(args.samples):
-        x = sample_word(ctx, args.max_length, rng)
-        n1 = nf(ctx, x)
-        pd = power_decompose(ctx, n1)
+        x, pd = sample(ctx, args.max_length, rng)
         tau = len(pd.core)
         taus[tau] += 1
-        if pd.core == n1:
+        if pd.core == pd.word:
             already_core += 1
         for k in range(2, args.k_max + 1):
             expected = len(nf(ctx, x * 2)) + (k - 2) * tau

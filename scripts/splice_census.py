@@ -4,8 +4,9 @@ power_decompose takes the longest-common-prefix pair of splice points
 without trying any other, and checks its result on every call: the
 growth formula, both seams and the core.  Why the greedy pair is the
 splice is observed, not proved (see its docstring).  This script is
-that observation: it decomposes every nontrivial freely reduced word of
-length up to --max-length and prints how many it decomposed per length.
+that observation: it decomposes every freely reduced word of length up
+to --max-length and prints how many nontrivial ones it decomposed per
+length.
 A word whose decomposition fails the check ends the run with exit code
 1 and is named.
 """
@@ -13,7 +14,7 @@ A word whose decomposition fails the check ends the run with exit code
 import argparse
 import sys
 
-from surfgroup import GroupContext, VerificationError, format_word, nf, power_decompose
+from surfgroup import GroupContext, VerificationError, format_word, power_decompose
 
 
 def freely_reduced(letters, length, w=()):
@@ -39,14 +40,11 @@ def main() -> None:
     for length in range(1, args.max_length + 1):
         count = 0
         for w in freely_reduced(ctx.letters, length):
-            n1 = nf(ctx, w)
-            if not n1:
-                continue
             try:
-                power_decompose(ctx, n1, normal=True)
+                pd = power_decompose(ctx, w)
             except VerificationError as exc:
                 sys.exit(f"the greedy splice failed on {format_word(w)}: {exc}")
-            count += 1
+            count += bool(pd.word)
         print(f"{length:>6} {count:>9}")
         total += count
     print(f"total {total}")

@@ -37,7 +37,7 @@ from .group_core import (
     compare_words,
     invert_word,
 )
-from .powers import nf_power, power_decompose
+from .powers import PowerDecomposition, nf_power, power_decompose
 from .rewrite import _nf_concat, is_irreducible, nf
 
 
@@ -138,15 +138,14 @@ def class_nf(ctx: GroupContext, x: Word) -> ConjugacyCertificate:
     rev(W[:j]) rev(b_1..b_i) rev(b_{2g+i+1}..b_4g) S, for the one
     match (b, i) and the first rotation j whose reversal is the minimum.
     """
-    n1 = nf(ctx, x)
-    if not n1:
+    pd = power_decompose(ctx, x)
+    if not pd.word:
         raise DomainError("class normal form of the trivial element")
-    return _class_of_normal(ctx, n1)
+    return _class(ctx, pd)
 
 
-def _class_of_normal(ctx: GroupContext, n1: Word) -> ConjugacyCertificate:
-    """class_nf for a nontrivial word n1 that is already in normal form."""
-    pd = power_decompose(ctx, n1, normal=True)
+def _class(ctx: GroupContext, pd: PowerDecomposition) -> ConjugacyCertificate:
+    """class_nf of the nontrivial element that pd decomposes."""
     w = pd.core
     suffix = pd.suffix
     ranks = [ctx.lex_rank[a] for a in w]
@@ -168,7 +167,7 @@ def _class_of_normal(ctx: GroupContext, n1: Word) -> ConjugacyCertificate:
             best = alt
             conj = nf(ctx, w[:j][::-1] + entry[:i][::-1]
                       + entry[ctx.n_gens + i:][::-1] + suffix)
-    if not _verify_conjugation(ctx, conj, n1, best):
+    if not _verify_conjugation(ctx, conj, pd.word, best):
         raise VerificationError("class certificate failed verification")
     return ConjugacyCertificate(best, conj, match is not None)
 
@@ -177,22 +176,22 @@ def are_conjugate(ctx: GroupContext, x: Word, y: Word):
     """A verified z with x = z.y.z^-1, or None.
 
     Both trivial gives the empty conjugator; exactly one trivial gives
-    None.
+    None.  Conjugates have equal exponent sums (the relator's is 0), so a
+    pair whose raw words differ there is refused before either is
+    normalized.
     """
-    nx = nf(ctx, x)
-    ny = nf(ctx, y)
-    if not nx and not ny:
-        return ()
-    if not nx or not ny:
+    if abelianize(ctx, x) != abelianize(ctx, y):
         return None
-    if abelianize(ctx, nx) != abelianize(ctx, ny):
-        return None
-    cx = _class_of_normal(ctx, nx)
-    cy = _class_of_normal(ctx, ny)
+    px = power_decompose(ctx, x)
+    py = power_decompose(ctx, y)
+    if not px.word or not py.word:
+        return () if px.word == py.word else None
+    cx = _class(ctx, px)
+    cy = _class(ctx, py)
     if cx.class_nf != cy.class_nf:
         return None
     z = nf(ctx, invert_word(cx.conjugator) + cy.conjugator)
-    if not _verify_conjugation(ctx, z, ny, nx):
+    if not _verify_conjugation(ctx, z, py.word, px.word):
         raise VerificationError("conjugator failed verification")
     return z
 
@@ -205,15 +204,14 @@ def root(ctx: GroupContext, x: Word) -> RootResult:
     is the conjugate of that period block back through the splice
     prefix.
     """
-    n1 = nf(ctx, x)
-    if not n1:
+    pd = power_decompose(ctx, x)
+    if not pd.word:
         raise DomainError("root of the trivial element")
-    pd = power_decompose(ctx, n1, normal=True)
     w = pd.core
     d = _least_rotations(w).step
     r = len(w) // d
     y = nf(ctx, pd.prefix + w[:d] + invert_word(pd.prefix))
-    if nf_power(ctx, y, r) != n1:
+    if nf_power(ctx, y, r) != pd.word:
         raise VerificationError("root reassembly failed verification")
     return RootResult(y, r)
 

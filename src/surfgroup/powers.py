@@ -1,15 +1,17 @@
 """Normal forms of powers, word-length formulae and translation numbers.
 
-For a nontrivial element x the normal forms of x, x^2 and x^3 determine
-a splice decomposition
+For an element x the normal forms of x, x^2 and x^3 determine a splice
+decomposition
 
     nf(x^k) = prefix . core^(k-2) . suffix        (k >= 2)
 
 where the core is cyclically irreducible, conjugate to x, and has length
 tau(x) = |x^2| - |x|: the paper's uniform representation of nf(x^k).
-The splice points are the greedy longest-common-prefix positions; why
-that pair is the splice, and how each decomposition is checked, is in
-power_decompose.
+For the trivial element every part is empty.  The splice points are the
+greedy longest-common-prefix positions; why that pair is the splice,
+and how each decomposition is checked, is in power_decompose.  It
+normalizes its input itself and returns nf(x) with the parts, so its
+callers normalize x only there.
 
 The three special shapes (types A, B, C) are the words whose square
 reduces but which admit no two-piece splice; they are the reason the
@@ -39,15 +41,17 @@ MAX_POWER_LETTERS = 10_000_000
 
 @dataclass(frozen=True)
 class PowerDecomposition:
-    """Splice decomposition of the powers of one element.
+    """Splice decomposition of the powers of one element x.
 
     prefix . core^(k - 2) . suffix is irreducible and equals nf(x^k) for
     every k >= 2; prefix.suffix = nf(x^2) and prefix.core.suffix = nf(x^3).
+    word is nf(x).  For the trivial element all four are empty.
     """
 
     prefix: Word
     core: Word
     suffix: Word
+    word: Word
 
     def assemble(self, k: int) -> Word:
         if k < 2:
@@ -63,8 +67,12 @@ def translation_number(ctx: GroupContext, x: Word) -> int:
     return len(_nf_concat(ctx, n1, n1)) - len(n1)
 
 
-def power_decompose(ctx: GroupContext, x: Word, *, normal: bool = False) -> PowerDecomposition:
+def power_decompose(ctx: GroupContext, x: Word) -> PowerDecomposition:
     """Splice decomposition of x from nf(x), nf(x^2), nf(x^3).
+
+    x is normalized here, once, and nf(x) is returned as the word field.
+    The trivial element has the empty decomposition ((), (), (), ()):
+    it assembles nf(e^k) = e, and its core has length tau(e) = 0.
 
     The outer splice point p is the longest common prefix of nf(x) and
     nf(x^2), the inner point q that of the two middles, and no smaller
@@ -75,18 +83,10 @@ def power_decompose(ctx: GroupContext, x: Word, *, normal: bool = False) -> Powe
     words at g <= 16; scripts/splice_census.py repeats the census over
     every short word.  The growth formula, both seams and the core are
     checked on every call; a failed check raises VerificationError.
-
-    normal=True states that x is already nf(x), as it is for the callers
-    in this package that have just normalized it, and skips that pass.
-    The statement is trusted, not checked, and the checks above do not
-    catch a false one: at g = 2, x = c1 c2 c3 c4 (nf c4 c3 c2 c1) with
-    normal=True passes them all and returns the prefix
-    c1 c2 c3 c4 c4 c3 c2 c1, which is neither irreducible nor part of a
-    decomposition of x.
     """
-    n1 = x if normal else nf(ctx, x)
+    n1 = nf(ctx, x)
     if not n1:
-        raise DomainError("power decomposition of the trivial element")
+        return PowerDecomposition((), (), (), ())
     n2 = _nf_concat(ctx, n1, n1)
     n3 = _nf_concat(ctx, n2, n1)
     tau = len(n2) - len(n1)
@@ -103,22 +103,18 @@ def power_decompose(ctx: GroupContext, x: Word, *, normal: bool = False) -> Powe
     core = mid3[q:q + tau]
     if mid3[q + tau:] != mid2[q:]:
         raise VerificationError("the core does not splice nf(x^2) into nf(x^3)")
-    # the core is a subword of the irreducible nf(x^3), so irreducible
-    if not is_cyclically_irreducible(ctx, core, normal=True):
+    if not is_cyclically_irreducible(ctx, core):
         raise VerificationError("the spliced core is not cyclically irreducible")
-    return PowerDecomposition(n1[:p] + mid2[:q], core, mid2[q:] + right)
+    return PowerDecomposition(n1[:p] + mid2[:q], core, mid2[q:] + right, n1)
 
 
 def nf_power(ctx: GroupContext, x: Word, k: int) -> Word:
     """Normal form of x^k without normalizing the k-fold concatenation."""
     if k < 1:
         raise DomainError(f"exponent must be >= 1, got {k}")
-    n1 = nf(ctx, x)
-    if not n1:
-        return ()
     if k == 1:
-        return n1
-    pd = power_decompose(ctx, n1, normal=True)
+        return nf(ctx, x)
+    pd = power_decompose(ctx, x)
     length = len(pd.prefix) + len(pd.suffix) + (k - 2) * len(pd.core)
     if length > MAX_POWER_LETTERS:
         raise DomainError(
@@ -128,4 +124,7 @@ def nf_power(ctx: GroupContext, x: Word, k: int) -> Word:
 
 def ci(ctx: GroupContext, x: Word) -> Word:
     """The cyclically irreducible core of x (conjugate to x, length tau(x))."""
-    return power_decompose(ctx, x).core
+    pd = power_decompose(ctx, x)
+    if not pd.word:
+        raise DomainError("power decomposition of the trivial element")
+    return pd.core

@@ -124,20 +124,22 @@ def is_irreducible(ctx: GroupContext, w: Word) -> bool:
     return nf(ctx, w) == w
 
 
-def is_cyclically_irreducible(ctx: GroupContext, w: Word, *, normal: bool = False) -> bool:
+def is_cyclically_irreducible(ctx: GroupContext, w: Word) -> bool:
     """True when the square of w is irreducible (every rotation is then too).
 
-    normal=True states that w is irreducible already; then only the second
-    copy is appended to it, and w + w is irreducible exactly when that
-    leaves it unchanged.  The statement is trusted, not checked: appending
-    to a w that is not irreducible breaks _extend's precondition, and the
-    answer is then not guaranteed.
+    Decided by appending one copy of w to w: w + w is irreducible
+    exactly when _nf_concat(w, w) returns it unchanged, for every word w,
+    irreducible or not.  Each rule replaces a subword by a shortlex-smaller
+    word, so once one fires the result is smaller than w + w and cannot
+    equal it.  Conversely, a left side occurring in w + w either ends in
+    the second copy or lies in the first, and then recurs at the same
+    offset in the second; so if any occurs, one ends in the second copy.
+    Until the first rule fires acc holds the letters of w + w as given,
+    and _extend fires on the last letter of the first such left side,
+    since its probes and _append_step read only the letters that end acc.
     """
-    if not w:
-        return True
-    if normal:
-        return _nf_concat(ctx, w, w) == w + w
-    return is_irreducible(ctx, w + w)
+    ctx.check_word(w)
+    return _nf_concat(ctx, w, w) == w + w
 
 
 def _append_step(ctx: GroupContext, acc: list, E: Word):

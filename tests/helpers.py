@@ -393,7 +393,7 @@ def dehn_reduce_cyclic_reference(ctx, w):
 
 # --- the candidate searches the direct splice and conjugator replaced
 
-def power_decompose_reference(ctx: GroupContext, x: Word, *, normal: bool = False) -> PowerDecomposition:
+def power_decompose_reference(ctx: GroupContext, x: Word) -> PowerDecomposition:
     """Splice decomposition of x from nf(x), nf(x^2), nf(x^3).
 
     Scans the outer splice point p downward from the longest common
@@ -401,14 +401,12 @@ def power_decompose_reference(ctx: GroupContext, x: Word, *, normal: bool = Fals
     longest common prefix of the two middles; the first (p, q) whose
     inserted block is cyclically irreducible and splices consistently
     into nf(x^3) wins.  This is the maximal splice pair, so the core is
-    the canonical cyclically irreducible word conjugate to x.
-
-    normal=True states that x is already nf(x), as it is for the callers
-    in this package that have just normalized it, and skips that pass.
+    the canonical cyclically irreducible word conjugate to x.  The
+    trivial element has the empty decomposition.
     """
-    n1 = x if normal else nf(ctx, x)
+    n1 = nf(ctx, x)
     if not n1:
-        raise DomainError("power decomposition of the trivial element")
+        return PowerDecomposition((), (), (), ())
     n2 = _nf_concat(ctx, n1, n1)
     n3 = _nf_concat(ctx, n2, n1)
     tau = len(n2) - len(n1)
@@ -432,6 +430,7 @@ def power_decompose_reference(ctx: GroupContext, x: Word, *, normal: bool = Fals
                 prefix=n1[:p] + mid2[:q],
                 core=core,
                 suffix=mid2[q:] + right,
+                word=n1,
             )
     raise AssertionError("no splice decomposition found")
 

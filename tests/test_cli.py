@@ -187,6 +187,12 @@ def test_order_with_more_than_one_face_exits_1(tmp_path, capsys):
     assert main(["check", "--presentation", f"file:{DATA / 'golden_pres_g2.txt'}", "a1 a2"]) == 0
 
 
+def test_unknown_presentation_exits_1(capsys):
+    # neither canonical, symmetric nor file:PATH
+    assert main(["translate", "--presentation", "bogus", "c1"]) == 1
+    assert capsys.readouterr() == ("", "error: unknown presentation 'bogus'\n")
+
+
 def test_presentation_of_another_genus_exits_1(tmp_path, capsys):
     pres = f"file:{DATA / 'golden_pres_g2.txt'}"
     for argv in (["translate", "-g", "3", "--presentation", pres, "a1"],

@@ -21,7 +21,7 @@ from helpers import (
     word_sort_key,
 )
 from helpers import reversed_conjugators_reference as _reversed_conjugators
-from surfgroup import conjugacy
+from surfgroup import conjugacy, rewrite
 from surfgroup.conjugacy import (
     ConjPowerResult,
     RootResult,
@@ -237,22 +237,22 @@ def differential_corpus(rng):
 
 
 def test_direct_splice_and_conjugator_are_the_first_candidates():
-    """power_decompose equals the two-loop splice scan field for field, and
+    """power_decompose equals the two-loop splice scan field for field, nf(w)
+    and the empty decomposition of the trivial element included, and
     class_nf's reversed-family conjugator is nf of the generator's first
     candidate, so neither search ever needed a later candidate."""
     rng = random.Random(800)
     decomposed = reversed_won = 0
     for ctx, w in differential_corpus(rng):
-        x = nf(ctx, w)
-        if not x:
+        pd = power_decompose_reference(ctx, w)
+        assert power_decompose(ctx, w) == pd
+        if not pd.word:
             continue
-        pd = power_decompose_reference(ctx, x, normal=True)
-        assert power_decompose(ctx, x, normal=True) == pd
         decomposed += 1
         matches = exceptional_matches_reference(ctx, pd.core)
         if not matches:
             continue
-        cert = class_nf(ctx, x)
+        cert = class_nf(ctx, w)
         if cert.class_nf in cyclic_rotations(pd.core):
             continue
         rev_rotations = _least_rotations([ctx.lex_rank[a] for a in pd.core[::-1]])
@@ -345,6 +345,60 @@ def test_are_conjugate_edges(ctx2):
     assert are_conjugate(ctx2, (1,), ()) is None
     assert are_conjugate(ctx2, (1,), (2,)) is None
     assert are_conjugate(ctx2, (1,), (-1,)) is None
+
+
+def test_trivial_input(ctx2, ctx3):
+    """Each public call on an input equal to e: nf_power gives e, ci,
+    class_nf and root refuse it with their own messages, and are_conjugate
+    gives the empty conjugator against e and None against anything else,
+    a nontrivial word with zero exponent sums included."""
+    rng = random.Random(113)
+    for ctx in (ctx2, ctx3):
+        w = random_nontrivial(ctx, 8, rng)
+        for e in ((), ctx.relator, w + invert_word(w)):
+            assert all(nf_power(ctx, e, k) == () for k in (1, 2, 5))
+            for fn, message in ((ci, "power decomposition"), (class_nf, "class normal form"),
+                                (root, "root")):
+                with pytest.raises(DomainError, match=f"^{message} of the trivial element$"):
+                    fn(ctx, e)
+            assert are_conjugate(ctx, e, ctx.relator) == ()
+            for x in (w, (1, 2, -1, -2)):
+                assert are_conjugate(ctx, e, x) is None
+                assert are_conjugate(ctx, x, e) is None
+
+
+def test_each_input_is_normalized_once(ctx2, ctx3, monkeypatch):
+    """nf_power, class_nf, root and are_conjugate hand each input word to
+    the normalizer exactly once and take nf(x) from the decomposition
+    after that: but for root, whose check normalizes its root again,
+    no other word handed over equals nf(x)."""
+    seen = []
+    real = rewrite.normalize
+
+    def counting(ctx, w, **kw):
+        seen.append(w)
+        return real(ctx, w, **kw)
+
+    monkeypatch.setattr(rewrite, "normalize", counting)
+    rng = random.Random(127)
+    for ctx in (ctx2, ctx3):
+        for _ in range(20):
+            z = random_nontrivial(ctx, 8, rng)
+            x = random_relator_heavy(ctx, rng.randrange(1, 30), rng)
+            y = z + x + invert_word(z)
+            calls = [(nf_power, (x, 1)), (nf_power, (x, rng.randrange(2, 6))),
+                     (class_nf, (x,)), (root, (x,)), (are_conjugate, (x, y))]
+            for fn, args in calls:
+                seen.clear()
+                try:
+                    fn(ctx, *args)
+                except DomainError:  # x can be trivial
+                    pass
+                for arg in args:
+                    if isinstance(arg, tuple):
+                        assert sum(w is arg for w in seen) == 1, (fn.__name__, arg)
+                        n = real(ctx, arg, trace=False)[0]
+                        assert fn is root or all(w is arg for w in seen if w == n), (fn.__name__, arg)
 
 
 def test_are_conjugate_random_positives(ctx2, ctx3):

@@ -301,6 +301,16 @@ def test_ball_domain_errors(ctx2):
         enumerate_ball(ctx2, 3, cap=100)
 
 
+def test_ball_cap_is_checked_while_enumerating(ctx2):
+    """A cap between the floor and the ball size passes the up-front
+    bound and is caught in the loop: at g = 2 radius 4 has a floor of
+    2,417 and a ball of 3,193."""
+    assert _ball_size_floor(ctx2, 4, 10**6) == 2417
+    assert len(enumerate_ball(ctx2, 4)) == 3193
+    with pytest.raises(DomainError, match="^ball enumeration exceeded the element cap$"):
+        enumerate_ball(ctx2, 4, cap=3000)
+
+
 def test_the_oracle_imports_nothing_from_the_engines():
     """Agreement with the oracle is evidence only while it shares no code
     with the rewriting engine or the power and conjugacy layers."""

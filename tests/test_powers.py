@@ -11,6 +11,7 @@ from helpers import (
     classify_special,
     expected_core_of_fragment,
     random_nontrivial,
+    random_relator_heavy,
     special_instances,
 )
 from surfgroup import powers
@@ -39,12 +40,51 @@ def test_translation_number_basics(ctx2):
 
 
 def test_power_decompose_requires_nontrivial(ctx2):
-    with pytest.raises(DomainError):
-        power_decompose(ctx2, ())
-    with pytest.raises(DomainError):
-        power_decompose(ctx2, ctx2.relator)
+    """The trivial element decomposes (to the empty decomposition); ci,
+    which asks for its core, refuses it, and so does nf_power for an
+    exponent below 1."""
+    for x in ((), ctx2.relator):
+        with pytest.raises(DomainError, match="power decomposition of the trivial element"):
+            ci(ctx2, x)
     with pytest.raises(DomainError):
         nf_power(ctx2, (1,), 0)
+
+
+def test_trivial_element_has_the_empty_decomposition(ctx2, ctx3):
+    """(), the relator and w w^-1 decompose to ((), (), (), ()), on which
+    nf(e^k) = e and tau(e) = 0 hold as on every other decomposition."""
+    rng = random.Random(19)
+    for ctx in (ctx2, ctx3):
+        words = [(), ctx.relator, ctx.relator[::-1]]
+        words += [w + invert_word(w) for w in (random_nontrivial(ctx, 12, rng) for _ in range(20))]
+        for x in words:
+            pd = power_decompose(ctx, x)
+            assert pd == PowerDecomposition((), (), (), ())
+            assert all(pd.assemble(k) == () for k in (2, 3, 7))
+            assert len(pd.core) == translation_number(ctx, x) == 0
+
+
+def test_decomposition_carries_the_normal_form(ctx2, ctx3):
+    """power_decompose normalizes raw input itself: its word is nf(x), and
+    x and nf(x) decompose alike.  At g = 2, c1 c2 c3 c4 (nf c4 c3 c2 c1)
+    decomposes through its normal form, with the prefix
+    c4 c3 c2 c1 c4 c3 c2 c1; a raw word taken for normal gave
+    c1 c2 c3 c4 c4 c3 c2 c1."""
+    x = (1, 2, 3, 4)
+    n1 = (4, 3, 2, 1)
+    pd = power_decompose(ctx2, x)
+    assert pd == power_decompose(ctx2, n1) == PowerDecomposition(n1 * 2, n1, (), n1)
+    rng = random.Random(23)
+    for ctx in (ctx2, ctx3):
+        words = [random_relator_heavy(ctx, rng.randrange(1, 40), rng) for _ in range(60)]
+        words += [tuple(rng.choice(ctx.letters) for _ in range(rng.randrange(1, 16))) for _ in range(60)]
+        for x in words:
+            pd = power_decompose(ctx, x)
+            assert pd.word == nf(ctx, x)
+            assert power_decompose(ctx, pd.word) == pd
+            if pd.word:
+                assert pd.assemble(2) == nf(ctx, x * 2)
+                assert pd.assemble(3) == nf(ctx, x * 3)
 
 
 def test_nf_power_refuses_an_oversized_power_before_building_it(ctx2, monkeypatch):
@@ -80,7 +120,7 @@ def test_each_splice_check_raises(ctx2, monkeypatch, power, corrupt, message):
     """A wrong nf(x^2) or nf(x^3) fails the check it breaks, with no
     fallback to another splice pair."""
     n2, n3 = nf(ctx2, SPLICED * 2), nf(ctx2, SPLICED * 3)
-    assert power_decompose(ctx2, SPLICED) == PowerDecomposition((3, 1, 2, 1, 2), (1, 2), (-3,))
+    assert power_decompose(ctx2, SPLICED) == PowerDecomposition((3, 1, 2, 1, 2), (1, 2), (-3,), SPLICED)
     given = iter([corrupt(n2) if power == 2 else n2, corrupt(n3) if power == 3 else n3])
     monkeypatch.setattr(powers, "_nf_concat", lambda ctx, u, v: next(given))
     with pytest.raises(VerificationError, match=message):
@@ -88,7 +128,7 @@ def test_each_splice_check_raises(ctx2, monkeypatch, power, corrupt, message):
 
 
 def test_a_core_that_is_not_cyclically_irreducible_raises(ctx2, monkeypatch):
-    monkeypatch.setattr(powers, "is_cyclically_irreducible", lambda ctx, w, **kw: False)
+    monkeypatch.setattr(powers, "is_cyclically_irreducible", lambda ctx, w: False)
     with pytest.raises(VerificationError, match="not cyclically irreducible"):
         power_decompose(ctx2, SPLICED)
 

@@ -207,20 +207,41 @@ def test_cyclically_irreducible(ctx2):
                 assert is_irreducible(ctx2, r)
 
 
-@pytest.mark.parametrize("genus", [2, 3, 8])
-def test_cyclically_irreducible_from_one_copy(genus):
-    """On an irreducible word, appending one copy to it decides what
-    normalizing the whole square decides."""
-    ctx = GroupContext(genus)
-    rng = random.Random(genus)
-    words = [nf(ctx, random_relator_heavy(ctx, rng.randrange(1, 60), rng)) for _ in range(150)]
-    words += [nf(ctx, random_freely_reduced(ctx, rng.randrange(1, 12), rng)) for _ in range(150)]
-    words += [random_cyclic_core(ctx, rng.randrange(1, 20), rng) for _ in range(50)]
+# per case: the genus whose every word up to a length is checked, and the
+# genera of the random words, so that the three cases cover 2, 3, 5, 8, 16, 64
+ONE_COPY_CASES = {2: ((2, 5), (2, 16)), 3: ((3, 4), (3, 64)), 8: (None, (5, 8))}
+
+
+@pytest.mark.parametrize("case", sorted(ONE_COPY_CASES))
+def test_cyclically_irreducible_from_one_copy(case):
+    """Appending one copy of w to w decides what normalizing the whole
+    square decides, on every word: irreducible or not, freely reduced or
+    not.  Every word up to length 5 at g = 2 (37,449) and up to 4 at
+    g = 3 (22,621); then random relator-heavy, unreduced, normalized and
+    rotated words."""
+    exhaustive, genera = ONE_COPY_CASES[case]
+    with pytest.raises(ValueError, match="outside the alphabet"):
+        is_cyclically_irreducible(GroupContext(2), (1, 5))
+    if exhaustive is not None:
+        ctx = GroupContext(exhaustive[0])
+        for w in all_words(ctx, exhaustive[1]):
+            assert is_cyclically_irreducible(ctx, w) == is_irreducible(ctx, w + w), w
     verdicts = set()
-    for w in words:
-        verdict = is_cyclically_irreducible(ctx, w)
-        assert is_cyclically_irreducible(ctx, w, normal=True) == verdict
-        verdicts.add(verdict)
+    for genus in genera:
+        ctx = GroupContext(genus)
+        rng = random.Random(genus)
+        words = []
+        for _ in range(150):
+            heavy = random_relator_heavy(ctx, rng.randrange(1, 60), rng)
+            unreduced = tuple(rng.choice(ctx.letters) for _ in range(rng.randrange(1, 16)))
+            core = random_cyclic_core(ctx, rng.randrange(1, 20), rng)
+            normal = nf(ctx, heavy)
+            k = rng.randrange(len(normal) or 1)
+            words += [heavy, unreduced, core, normal, normal[k:] + normal[:k]]
+        for w in words:
+            verdict = is_cyclically_irreducible(ctx, w)
+            assert verdict == is_irreducible(ctx, w + w), (genus, w)
+            verdicts.add(verdict)
     assert verdicts == {True, False}
 
 

@@ -34,9 +34,12 @@ def test_script_runs_and_prints_its_table(script, args, header):
 def test_splice_census_names_a_word_that_fails_its_check(monkeypatch, capsys):
     """A VerificationError from power_decompose ends the census with
     exit code 1 and a message that names the word."""
-    def fails_on_c1c2(ctx, x, **kw):
+    real = surfgroup.power_decompose
+
+    def fails_on_c1c2(ctx, x):
         if x == (1, 2):
             raise VerificationError("the core does not splice nf(x^2) into nf(x^3)")
+        return real(ctx, x)
 
     monkeypatch.setattr(surfgroup, "power_decompose", fails_on_c1c2)
     monkeypatch.setattr(sys, "argv", ["splice_census.py", "--max-length", "3"])
