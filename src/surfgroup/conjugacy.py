@@ -12,9 +12,10 @@ winner is built: the least rotation is found by Duval's Lyndon
 factorisation over the rank-mapped core, once for W and once for W
 reversed, so a class normal form costs O(|x|).  The conjugator is
 given by a formula, one per family.  Every certificate returned from
-this module has been re-verified by normalization (normalize(z.x.z^-1)
-equals the class word), and a failed check raises VerificationError, so
-an index or orientation slip cannot escape.
+this module has been checked: appending the letters of x.z^-1 to the
+irreducible conjugator z gives nf(z.x.z^-1), which must equal the class
+word.  A failed check raises VerificationError, so an index or
+orientation slip cannot escape.
 
 Roots are found from the least period of W, which the same Duval scan
 measures, and the conjugate-power decision reduces to conjugacy of
@@ -37,7 +38,7 @@ from .group_core import (
     compare_words,
     invert_word,
 )
-from .powers import PowerDecomposition, nf_power, power_decompose
+from .powers import PowerDecomposition, _power_of, power_decompose
 from .rewrite import _nf_concat, is_irreducible, nf
 
 
@@ -69,7 +70,15 @@ class ConjPowerResult:
 
 
 def _verify_conjugation(ctx, z: Word, x: Word, target: Word) -> bool:
-    return nf(ctx, z + x + invert_word(z)) == target
+    """Whether z.x.z^-1 = target, by appending x.z^-1 to z.
+
+    Sound for every z: each rule _extend fires replaces a relator
+    fragment it has read in acc by an equal word, so an output equal to
+    target proves the equation.  An irreducible z, as every caller
+    passes, makes the output nf(z.x.z^-1); with any other z the check
+    can only fail, never accept a wrong certificate.
+    """
+    return _nf_concat(ctx, z, x + invert_word(z)) == target
 
 
 def _least_rotations(s) -> range:
@@ -186,6 +195,11 @@ def are_conjugate(ctx: GroupContext, x: Word, y: Word):
     py = power_decompose(ctx, y)
     if not px.word or not py.word:
         return () if px.word == py.word else None
+    return _conjugator(ctx, px, py)
+
+
+def _conjugator(ctx: GroupContext, px: PowerDecomposition, py: PowerDecomposition):
+    """are_conjugate of the nontrivial elements px and py decompose."""
     cx = _class(ctx, px)
     cy = _class(ctx, py)
     if cx.class_nf != cy.class_nf:
@@ -207,19 +221,19 @@ def root(ctx: GroupContext, x: Word) -> RootResult:
     pd = power_decompose(ctx, x)
     if not pd.word:
         raise DomainError("root of the trivial element")
+    return _root(ctx, pd)
+
+
+def _root(ctx: GroupContext, pd: PowerDecomposition) -> RootResult:
+    """root of the nontrivial element that pd decomposes."""
     w = pd.core
     d = _least_rotations(w).step
     r = len(w) // d
-    y = nf(ctx, pd.prefix + w[:d] + invert_word(pd.prefix))
-    if nf_power(ctx, y, r) != pd.word:
+    # prefix.core begins nf(x^3), so prefix + w[:d] is irreducible, and so is y
+    y = _nf_concat(ctx, pd.prefix + w[:d], invert_word(pd.prefix))
+    if _nf_concat(ctx, y, y * (r - 1)) != pd.word:
         raise VerificationError("root reassembly failed verification")
     return RootResult(y, r)
-
-
-def _signed_power(ctx: GroupContext, x: Word, k: int) -> Word:
-    if k < 0:
-        return nf_power(ctx, invert_word(x), -k)
-    return nf_power(ctx, x, k)
 
 
 def conj_power(ctx: GroupContext, x: Word, y: Word) -> ConjPowerResult:
@@ -227,26 +241,31 @@ def conj_power(ctx: GroupContext, x: Word, y: Word) -> ConjPowerResult:
 
     x = x1^r1 and y = y1^r2 with primitive roots; a relation between
     powers forces y1 conjugate to x1 or to x1^-1, and then m = r2/d,
-    n = +-r1/d with d = gcd(r1, r2).
+    n = +-r1/d with d = gcd(r1, r2).  Each input is decomposed once; a
+    root of exponent 1 is nf of its input and reuses that decomposition.
     """
-    nx = nf(ctx, x)
-    ny = nf(ctx, y)
-    if not nx or not ny:
+    px = power_decompose(ctx, x)
+    py = power_decompose(ctx, y)
+    if not px.word or not py.word:
         raise DomainError("conjugate-power decision needs nontrivial elements")
-    rx = root(ctx, nx)
-    ry = root(ctx, ny)
+    rx = _root(ctx, px)
+    ry = _root(ctx, py)
     d = math.gcd(rx.exponent, ry.exponent)
     m = ry.exponent // d
     n = rx.exponent // d
-    z = are_conjugate(ctx, ry.root, rx.root)
+    qy = py if ry.exponent == 1 else power_decompose(ctx, ry.root)
+    qx = px if rx.exponent == 1 else power_decompose(ctx, rx.root)
+    z = _conjugator(ctx, qy, qx)
     if z is None:
-        z = are_conjugate(ctx, ry.root, invert_word(rx.root))
+        z = _conjugator(ctx, qy, power_decompose(ctx, invert_word(rx.root)))
         if z is None:
             return ConjPowerResult(False, 0, 0, ())
         n = -n
     conj = nf(ctx, invert_word(z))
-    if not _verify_conjugation(ctx, conj, _signed_power(ctx, ny, n),
-                               _signed_power(ctx, nx, m)):
+    # any word equal to y^n will do, so y^-|n| is the inverse of nf(y^|n|)
+    y_n = _power_of(py, abs(n))
+    if not _verify_conjugation(ctx, conj, y_n if n > 0 else invert_word(y_n),
+                               _power_of(px, m)):
         raise VerificationError("conjugate-power certificate failed verification")
     return ConjPowerResult(True, m, n, conj)
 

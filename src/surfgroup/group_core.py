@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import re
+from operator import neg
 
 Word = tuple  # tuple of signed ints
 
@@ -60,7 +61,7 @@ class VerificationError(AssertionError):
 
 def invert_word(w: Word) -> Word:
     """Group inverse of a word: reverse it and invert every letter."""
-    return tuple(-x for x in reversed(w))
+    return tuple(map(neg, reversed(w)))
 
 
 def free_reduce(w: Word) -> Word:

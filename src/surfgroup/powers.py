@@ -114,7 +114,14 @@ def nf_power(ctx: GroupContext, x: Word, k: int) -> Word:
         raise DomainError(f"exponent must be >= 1, got {k}")
     if k == 1:
         return nf(ctx, x)
-    pd = power_decompose(ctx, x)
+    return _power_of(power_decompose(ctx, x), k)
+
+
+def _power_of(pd: PowerDecomposition, k: int) -> Word:
+    """nf(x^k), k >= 1, for the x that pd decomposes; refused unbuilt
+    past MAX_POWER_LETTERS."""
+    if k == 1:
+        return pd.word
     length = len(pd.prefix) + len(pd.suffix) + (k - 2) * len(pd.core)
     if length > MAX_POWER_LETTERS:
         raise DomainError(

@@ -1,6 +1,8 @@
 """Shared word generators for the test suite, the quadratic references
 the linear library code is held against, the candidate searches the
-direct splice and conjugator constructions are held against, the regex
+direct splice and conjugator constructions are held against, the
+certificate check by normalizing all of z.x.z^-1 the appended one is
+held against, the regex
 word parser the token table is held against, the letter-by-letter
 presentation translation and the chain-walking append step the table
 and probe versions are held against, the per-power coarse-formula check
@@ -465,6 +467,13 @@ def reversed_conjugators_reference(ctx: GroupContext, w, rev_rotations, suffix, 
         # rev_base is a rotation of the core reversed, so its least rotation is alt
         for a in starts:
             yield rev_base[a:] + (-entry[g2 - 1],) + u1 + suffix
+
+
+# --- the certificate check the appended one replaced
+
+def verify_conjugation_reference(ctx: GroupContext, z: Word, x: Word, target: Word) -> bool:
+    """Whether z.x.z^-1 = target, by normalizing all of z.x.z^-1."""
+    return nf(ctx, z + x + invert_word(z)) == target
 
 
 # --- presentation translation

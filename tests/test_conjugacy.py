@@ -18,6 +18,7 @@ from helpers import (
     random_relator_heavy,
     reversed_conjugators_reference,
     special_instances,
+    verify_conjugation_reference,
     word_sort_key,
 )
 from helpers import reversed_conjugators_reference as _reversed_conjugators
@@ -42,7 +43,7 @@ from surfgroup.group_core import (
     invert_word,
 )
 from surfgroup.powers import ci, nf_power, power_decompose
-from surfgroup.rewrite import nf
+from surfgroup.rewrite import is_irreducible, nf
 
 
 def conjugates(ctx, z, y):
@@ -71,6 +72,173 @@ def test_a_failed_class_certificate_raises(ctx2, monkeypatch, x, reversed_family
     monkeypatch.setattr(conjugacy, "_verify_conjugation", lambda *args: False)
     with pytest.raises(VerificationError, match="class certificate"):
         class_nf(ctx2, x)
+
+
+def one_letter_changed(ctx, w, rng):
+    """w with the letter at one random position replaced by another."""
+    i = rng.randrange(len(w))
+    return w[:i] + (rng.choice([a for a in ctx.letters if a != w[i]]),) + w[i + 1:]
+
+
+def exceptional_word(ctx, rng):
+    """A conjugate of a power of an exceptional block of a random entry."""
+    blk = ctx.n_gens - 1
+    E = rng.choice(ctx.relator_table)
+    i = rng.randrange(1, blk + 1)
+    z = random_nontrivial(ctx, 5, rng)
+    return z + (E[i:blk] + E[:i]) * rng.randrange(1, 4) + invert_word(z)
+
+
+def recorded_certificates(ctx, rng, monkeypatch):
+    """(family, z, x, target) for each check _verify_conjugation makes as
+    class_nf answers on random words (rotation) and exceptional ones
+    (reversed, when the reversed minimum wins), and as are_conjugate
+    (conjugate) and conj_power (power) answer on conjugate pairs; the
+    class checks these two make are in the certificates too."""
+    checks = []
+    real = conjugacy._verify_conjugation
+
+    def record(ctx, z, x, target):
+        checks.append((z, x, target))
+        return real(ctx, z, x, target)
+
+    monkeypatch.setattr(conjugacy, "_verify_conjugation", record)
+    out = []
+    for _ in range(12):
+        for x in (random_relator_heavy(ctx, rng.randrange(1, 40), rng), exceptional_word(ctx, rng)):
+            if not nf(ctx, x):
+                continue
+            checks.clear()
+            cert = class_nf(ctx, x)
+            reversed_won = cert.class_nf not in cyclic_rotations(ci(ctx, x))
+            out.append(("reversed" if reversed_won else "rotation", *checks[-1]))
+            w = random_nontrivial(ctx, 8, rng)
+            checks.clear()
+            assert are_conjugate(ctx, x, w + x + invert_word(w)) is not None
+            out += [("class", *c) for c in checks[:-1]] + [("conjugate", *checks[-1])]
+            p, q = rng.randrange(1, 4), rng.randrange(1, 4)
+            checks.clear()
+            assert conj_power(ctx, x * p, w + x * q + invert_word(w)).found
+            out += [("class", *c) for c in checks[:-1]] + [("power", *checks[-1])]
+    monkeypatch.undo()
+    return out
+
+
+@pytest.mark.parametrize("genus", [2, 3, 64])
+def test_appended_check_agrees_with_the_reference(genus, monkeypatch):
+    """The appended check accepts exactly what normalizing all of z.x.z^-1
+    accepts: on every certificate of every family, and on each with one
+    letter of x or of the target changed, or with z replaced by nf of z
+    with one letter changed (an irreducible z, as every caller passes)."""
+    ctx = GroupContext(genus)
+    rng = random.Random(900 + genus)
+    families = {}
+    rejected = 0
+    for family, z, x, target in recorded_certificates(ctx, rng, monkeypatch):
+        families[family] = families.get(family, 0) + 1
+        assert is_irreducible(ctx, z)
+        assert _verify_conjugation(ctx, z, x, target)
+        assert verify_conjugation_reference(ctx, z, x, target)
+        wrong = [(z, one_letter_changed(ctx, x, rng), target),
+                 (z, x, one_letter_changed(ctx, target, rng))]
+        if z:
+            wrong.append((nf(ctx, one_letter_changed(ctx, z, rng)), x, target))
+        for args in wrong:
+            accepted = _verify_conjugation(ctx, *args)
+            assert accepted == verify_conjugation_reference(ctx, *args), (family, args)
+            rejected += not accepted
+    assert set(families) == {"rotation", "reversed", "class", "conjugate", "power"}
+    assert min(families.values()) >= 3, families
+    assert rejected > 100
+
+
+@pytest.mark.parametrize("genus", [2, 3, 64])
+def test_appended_check_on_a_reducible_conjugator_is_sound(genus):
+    """With a word equal to e spliced into a class conjugator (a relator
+    rotation, a cancelling pair, or a rule's left side followed by the
+    inverse of its normal form), z is no longer irreducible.  The
+    appended check may then reject a true certificate, but it accepts
+    only where normalizing all of z.x.z^-1 accepts too, also once one
+    letter of that z is changed.  The pair x[0] x[0]^-1 at the end of z
+    is popped by x's first letter, so that z is accepted."""
+    ctx = GroupContext(genus)
+    rng = random.Random(950 + genus)
+    g2 = ctx.n_gens
+    accepted = rejected = 0
+    for _ in range(60):
+        x = nf(ctx, random_relator_heavy(ctx, rng.randrange(1, 40), rng))
+        if not x:
+            continue
+        cert = class_nf(ctx, x)
+        E = rng.choice(ctx.relator_table)
+        a = rng.choice(ctx.letters)
+        left = E[:rng.randrange(g2 + 1, 2 * g2 + 1)]
+        n = len(cert.conjugator)
+        for e, i in ((E, rng.randrange(n + 1)), (invert_word(E), rng.randrange(n + 1)),
+                     ((a, -a), rng.randrange(n + 1)),
+                     (left + invert_word(nf(ctx, left)), rng.randrange(n + 1)),
+                     ((x[0], -x[0]), n)):
+            z = cert.conjugator[:i] + e + cert.conjugator[i:]
+            assert not is_irreducible(ctx, z)
+            for cand in (z, one_letter_changed(ctx, z, rng)):
+                if _verify_conjugation(ctx, cand, x, cert.class_nf):
+                    assert verify_conjugation_reference(ctx, cand, x, cert.class_nf)
+                    accepted += 1
+                else:
+                    rejected += 1
+    assert accepted and rejected
+
+
+def change_first_result(ctx, monkeypatch, name, rng, changed):
+    """Patch conjugacy.<name> so that its first result, the conjugator
+    under test, comes back with one letter changed; record that word."""
+    real = getattr(conjugacy, name)
+
+    def patched(ctx_, *args):
+        out = real(ctx_, *args)
+        if not changed:
+            assert out, "the conjugator under test is empty"
+            out = one_letter_changed(ctx, out, rng)
+            changed.append(out)
+        return out
+
+    monkeypatch.setattr(conjugacy, name, patched)
+
+
+@pytest.mark.parametrize("x, reversed_family", [((2, 1, 3), False), ((3, 4, -1), True)])
+def test_a_changed_class_conjugator_raises(ctx2, monkeypatch, x, reversed_family):
+    """A one-letter change to the conjugator class_nf is about to return,
+    in either family, is caught by its check."""
+    cert = class_nf(ctx2, x)
+    assert (cert.class_nf not in cyclic_rotations(ci(ctx2, x))) == reversed_family
+    changed = []
+    change_first_result(ctx2, monkeypatch, "nf" if reversed_family else "_nf_concat",
+                        random.Random(7), changed)
+    with pytest.raises(VerificationError, match="class certificate"):
+        class_nf(ctx2, x)
+    assert changed[0] != cert.conjugator
+    assert not verify_conjugation_reference(ctx2, changed[0], nf(ctx2, x), cert.class_nf)
+
+
+def test_a_changed_conjugator_raises(ctx2, ctx3, monkeypatch):
+    """A one-letter change to the conjugator are_conjugate is about to
+    return is caught by its final check."""
+    rng = random.Random(61)
+    tested = 0
+    for ctx in (ctx2, ctx3):
+        while tested < 20 * ctx.genus:
+            x, w = random_nontrivial(ctx, 10, rng), random_nontrivial(ctx, 6, rng)
+            y = w + x + invert_word(w)
+            z = are_conjugate(ctx, x, y)
+            if not z or class_nf(ctx, x).exceptional:
+                continue
+            changed = []
+            change_first_result(ctx, monkeypatch, "nf", rng, changed)
+            with pytest.raises(VerificationError, match="^conjugator failed"):
+                are_conjugate(ctx, x, y)
+            monkeypatch.undo()
+            assert not verify_conjugation_reference(ctx, changed[0], nf(ctx, y), nf(ctx, x))
+            tested += 1
 
 
 def test_class_nf_of_trivial_raises(ctx2):
@@ -368,10 +536,9 @@ def test_trivial_input(ctx2, ctx3):
 
 
 def test_each_input_is_normalized_once(ctx2, ctx3, monkeypatch):
-    """nf_power, class_nf, root and are_conjugate hand each input word to
-    the normalizer exactly once and take nf(x) from the decomposition
-    after that: but for root, whose check normalizes its root again,
-    no other word handed over equals nf(x)."""
+    """nf_power, class_nf, root, are_conjugate and conj_power hand each
+    input word to the normalizer exactly once and take nf(x) from the
+    decomposition after that: no other word handed over equals nf(x)."""
     seen = []
     real = rewrite.normalize
 
@@ -387,7 +554,8 @@ def test_each_input_is_normalized_once(ctx2, ctx3, monkeypatch):
             x = random_relator_heavy(ctx, rng.randrange(1, 30), rng)
             y = z + x + invert_word(z)
             calls = [(nf_power, (x, 1)), (nf_power, (x, rng.randrange(2, 6))),
-                     (class_nf, (x,)), (root, (x,)), (are_conjugate, (x, y))]
+                     (class_nf, (x,)), (root, (x,)), (are_conjugate, (x, y)),
+                     (conj_power, (x, y))]
             for fn, args in calls:
                 seen.clear()
                 try:
@@ -398,7 +566,7 @@ def test_each_input_is_normalized_once(ctx2, ctx3, monkeypatch):
                     if isinstance(arg, tuple):
                         assert sum(w is arg for w in seen) == 1, (fn.__name__, arg)
                         n = real(ctx, arg, trace=False)[0]
-                        assert fn is root or all(w is arg for w in seen if w == n), (fn.__name__, arg)
+                        assert all(w is arg for w in seen if w == n), (fn.__name__, arg)
 
 
 def test_are_conjugate_random_positives(ctx2, ctx3):
@@ -501,7 +669,8 @@ def test_conj_power_inverse_orientation(ctx2):
 def test_conj_power_checks_its_certificate_by_verify_conjugation(ctx2, monkeypatch,
                                                                  x, y, m, n):
     """conj_power's own check is a _verify_conjugation call: its
-    conjugator z with x = nf(y^n) and target = nf(x^m)."""
+    conjugator z with target = nf(x^m) and, for x, nf(y^n), or for a
+    negative n the inverse of nf(y^-n)."""
     calls = []
     real = conjugacy._verify_conjugation
 
@@ -512,7 +681,8 @@ def test_conj_power_checks_its_certificate_by_verify_conjugation(ctx2, monkeypat
     monkeypatch.setattr(conjugacy, "_verify_conjugation", record)
     res = conj_power(ctx2, x, y)
     assert (res.found, res.m, res.n) == (True, m, n)
-    y_n = nf_power(ctx2, y if n > 0 else invert_word(y), abs(n))
+    y_n = nf_power(ctx2, y, abs(n))
+    y_n = y_n if n > 0 else invert_word(y_n)
     assert (res.conjugator, y_n, nf_power(ctx2, x, m)) in calls
 
 

@@ -1,5 +1,6 @@
 """The experiment scripts in scripts/ run end to end on tiny inputs."""
 
+import json
 import os
 import runpy
 import subprocess
@@ -48,3 +49,86 @@ def test_splice_census_names_a_word_that_fails_its_check(monkeypatch, capsys):
     assert exc.value.code == ("the greedy splice failed on c1 c2: "
                               "the core does not splice nf(x^2) into nf(x^3)")
     assert capsys.readouterr().out.splitlines()[-1] == "     1         8"
+
+
+def _bench_pairs():
+    return runpy.run_path(str(ROOT / "scripts" / "bench_pairs.py"))
+
+
+def _result(**values):
+    return {"correct": True, "attempted": 10, "failed": 0,
+            "metrics": {k: {"value": v, "unit": "u"} for k, v in values.items()}}
+
+
+def test_bench_pairs_judges_each_metric():
+    """Medians, wins, the parent's quartiles and the verdict of each
+    metric, on synthetic paired records; no benchmark runs."""
+    bp = _bench_pairs()
+    end_to_end = [{"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+                  {"name": "latency_p50_ms", "unit": "ms", "better": "lower", "bound": 0.25},
+                  {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25},
+                  {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.15}]
+    parent_ops = [100, 104, 96, 102, 98, 101, 99, 103, 97, 100]
+    runs = [{"workload": "w", "seed": 5 + i, "first": "parent" if i % 2 == 0 else "change",
+             "parent": _result(ops_per_s=p, latency_p50_ms=1.0, setup_s=[1, 3][i % 2],
+                               peak_rss_mb=20.0),
+             "change": _result(ops_per_s=p + 20 - (30 if i == 0 else 0), latency_p50_ms=1.0,
+                               setup_s=[1, 3][i % 2], peak_rss_mb=24.0)}
+            for i, p in enumerate(parent_ops)]
+    summary = bp["summarize"](runs, end_to_end)["w"]
+    ops = summary["ops_per_s"]
+    assert ops["parent_median"] == 100
+    assert ops["change_median"] == 119.5
+    assert ops["change_wins"] == 9
+    assert ops["parent_quartiles"] == [97.75, 102.25]
+    assert ops["verdict"] == "gain"
+    assert summary["latency_p50_ms"]["change_wins"] == 0
+    assert summary["latency_p50_ms"]["verdict"] == "within bound"
+    # a spread of 1 to 3 around a median of 2 is wider than the 25% bound
+    assert summary["setup_s"]["verdict"] == "unresolved"
+    assert summary["peak_rss_mb"]["relative_change"] == pytest.approx(0.2)
+    assert summary["peak_rss_mb"]["verdict"] == "worse"
+    table = bp["table"]({"w": summary}, end_to_end).splitlines()
+    assert table[0] == "| workload | ops_per_s | latency_p50_ms | setup_s | peak_rss_mb |"
+    assert table[2] == "| w | 100 → 119.5 (9) | 1 → 1 (0) | 2 → 2 (0) | 20 → 24 (0) |"
+    # eight wins of ten fall short of nine tenths, so no gain
+    assert bp["judge"](parent_ops, [p + 10 for p in parent_ops[:8]] + parent_ops[8:],
+                       "higher", 0.25)["verdict"] == "within bound"
+
+
+def test_bench_pairs_refuses_reused_seeds_and_failed_runs(monkeypatch, tmp_path):
+    bp = _bench_pairs()
+    assert bp["seed_plan"](["a", "b"], 3, 100) == {"a": [100, 101, 102], "b": [103, 104, 105]}
+    with pytest.raises(ValueError, match="same seeds"):
+        bp["seed_plan"](["a", "b", "a"], 3, 100)
+    bench = tmp_path / "bench"
+    bench.mkdir()
+    (bench / "run.py").write_text(
+        "import json\n"
+        "print(json.dumps({'correct': False, 'attempted': 4, 'failed': 1, 'metrics': {}}))\n")
+    with pytest.raises(RuntimeError, match="1 of 4 operations failed"):
+        bp["run_once"]([sys.executable, "bench/run.py"], tmp_path, "w", 1, 1)
+
+
+def test_bench_pairs_smoke(tmp_path):
+    """One 1 s cli-batch pair on two copies of this tree."""
+    import shutil
+
+    trees = []
+    for name in ("parent", "change"):
+        tree = tmp_path / name
+        shutil.copytree(ROOT / "src", tree / "src", ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copytree(ROOT / "bench", tree / "bench",
+                        ignore=shutil.ignore_patterns("out", "__pycache__"))
+        shutil.copy(ROOT / "BENCHMARK.json", tree)
+        trees.append(tree)
+    out = tmp_path / "BENCH.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_pairs.py"), "--parent", str(trees[0]),
+         "--change", str(trees[1]), "--pairs", "1", "--seconds", "1", "--seed-base", "7",
+         "--workload", "cli-batch", "--out", str(out)],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads(out.read_text())["summary"]["cli-batch"]
+    assert summary["ops_per_s"]["pairs"] == 1
+    assert proc.stdout.splitlines()[2].startswith("| cli-batch | ")
