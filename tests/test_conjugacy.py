@@ -224,9 +224,9 @@ def test_a_changed_conjugator_raises(ctx2, ctx3, monkeypatch):
     """A one-letter change to the conjugator are_conjugate is about to
     return is caught by its final check."""
     rng = random.Random(61)
-    tested = 0
     for ctx in (ctx2, ctx3):
-        while tested < 20 * ctx.genus:
+        tested = 0
+        while tested < 20:
             x, w = random_nontrivial(ctx, 10, rng), random_nontrivial(ctx, 6, rng)
             y = w + x + invert_word(w)
             z = are_conjugate(ctx, x, y)

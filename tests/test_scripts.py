@@ -3,6 +3,7 @@
 import json
 import os
 import runpy
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -112,8 +113,6 @@ def test_bench_pairs_refuses_reused_seeds_and_failed_runs(monkeypatch, tmp_path)
 
 def test_bench_pairs_smoke(tmp_path):
     """One 1 s cli-batch pair on two copies of this tree."""
-    import shutil
-
     trees = []
     for name in ("parent", "change"):
         tree = tmp_path / name
