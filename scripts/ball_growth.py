@@ -1,13 +1,17 @@
 """Count normal forms by radius and report the growth of the ball.
 
-Prints one row per radius with the ball size, the sphere (new words at
-that radius), and the ratio of consecutive sphere sizes, which settles
-quickly toward the growth rate of the group.
+Enumerates the ball once, at the largest radius, and prints one row per
+radius with the ball size, the sphere (new words at that radius), the
+sphere size that Cannon's growth series predicts, and the ratio of
+consecutive sphere sizes, which settles quickly toward the growth rate
+of the group.
 """
 
 import argparse
+from collections import Counter
 
 from surfgroup import GroupContext, enumerate_ball
+from surfgroup.rewrite import sphere_sizes
 
 
 def main() -> None:
@@ -23,19 +27,16 @@ def main() -> None:
     args = parser.parse_args()
 
     ctx = GroupContext(args.genus)
+    spheres = Counter(map(len, enumerate_ball(ctx, args.radius, cap=args.cap)))
+    series = sphere_sizes(ctx, args.radius, args.cap)
     print(f"genus {args.genus}, radius up to {args.radius}")
-    print(f"{'r':>3} {'ball':>10} {'sphere':>10} {'ratio':>8}")
-    previous_ball = 0
-    previous_sphere = None
+    print(f"{'r':>3} {'ball':>10} {'sphere':>10} {'series':>10} {'ratio':>8}")
+    ball = 0
     for r in range(args.radius + 1):
-        ball = len(enumerate_ball(ctx, r, cap=args.cap))
-        sphere = ball - previous_ball
-        if previous_sphere:
-            ratio = f"{sphere / previous_sphere:8.3f}"
-        else:
-            ratio = f"{'-':>8}"
-        print(f"{r:>3} {ball:>10} {sphere:>10} {ratio}")
-        previous_ball, previous_sphere = ball, sphere
+        sphere = spheres[r]
+        ball += sphere
+        ratio = f"{sphere / spheres[r - 1]:8.3f}" if r else f"{'-':>8}"
+        print(f"{r:>3} {ball:>10} {sphere:>10} {series[r]:>10} {ratio}")
 
 
 if __name__ == "__main__":

@@ -195,17 +195,16 @@ def are_conjugate(ctx: GroupContext, x: Word, y: Word):
     py = power_decompose(ctx, y)
     if not px.word or not py.word:
         return () if px.word == py.word else None
-    return _conjugator(ctx, px, py)
+    return _conjugator(ctx, _class(ctx, px), px.word, _class(ctx, py), py.word)
 
 
-def _conjugator(ctx: GroupContext, px: PowerDecomposition, py: PowerDecomposition):
-    """are_conjugate of the nontrivial elements px and py decompose."""
-    cx = _class(ctx, px)
-    cy = _class(ctx, py)
+def _conjugator(ctx: GroupContext, cx: ConjugacyCertificate, x: Word,
+                cy: ConjugacyCertificate, y: Word):
+    """are_conjugate of the normal forms x and y, from their class certificates."""
     if cx.class_nf != cy.class_nf:
         return None
     z = nf(ctx, invert_word(cx.conjugator) + cy.conjugator)
-    if not _verify_conjugation(ctx, z, py.word, px.word):
+    if not _verify_conjugation(ctx, z, y, x):
         raise VerificationError("conjugator failed verification")
     return z
 
@@ -243,6 +242,8 @@ def conj_power(ctx: GroupContext, x: Word, y: Word) -> ConjPowerResult:
     powers forces y1 conjugate to x1 or to x1^-1, and then m = r2/d,
     n = +-r1/d with d = gcd(r1, r2).  Each input is decomposed once; a
     root of exponent 1 is nf of its input and reuses that decomposition.
+    Roots whose exponent sums differ up to sign answer "no" before any
+    class is built, and y1's class is built at most once.
     """
     px = power_decompose(ctx, x)
     py = power_decompose(ctx, y)
@@ -253,14 +254,21 @@ def conj_power(ctx: GroupContext, x: Word, y: Word) -> ConjPowerResult:
     d = math.gcd(rx.exponent, ry.exponent)
     m = ry.exponent // d
     n = rx.exponent // d
-    qy = py if ry.exponent == 1 else power_decompose(ctx, ry.root)
-    qx = px if rx.exponent == 1 else power_decompose(ctx, rx.root)
-    z = _conjugator(ctx, qy, qx)
-    if z is None:
-        z = _conjugator(ctx, qy, power_decompose(ctx, invert_word(rx.root)))
-        if z is None:
-            return ConjPowerResult(False, 0, 0, ())
-        n = -n
+    ab_y = abelianize(ctx, ry.root)
+    cy = None
+    for sign, x1 in ((1, rx.root), (-1, invert_word(rx.root))):
+        if abelianize(ctx, x1) != ab_y:
+            continue
+        if cy is None:
+            qy = py if ry.exponent == 1 else power_decompose(ctx, ry.root)
+            cy = _class(ctx, qy)
+        qx = px if sign == 1 and rx.exponent == 1 else power_decompose(ctx, x1)
+        z = _conjugator(ctx, cy, qy.word, _class(ctx, qx), qx.word)
+        if z is not None:
+            break
+    else:
+        return ConjPowerResult(False, 0, 0, ())
+    n *= sign
     conj = nf(ctx, invert_word(z))
     # any word equal to y^n will do, so y^-|n| is the inverse of nf(y^|n|)
     y_n = _power_of(py, abs(n))
@@ -282,7 +290,7 @@ def reducing_pair(ctx: GroupContext, w1: Word, w2: Word):
         raise DomainError("reducing_pair requires irreducible words")
     if w1 and w2 and w1[-1] == -w2[0]:
         raise DomainError("product must be freely reduced at the junction")
-    product_nf = nf(ctx, w1 + w2)
+    product_nf = _nf_concat(ctx, w1, w2)
     a = common_prefix_len(w1, product_nf)
     b = min(common_suffix_len(w2, product_nf), len(product_nf) - a)
     return w1[a:], w2[:len(w2) - b]

@@ -44,8 +44,8 @@ is built.
 Because an irreducible word passes through unchanged, nf(u v) for an
 irreducible u starts from u and costs only the letters of v.
 enumerate_ball lists the normal forms up to a radius by the same
-one-letter extension, after a lower bound on their number has shown
-that they fit under its cap.
+one-letter extension, after the growth series has shown that they fit
+under its cap, and checks each sphere against that series.
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ from dataclasses import dataclass
 from .group_core import (
     DomainError,
     GroupContext,
+    VerificationError,
     Word,
     invert_word,
 )
@@ -259,24 +260,28 @@ def _nf_concat(ctx: GroupContext, u: Word, v: Word) -> Word:
     return tuple(acc)
 
 
-def _ball_size_floor(ctx: GroupContext, radius: int, cap: int) -> int:
-    """A lower bound on the number of normal forms of length <= radius.
+def sphere_sizes(ctx: GroupContext, radius: int, cap: int) -> list:
+    """The number of elements of length r, for r = 0, 1, ... up to radius.
 
-    No rule but S1 has a left side shorter than 2g, so up to radius 2g-1
-    the ball is the free-group ball and the bound is exact.  Past that
-    each sphere is at least 4g-3 times the one before: a normal form
-    extends by every letter but the inverse and the two successors of
-    its last letter without firing a rule (case 5).  The sum stops once
-    it exceeds cap, so a huge radius costs nothing.
+    Cannon's growth series of the {4g,4g} tiling, whose 1-skeleton is
+    the Cayley graph here (Cannon 1984; Floyd-Plotnick 1987): the sizes
+    are the coefficients of N(z)/D(z), N = 1 + 2z + ... + 2z^(2g-1) +
+    z^2g, D = 1 - (4g-2)(z + ... + z^(2g-1)) + z^2g.  The list stops once
+    its sum exceeds cap, so a huge radius costs nothing.
     """
-    n4 = ctx.alphabet_size
-    total = sphere = 1
-    for r in range(1, radius + 1):
+    g2 = ctx.n_gens
+    sizes = []
+    total = 0
+    for r in range(radius + 1):
         if total > cap:
             break
-        sphere *= n4 if r == 1 else n4 - 1 if r < ctx.n_gens else n4 - 3
-        total += sphere
-    return total
+        s = 1 if r in (0, g2) else 2 if r < g2 else 0
+        s += (2 * g2 - 2) * sum(sizes[max(0, r - g2 + 1):])
+        if r >= g2:
+            s -= sizes[r - g2]
+        sizes.append(s)
+        total += s
+    return sizes
 
 
 def enumerate_ball(ctx: GroupContext, radius: int, cap: int = 10**6) -> list:
@@ -286,30 +291,26 @@ def enumerate_ball(ctx: GroupContext, radius: int, cap: int = 10**6) -> list:
     one letter (the plain-push case of the append operation, where
     appending the letter leaves it in place: no rule rewrites a word to
     itself), so the frontier extension is duplicate-free.  Raises
-    DomainError before it enumerates anything when a lower bound on the
-    ball size exceeds cap, and otherwise once the element count would
-    exceed cap.
+    DomainError before it builds any word when sphere_sizes puts more
+    than cap elements in the ball, and VerificationError when a sphere
+    it built has another size.
     """
     if radius < 0:
         raise DomainError("ball radius must be nonnegative")
-    floor = _ball_size_floor(ctx, radius, cap)
-    if floor > cap:
+    sizes = sphere_sizes(ctx, radius, cap)
+    if sum(sizes) > cap:
         raise DomainError(
-            f"a ball of radius {radius} has at least {floor} elements, "
+            f"a ball of radius {radius} has at least {sum(sizes)} elements, "
             f"more than the cap of {cap}")
     out = [()]
     frontier = [()]
-    for _ in range(radius):
-        nxt = []
-        for w in frontier:
-            for a in ctx.letters:
-                wa = w + (a,)
-                if _nf_concat(ctx, w, (a,)) == wa:
-                    if len(out) + len(nxt) >= cap:
-                        raise DomainError("ball enumeration exceeded the element cap")
-                    nxt.append(wa)
-        out.extend(nxt)
-        frontier = nxt
+    for r in range(1, radius + 1):
+        frontier = [wa for w in frontier for a in ctx.letters
+                    if _nf_concat(ctx, w, (a,)) == (wa := w + (a,))]
+        if len(frontier) != sizes[r]:
+            raise VerificationError(
+                f"sphere {r} has {len(frontier)} normal forms, the growth series {sizes[r]}")
+        out.extend(frontier)
     return out
 
 

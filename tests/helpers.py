@@ -2,7 +2,8 @@
 the linear library code is held against, the candidate searches the
 direct splice and conjugator constructions are held against, the
 certificate check by normalizing all of z.x.z^-1 the appended one is
-held against, the regex
+held against, the conjugate-power decision that tried both orientations
+of x's root with no exponent-sum test, the regex
 word parser the token table is held against, the letter-by-letter
 presentation translation and the chain-walking append step the table
 and probe versions are held against, the per-power coarse-formula check
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import re
 from dataclasses import dataclass
 
@@ -27,6 +29,7 @@ from surfgroup.group_core import (
     _TOKEN_RE,
     DomainError,
     GroupContext,
+    VerificationError,
     Word,
     WordParseError,
     common_prefix_len,
@@ -34,8 +37,15 @@ from surfgroup.group_core import (
     free_reduce,
     invert_word,
 )
+from surfgroup import conjugacy
 from surfgroup.conjugacy import _least_rotations
-from surfgroup.powers import MAX_POWER_LETTERS, PowerDecomposition, translation_number
+from surfgroup.powers import (
+    MAX_POWER_LETTERS,
+    PowerDecomposition,
+    _power_of,
+    power_decompose,
+    translation_number,
+)
 from surfgroup.presentations import (
     PresentationDescriptor,
     _check_genus,
@@ -474,6 +484,50 @@ def reversed_conjugators_reference(ctx: GroupContext, w, rev_rotations, suffix, 
 def verify_conjugation_reference(ctx: GroupContext, z: Word, x: Word, target: Word) -> bool:
     """Whether z.x.z^-1 = target, by normalizing all of z.x.z^-1."""
     return nf(ctx, z + x + invert_word(z)) == target
+
+
+# --- the conjugate-power decision that built y's root class per orientation
+
+def _conjugator_reference(ctx: GroupContext, px: PowerDecomposition, py: PowerDecomposition):
+    """A verified z with x = z.y.z^-1 for the nontrivial elements px and
+    py decompose, or None; builds both classes."""
+    cx = conjugacy._class(ctx, px)
+    cy = conjugacy._class(ctx, py)
+    if cx.class_nf != cy.class_nf:
+        return None
+    z = nf(ctx, invert_word(cx.conjugator) + cy.conjugator)
+    if not conjugacy._verify_conjugation(ctx, z, py.word, px.word):
+        raise VerificationError("conjugator failed verification")
+    return z
+
+
+def conj_power_reference(ctx: GroupContext, x: Word, y: Word) -> conjugacy.ConjPowerResult:
+    """conj_power by trying x's root, then its inverse, with no exponent-sum
+    test: y's root class is built once per orientation tried, up to 4
+    _class calls in all."""
+    px = power_decompose(ctx, x)
+    py = power_decompose(ctx, y)
+    if not px.word or not py.word:
+        raise DomainError("conjugate-power decision needs nontrivial elements")
+    rx = conjugacy._root(ctx, px)
+    ry = conjugacy._root(ctx, py)
+    d = math.gcd(rx.exponent, ry.exponent)
+    m = ry.exponent // d
+    n = rx.exponent // d
+    qy = py if ry.exponent == 1 else power_decompose(ctx, ry.root)
+    qx = px if rx.exponent == 1 else power_decompose(ctx, rx.root)
+    z = _conjugator_reference(ctx, qy, qx)
+    if z is None:
+        z = _conjugator_reference(ctx, qy, power_decompose(ctx, invert_word(rx.root)))
+        if z is None:
+            return conjugacy.ConjPowerResult(False, 0, 0, ())
+        n = -n
+    conj = nf(ctx, invert_word(z))
+    y_n = _power_of(py, abs(n))
+    if not conjugacy._verify_conjugation(ctx, conj, y_n if n > 0 else invert_word(y_n),
+                                         _power_of(px, m)):
+        raise VerificationError("conjugate-power certificate failed verification")
+    return conjugacy.ConjPowerResult(True, m, n, conj)
 
 
 # --- presentation translation

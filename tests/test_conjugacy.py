@@ -4,16 +4,19 @@ import itertools
 import math
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 
 from helpers import (
     all_freely_reduced,
+    conj_power_reference,
     exceptional_matches_reference,
     is_exceptional_reference,
     least_rotation_reference,
     power_decompose_reference,
     random_cyclic_core,
+    random_freely_reduced,
     random_nontrivial,
     random_relator_heavy,
     reversed_conjugators_reference,
@@ -39,6 +42,7 @@ from surfgroup.group_core import (
     DomainError,
     GroupContext,
     VerificationError,
+    abelianize,
     cyclic_rotations,
     invert_word,
 )
@@ -692,6 +696,115 @@ def test_conj_power_negative_and_domain(ctx2):
         conj_power(ctx2, (), (1,))
     with pytest.raises(DomainError):
         conj_power(ctx2, (1,), ctx2.relator)
+
+
+def _conj_power_corpus(ctx, rng, per_family):
+    """(family, x, y) with x, y nontrivial: y = z.x^-k.z^-1 (inverse),
+    y = z.x^k.z^-1 (direct), unrelated words (random), and powers of
+    commutators, whose exponent sums are 0, conjugated by z or not
+    (commutator)."""
+    def nontrivial_commutator():
+        while True:
+            a = random_nontrivial(ctx, 4, rng)
+            b = random_nontrivial(ctx, 4, rng)
+            c = a + b + invert_word(a) + invert_word(b)
+            if nf(ctx, c):
+                return c
+
+    for _ in range(per_family):
+        x = random_nontrivial(ctx, 12, rng)
+        z = random_nontrivial(ctx, 8, rng)
+        k = rng.randrange(1, 4)
+        yield "inverse", x, z + invert_word(x) * k + invert_word(z)
+        yield "direct", x, z + x * k + invert_word(z)
+        yield "random", x, random_nontrivial(ctx, 12, rng)
+        c = nontrivial_commutator()
+        other = rng.choice([c, invert_word(c), nontrivial_commutator()])
+        yield ("commutator", c * rng.randrange(1, 3),
+               z + other * rng.randrange(1, 3) + invert_word(z))
+
+
+@pytest.mark.parametrize("genus", [2, 3, 5])
+def test_conj_power_matches_the_reference(genus):
+    """conj_power, which builds each class at most once, gives the
+    (found, m, n, conjugator) of conj_power_reference, which builds
+    y's root class once per orientation, in every family."""
+    ctx = GroupContext(genus)
+    rng = random.Random(139 + genus)
+    found = Counter()
+    for family, x, y in _conj_power_corpus(ctx, rng, 30):
+        res = conj_power(ctx, x, y)
+        assert res == conj_power_reference(ctx, x, y), (family, x, y)
+        found[family, res.found, res.n > 0] += 1
+    assert found["inverse", True, False] == found["direct", True, True] == 30
+    assert found["random", False, False] >= 25
+    assert found["commutator", True, True] and found["commutator", True, False]
+    assert found["commutator", False, False]
+
+
+def test_conj_power_builds_each_class_at_most_once(ctx2, ctx3, monkeypatch):
+    """Counted by wrapping _class: at most 3 builds a call; 0 when the
+    roots' exponent sums differ up to sign; 2 a call when the roots are
+    conjugate only through x^-1, where the reference builds 4."""
+    built = []
+    real = conjugacy._class
+
+    def counting(ctx, pd):
+        built.append(pd)
+        return real(ctx, pd)
+
+    monkeypatch.setattr(conjugacy, "_class", counting)
+    rng = random.Random(149)
+    builds = {}
+    for ctx in (ctx2, ctx3):
+        for family, x, y in _conj_power_corpus(ctx, rng, 30):
+            built.clear()
+            conj_power(ctx, x, y)
+            assert len(built) <= 3, (family, x, y)
+            builds.setdefault(family, []).append(len(built))
+            if abelianize(ctx, root(ctx, y).root) not in (
+                    ab := abelianize(ctx, root(ctx, x).root), tuple(-e for e in ab)):
+                assert not built
+    assert set(builds["direct"]) == {2}
+    assert 0 in builds["random"]
+    assert 3 in builds["commutator"]
+    counts = [[], []]
+    for _ in range(50):
+        x = random_freely_reduced(ctx2, 40, rng)
+        z = random_freely_reduced(ctx2, 20, rng)
+        y = z + invert_word(x) * 2 + invert_word(z)
+        for i, fn in enumerate((conj_power, conj_power_reference)):
+            built.clear()
+            assert fn(ctx2, x, y).n < 0
+            counts[i].append(len(built))
+    assert sum(counts[0]) / 50 == 2.0
+    assert sum(counts[1]) / 50 == 4.0
+
+
+def test_reducing_pair_normalizes_each_factor_once(ctx2, ctx3, monkeypatch):
+    """The product is w1 extended by w2, so the normalizer is handed
+    w1 and w2, by the irreducibility checks, and nothing else."""
+    seen = []
+    real = rewrite.normalize
+
+    def counting(ctx, w, **kw):
+        seen.append(w)
+        return real(ctx, w, **kw)
+
+    monkeypatch.setattr(rewrite, "normalize", counting)
+    rng = random.Random(151)
+    tried = 0
+    for ctx in (ctx2, ctx3):
+        for _ in range(40):
+            w1, w2 = (real(ctx, random_relator_heavy(ctx, rng.randrange(1, 30), rng),
+                           trace=False)[0] for _ in range(2))
+            if w1 and w2 and w1[-1] == -w2[0]:
+                continue
+            seen.clear()
+            reducing_pair(ctx, w1, w2)
+            assert len(seen) == 2 and seen[0] is w1 and seen[1] is w2
+            tried += 1
+    assert tried >= 60
 
 
 def test_reducing_pair_examples(ctx2):

@@ -1,6 +1,7 @@
 """Dehn-algorithm oracles and the exhaustive ball enumerator."""
 
 import ast
+import functools
 import random
 from collections import Counter
 from pathlib import Path
@@ -19,16 +20,23 @@ from helpers import (
     random_nontrivial,
     random_relator_heavy,
 )
-from surfgroup import oracle
+from surfgroup import oracle, rewrite
 from surfgroup.conjugacy import are_conjugate
-from surfgroup.group_core import DomainError, GroupContext, abelianize, free_reduce, invert_word
+from surfgroup.group_core import (
+    DomainError,
+    GroupContext,
+    VerificationError,
+    abelianize,
+    free_reduce,
+    invert_word,
+)
 from surfgroup.oracle import (
     dehn_conjugate,
     dehn_equal,
     dehn_reduce,
     dehn_reduce_cyclic,
 )
-from surfgroup.rewrite import _ball_size_floor, enumerate_ball, is_irreducible, nf
+from surfgroup.rewrite import enumerate_ball, is_irreducible, nf, sphere_sizes
 
 
 def has_long_run(ctx, w):
@@ -280,18 +288,29 @@ def test_ball_is_nested_and_sorted_by_length(ctx2):
     assert lengths == sorted(lengths)
 
 
+@functools.cache
+def _sphere_counts(genus, radius):
+    """The number of words of each length in enumerate_ball's list."""
+    counts = Counter(len(w) for w in enumerate_ball(GroupContext(genus), radius))
+    return [counts[r] for r in range(radius + 1)]
+
+
 @pytest.mark.parametrize("genus, radius", [(2, 6), (3, 5)])
 def test_ball_size_floor_bounds_every_enumerable_ball(genus, radius):
-    """Up to the largest radius the default cap admits, the floor is at
-    most the ball size, and equal to it below radius 2g."""
+    """Up to the largest radius the default cap admits, the growth
+    series gives the exact size of every ball."""
     ctx = GroupContext(genus)
-    lengths = [len(w) for w in enumerate_ball(ctx, radius)]
+    spheres = _sphere_counts(genus, radius)
     for r in range(radius + 1):
-        size = sum(1 for n in lengths if n <= r)
-        floor = _ball_size_floor(ctx, r, 10**6)
-        assert floor <= size
-        if r < 2 * genus:
-            assert floor == size
+        assert sum(sphere_sizes(ctx, r, 10**6)) == sum(spheres[:r + 1])
+
+
+@pytest.mark.parametrize("genus, radius", [(2, 6), (3, 5), (4, 4), (5, 4)])
+def test_ball_spheres_match_the_growth_series(genus, radius):
+    """Irreducible words of each length are as many as the elements of
+    that length, sphere by sphere; only g = 2 gets past length 2g, where
+    the rules beyond S1 start."""
+    assert _sphere_counts(genus, radius) == sphere_sizes(GroupContext(genus), radius, 10**6)
 
 
 def test_ball_domain_errors(ctx2):
@@ -301,14 +320,34 @@ def test_ball_domain_errors(ctx2):
         enumerate_ball(ctx2, 3, cap=100)
 
 
-def test_ball_cap_is_checked_while_enumerating(ctx2):
-    """A cap between the floor and the ball size passes the up-front
-    bound and is caught in the loop: at g = 2 radius 4 has a floor of
-    2,417 and a ball of 3,193."""
-    assert _ball_size_floor(ctx2, 4, 10**6) == 2417
+def test_ball_cap_is_checked_while_enumerating(ctx2, monkeypatch):
+    """The exact size is refused up front, before any word is built: at
+    g = 2 radius 4 has 3,193 elements, over a cap of 3,000.  A huge
+    radius is refused as fast."""
     assert len(enumerate_ball(ctx2, 4)) == 3193
-    with pytest.raises(DomainError, match="^ball enumeration exceeded the element cap$"):
+
+    def no_word(*args):
+        raise AssertionError("a word was built")
+
+    monkeypatch.setattr(rewrite, "_nf_concat", no_word)
+    with pytest.raises(DomainError, match="^a ball of radius 4 has at least 3193 elements, "
+                                          "more than the cap of 3000$"):
         enumerate_ball(ctx2, 4, cap=3000)
+    with pytest.raises(DomainError, match="^a ball of radius 7 has at least 1085905 elements"):
+        enumerate_ball(ctx2, 7)
+    with pytest.raises(DomainError, match="^a ball of radius 1000000000 has at least "):
+        enumerate_ball(ctx2, 10**9)
+
+
+def test_a_sphere_off_the_series_raises(ctx2, monkeypatch):
+    """enumerate_ball checks every sphere it built against the series."""
+    real = rewrite.sphere_sizes
+    monkeypatch.setattr(rewrite, "sphere_sizes",
+                        lambda ctx, radius, cap: real(ctx, radius, cap)[:3] + [391])
+    assert len(enumerate_ball(ctx2, 2)) == 65
+    with pytest.raises(VerificationError, match="^sphere 3 has 392 normal forms, "
+                                                "the growth series 391$"):
+        enumerate_ball(ctx2, 3)
 
 
 def test_the_oracle_imports_nothing_from_the_engines():

@@ -17,7 +17,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("script, args, header", [
-    ("ball_growth.py", ["--radius", "2"], "  r       ball     sphere    ratio"),
+    ("ball_growth.py", ["--radius", "2"], "  r       ball     sphere     series    ratio"),
     ("class_census.py", ["--radius", "2"], " |rep|  classes"),
     ("power_growth.py", ["--samples", "20"], "  tau    count"),
     ("splice_census.py", ["--max-length", "3"], "length     words"),
