@@ -4,13 +4,15 @@ Enumerates the ball once, at the largest radius, and prints one row per
 radius with the ball size, the sphere (new words at that radius), the
 sphere size that Cannon's growth series predicts, and the ratio of
 consecutive sphere sizes, which settles quickly toward the growth rate
-of the group.
+of the group.  A ball over the cap is refused before anything is
+enumerated, with exit code 1 and the refusal on stderr.
 """
 
 import argparse
+import sys
 from collections import Counter
 
-from surfgroup import GroupContext, enumerate_ball
+from surfgroup import DomainError, GroupContext, enumerate_ball
 from surfgroup.rewrite import sphere_sizes
 
 
@@ -27,7 +29,10 @@ def main() -> None:
     args = parser.parse_args()
 
     ctx = GroupContext(args.genus)
-    spheres = Counter(map(len, enumerate_ball(ctx, args.radius, cap=args.cap)))
+    try:
+        spheres = Counter(map(len, enumerate_ball(ctx, args.radius, cap=args.cap)))
+    except DomainError as exc:
+        sys.exit(str(exc))
     series = sphere_sizes(ctx, args.radius, args.cap)
     print(f"genus {args.genus}, radius up to {args.radius}")
     print(f"{'r':>3} {'ball':>10} {'sphere':>10} {'series':>10} {'ratio':>8}")

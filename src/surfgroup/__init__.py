@@ -22,7 +22,6 @@ from .group_core import (
 )
 from .rewrite import (
     ReductionStep,
-    ReductionTrace,
     RuleId,
     d_basis_normalize,
     enumerate_ball,
@@ -77,7 +76,6 @@ __all__ = [
     "invert_word",
     "parse_word",
     "ReductionStep",
-    "ReductionTrace",
     "RuleId",
     "d_basis_normalize",
     "enumerate_ball",

@@ -93,7 +93,7 @@ def _yesno(flag: bool) -> str:
 
 
 def _nf(ctx, words, opt):
-    final, trace = normalize(ctx, *_parse(ctx, words), trace=opt("trace"))
+    final, steps = normalize(ctx, *_parse(ctx, words), trace=opt("trace"))
     doc = _word_doc(final)
     if opt("trace"):
         doc["trace"] = [
@@ -103,7 +103,7 @@ def _nf(ctx, words, opt):
                 "matched": format_word(step.matched),
                 "replacement": format_word(step.replacement),
             }
-            for step in trace.steps
+            for step in steps
         ]
     return doc
 

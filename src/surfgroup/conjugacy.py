@@ -38,7 +38,7 @@ from .group_core import (
     compare_words,
     invert_word,
 )
-from .powers import PowerDecomposition, _power_of, power_decompose
+from .powers import PowerDecomposition, power_decompose
 from .rewrite import _nf_concat, is_irreducible, nf
 
 
@@ -271,9 +271,9 @@ def conj_power(ctx: GroupContext, x: Word, y: Word) -> ConjPowerResult:
     n *= sign
     conj = nf(ctx, invert_word(z))
     # any word equal to y^n will do, so y^-|n| is the inverse of nf(y^|n|)
-    y_n = _power_of(py, abs(n))
+    y_n = py.assemble(abs(n))
     if not _verify_conjugation(ctx, conj, y_n if n > 0 else invert_word(y_n),
-                               _power_of(px, m)):
+                               px.assemble(m)):
         raise VerificationError("conjugate-power certificate failed verification")
     return ConjPowerResult(True, m, n, conj)
 

@@ -54,8 +54,15 @@ class PowerDecomposition:
     word: Word
 
     def assemble(self, k: int) -> Word:
-        if k < 2:
-            raise DomainError("assemble requires k >= 2")
+        """nf(x^k) for k >= 1; refused unbuilt past MAX_POWER_LETTERS."""
+        if k < 1:
+            raise DomainError(f"exponent must be >= 1, got {k}")
+        if k == 1:
+            return self.word
+        length = len(self.prefix) + len(self.suffix) + (k - 2) * len(self.core)
+        if length > MAX_POWER_LETTERS:
+            raise DomainError(
+                f"x^{k} has {length} letters, more than the limit of {MAX_POWER_LETTERS}")
         return self.prefix + self.core * (k - 2) + self.suffix
 
 
@@ -114,19 +121,7 @@ def nf_power(ctx: GroupContext, x: Word, k: int) -> Word:
         raise DomainError(f"exponent must be >= 1, got {k}")
     if k == 1:
         return nf(ctx, x)
-    return _power_of(power_decompose(ctx, x), k)
-
-
-def _power_of(pd: PowerDecomposition, k: int) -> Word:
-    """nf(x^k), k >= 1, for the x that pd decomposes; refused unbuilt
-    past MAX_POWER_LETTERS."""
-    if k == 1:
-        return pd.word
-    length = len(pd.prefix) + len(pd.suffix) + (k - 2) * len(pd.core)
-    if length > MAX_POWER_LETTERS:
-        raise DomainError(
-            f"x^{k} has {length} letters, more than the limit of {MAX_POWER_LETTERS}")
-    return pd.assemble(k)
+    return power_decompose(ctx, x).assemble(k)
 
 
 def ci(ctx: GroupContext, x: Word) -> Word:

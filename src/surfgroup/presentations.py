@@ -32,7 +32,7 @@ from .group_core import (
     parse_word,
 )
 from .powers import MAX_POWER_LETTERS
-from .rewrite import _extend, nf
+from .rewrite import _extend
 
 
 @dataclass(frozen=True)
@@ -182,12 +182,13 @@ def check_coarse_formulae(
         raise DomainError(
             f"checking up to k = {top}: the power words x^{t} .. x^{t * top} add up "
             f"to {letters} letters, more than the limit of {MAX_POWER_LETTERS}")
-    if not nf(ctx, translate(p, x)):
-        raise DomainError("coarse formulae need a nontrivial element")
     T = translate(p, x * t)
     acc: list = []
     _extend(ctx, acc, T, None)
     lt = len(acc)
+    # surface groups are torsion-free: x^t = e only for x = e
+    if not lt:
+        raise DomainError("coarse formulae need a nontrivial element")
     _extend(ctx, acc, T, None)
     slope = len(acc) - lt
     if slope <= 0 or slope % t:

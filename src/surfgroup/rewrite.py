@@ -89,27 +89,6 @@ class ReductionStep:
     replacement: Word
 
 
-@dataclass(frozen=True)
-class ReductionTrace:
-    initial: Word
-    steps: tuple
-    final: Word
-
-    def replay(self) -> Word:
-        """Re-apply every step by splicing; must reproduce `final`."""
-        w = self.initial
-        for s in self.steps:
-            w = apply_step(w, s)
-        return w
-
-
-def apply_step(w: Word, step: ReductionStep) -> Word:
-    a, b = step.start, step.start + len(step.matched)
-    if w[a:b] != step.matched:
-        raise ValueError(f"step does not match word at {step.start}")
-    return w[:a] + step.replacement + w[b:]
-
-
 def _rev(block: Word) -> Word:
     return tuple(reversed(block))
 
@@ -227,21 +206,19 @@ def _extend(ctx: GroupContext, acc: list, letters, steps) -> None:
 
 
 def normalize(ctx: GroupContext, w: Word, *, trace: bool = True):
-    """Normal form of w together with the trace of rule applications.
+    """(nf(w), steps): the normal form and the rule applications that led there.
 
     The word is consumed left to right; by the one-letter extension
     property each appended letter triggers at most one S rule, recorded
-    against its position in the evolving word.  With trace=False no
-    trace is built and (final, None) is returned.
+    as a ReductionStep against its position in the evolving word, so
+    splicing the steps into w in order gives nf(w).  steps is a tuple,
+    or None with trace=False, when no record is built.
     """
     ctx.check_word(w)
     acc: list = []
     steps = [] if trace else None
     _extend(ctx, acc, w, steps)
-    final = tuple(acc)
-    if steps is None:
-        return final, None
-    return final, ReductionTrace(w, tuple(steps), final)
+    return tuple(acc), None if steps is None else tuple(steps)
 
 
 def nf(ctx: GroupContext, w: Word) -> Word:

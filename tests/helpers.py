@@ -13,7 +13,8 @@ key, the one-letter extension tables on both sides with their case
 tags, the position gaps O(x), the canonical relator, lengths and face
 relators over other presentations, the two ambient cyclic words (the
 relator and its inverse) with their successor maps, which the
-references walk instead of the library's row map, other reduction
+references walk instead of the library's row map, splicing a rule
+application and replaying a trace, other reduction
 orders, the power length formula by plain concatenation, and the three
 special shapes."""
 
@@ -42,7 +43,6 @@ from surfgroup.conjugacy import _least_rotations
 from surfgroup.powers import (
     MAX_POWER_LETTERS,
     PowerDecomposition,
-    _power_of,
     power_decompose,
     translation_number,
 )
@@ -56,12 +56,10 @@ from surfgroup.presentations import (
 )
 from surfgroup.rewrite import (
     ReductionStep,
-    ReductionTrace,
     RuleId,
     _extend,
     _nf_concat,
     _rev,
-    apply_step,
     is_cyclically_irreducible,
     is_irreducible,
     nf,
@@ -523,9 +521,9 @@ def conj_power_reference(ctx: GroupContext, x: Word, y: Word) -> conjugacy.ConjP
             return conjugacy.ConjPowerResult(False, 0, 0, ())
         n = -n
     conj = nf(ctx, invert_word(z))
-    y_n = _power_of(py, abs(n))
+    y_n = py.assemble(abs(n))
     if not conjugacy._verify_conjugation(ctx, conj, y_n if n > 0 else invert_word(y_n),
-                                         _power_of(px, m)):
+                                         px.assemble(m)):
         raise VerificationError("conjugate-power certificate failed verification")
     return conjugacy.ConjPowerResult(True, m, n, conj)
 
@@ -880,7 +878,22 @@ def llfr_at(ctx: GroupContext, w: Word, j: int):
     return (left, right - left + 1)
 
 
-# --- reduction orders other than normalize's
+# --- splicing rule applications, and reduction orders other than normalize's
+
+def apply_step(w: Word, step: ReductionStep) -> Word:
+    """w with step's matched subword replaced; ValueError if it is not there."""
+    a, b = step.start, step.start + len(step.matched)
+    if w[a:b] != step.matched:
+        raise ValueError(f"step does not match word at {step.start}")
+    return w[:a] + step.replacement + w[b:]
+
+
+def replay(w: Word, steps) -> Word:
+    """Apply the steps of a trace of w in order; gives the traced normal form."""
+    for s in steps:
+        w = apply_step(w, s)
+    return w
+
 
 def find_all_steps(ctx: GroupContext, w: Word) -> list:
     """Maximal reducing operation at every position where one fires.
@@ -913,7 +926,7 @@ def normalize_leftmost(ctx: GroupContext, w: Word):
     while True:
         s = find_reducible_reference(ctx, cur)
         if s is None:
-            return cur, ReductionTrace(w, tuple(steps), cur)
+            return cur, tuple(steps)
         steps.append(s)
         cur = apply_step(cur, s)
 

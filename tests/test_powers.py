@@ -99,6 +99,27 @@ def test_nf_power_refuses_an_oversized_power_before_building_it(ctx2, monkeypatc
         nf_power(ctx2, (1, 2), 51)
 
 
+def test_assemble_builds_every_positive_power_and_refuses_the_rest(ctx2, ctx3, monkeypatch):
+    """assemble(1) is nf(x), an exponent below 1 is refused, and a power
+    past MAX_POWER_LETTERS is refused with its length, as nf_power
+    refuses it."""
+    rng = random.Random(2200)
+    for ctx in (ctx2, ctx3):
+        for x in [(), ctx.relator] + [random_nontrivial(ctx, 12, rng) for _ in range(20)]:
+            pd = power_decompose(ctx, x)
+            assert pd.assemble(1) == pd.word == nf(ctx, x)
+            for k in (2, 3, 5):
+                assert pd.assemble(k) == nf_power(ctx, x, k) == nf(ctx, x * k)
+            for k in (0, -3):
+                with pytest.raises(DomainError, match=f"^exponent must be >= 1, got {k}$"):
+                    pd.assemble(k)
+    monkeypatch.setattr(powers, "MAX_POWER_LETTERS", 100)
+    pd = power_decompose(ctx2, (1, 2))  # |(c1 c2)^k| = 2k
+    assert len(pd.assemble(50)) == 100
+    with pytest.raises(DomainError, match="^x\\^51 has 102 letters, more than the limit of 100$"):
+        pd.assemble(51)
+
+
 # c3 c1 c2 c3^-1: nf(x^2) = c3 c1 c2 . c1 c2 . c3^-1 splices at p = 3, q = 2
 SPLICED = (3, 1, 2, -3)
 

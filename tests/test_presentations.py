@@ -17,6 +17,7 @@ from helpers import (
     translate_reference,
     untranslate_reference,
 )
+from surfgroup import rewrite
 from surfgroup.group_core import DomainError, GroupContext, format_word, parse_word
 from surfgroup.presentations import (
     PresentationDescriptor,
@@ -260,6 +261,27 @@ def test_check_coarse_formulae():
             continue
         checked += 1
         assert check_coarse_formulae(ctx, can, w, 3)
+
+
+def test_check_coarse_formulae_normalizes_no_word_from_scratch(monkeypatch):
+    """The powers of T = translate(x^t) are appended one at a time, and
+    an empty first one refuses the trivial element: rewrite.normalize is
+    never called, for a verdict or for the refusal."""
+    calls = []
+    real = rewrite.normalize
+
+    def counting(ctx, w, **kw):
+        calls.append(w)
+        return real(ctx, w, **kw)
+
+    monkeypatch.setattr(rewrite, "normalize", counting)
+    ctx = GroupContext(2)
+    for p in (canonical_descriptor(2), symmetric_descriptor(2)):
+        assert check_coarse_formulae(ctx, p, (1, 2, 3), 4)
+        for trivial in ((), (1, -1), face_relators(p)[0]):
+            with pytest.raises(DomainError, match="^coarse formulae need a nontrivial element$"):
+                check_coarse_formulae(ctx, p, trivial, 3)
+    assert calls == []
 
 
 def test_presentation_genus_must_match_the_context():

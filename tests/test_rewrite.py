@@ -13,6 +13,7 @@ from helpers import (
     all_freely_reduced,
     all_words,
     append_letter_nf,
+    apply_step,
     append_step_reference,
     chain_backward,
     entry_at,
@@ -25,14 +26,16 @@ from helpers import (
     random_cyclic_core,
     random_freely_reduced,
     random_relator_heavy,
+    replay,
     special_instances,
 )
 from surfgroup.oracle import dehn_equal
 from surfgroup.group_core import GroupContext, compare_words, cyclic_rotations, invert_word
+import surfgroup
 from surfgroup import rewrite
 from surfgroup.rewrite import (
+    ReductionStep,
     _nf_concat,
-    apply_step,
     d_basis_normalize,
     is_cyclically_irreducible,
     is_irreducible,
@@ -92,16 +95,30 @@ def test_group_laws(u, v):
 @settings(max_examples=100, deadline=None)
 def test_trace_replays_and_descends(w):
     ctx = GroupContext(2)
-    final, trace = normalize(ctx, w)
-    assert trace.initial == w
-    assert trace.final == final
-    assert trace.replay() == final
+    final, steps = normalize(ctx, w)
+    assert replay(w, steps) == final
     cur = w
-    for step in trace.steps:
+    for step in steps:
         nxt = apply_step(cur, step)
         assert compare_words(ctx, nxt, cur) == -1
         cur = nxt
     assert cur == final
+
+
+def test_a_trace_is_a_tuple_of_steps(ctx2, ctx3):
+    """normalize returns its steps as a plain tuple of ReductionStep,
+    which replays w into the normal form; untraced, it returns None."""
+    rng = random.Random(2201)
+    for ctx in (ctx2, ctx3):
+        for _ in range(30):
+            w = random_relator_heavy(ctx, rng.randrange(0, 40), rng)
+            final, steps = normalize(ctx, w)
+            assert type(steps) is tuple
+            assert all(type(step) is ReductionStep for step in steps)
+            assert replay(w, steps) == final == nf(ctx, w)
+            assert normalize(ctx, w, trace=False) == (final, None)
+    assert not hasattr(surfgroup, "ReductionTrace")
+    assert not hasattr(rewrite, "apply_step")
 
 
 def test_leftmost_steps_strictly_descend(ctx2):
@@ -109,8 +126,8 @@ def test_leftmost_steps_strictly_descend(ctx2):
     for _ in range(60):
         w = random_freely_reduced(ctx2, rng.randrange(0, 18), rng)
         cur = w
-        final, trace = normalize_leftmost(ctx2, w)
-        for step in trace.steps:
+        final, steps = normalize_leftmost(ctx2, w)
+        for step in steps:
             nxt = apply_step(cur, step)
             assert compare_words(ctx2, nxt, cur) == -1
             cur = nxt
@@ -362,8 +379,8 @@ def test_engines_and_oracle_agree_at_high_genus(genus):
     rng = random.Random(800 + genus)
     fired = set()
     for w in high_genus_words(ctx, rng, 60, 6 * genus):
-        final, trace = normalize(ctx, w)
-        fired |= {step.rule.family for step in trace.steps}
+        final, steps = normalize(ctx, w)
+        fired |= {step.rule.family for step in steps}
         assert d_basis_normalize(ctx, w) == nf(ctx, w) == final
         assert dehn_equal(ctx, w, final)
         assert is_irreducible(ctx, final)
@@ -379,9 +396,9 @@ def test_untraced_normalize_and_prefix_extension_at_high_genus(genus):
     rng = random.Random(900 + genus)
     words = list(high_genus_words(ctx, rng, 80, 12 * genus))
     for w, v in zip(words, reversed(words)):
-        final, trace = normalize(ctx, w)
+        final, steps = normalize(ctx, w)
         assert normalize(ctx, w, trace=False) == (final, None)
-        assert trace.replay() == final
+        assert replay(w, steps) == final
         assert _nf_concat(ctx, final, v) == nf(ctx, final + v) == nf(ctx, w + v)
         assert _nf_concat(ctx, final, final) == nf(ctx, w + w)
 
@@ -473,8 +490,8 @@ def test_untraced_fast_path_agrees_and_leaves_only_long_chains(genus, monkeypatc
         words.append(random_relator_heavy(ctx, rng.randrange(0, 12 * genus), rng))
     expected = {}
     for w in words:
-        final, trace = normalize(ctx, w)
-        assert trace.replay() == final
+        final, steps = normalize(ctx, w)
+        assert replay(w, steps) == final
         assert d_basis_normalize(ctx, w) == final
         expected[w] = final
 
@@ -498,10 +515,10 @@ def test_untraced_fast_path_agrees_and_leaves_only_long_chains(genus, monkeypatc
         assert nf(ctx, w) == expected[w]
         h = len(w) // 2
         assert _nf_concat(ctx, nf(ctx, w[:h]), w[h:]) == expected[w]
-        final, trace = normalize(ctx, w)
+        final, steps = normalize(ctx, w)
         assert final == expected[w]
-        assert trace.replay() == final
-        for step in trace.steps:
+        assert replay(w, steps) == final
+        for step in steps:
             if step.rule.family == "S1":
                 a = step.matched[0]
                 assert step.matched == (a, -a)
@@ -545,8 +562,8 @@ def test_untraced_paths_build_no_rule_record(genus, monkeypatch):
     expected = {}
     fired = set()
     for w in words:
-        expected[w], trace = normalize(ctx, w)
-        fired |= {step.rule.family for step in trace.steps}
+        expected[w], steps = normalize(ctx, w)
+        fired |= {step.rule.family for step in steps}
     assert {"S2", "S3", "S4b"} <= fired
 
     def refuse(*args, **kwargs):

@@ -1,5 +1,6 @@
 """The experiment scripts in scripts/ run end to end on tiny inputs."""
 
+import dataclasses
 import json
 import os
 import runpy
@@ -50,6 +51,35 @@ def test_splice_census_names_a_word_that_fails_its_check(monkeypatch, capsys):
     assert exc.value.code == ("the greedy splice failed on c1 c2: "
                               "the core does not splice nf(x^2) into nf(x^3)")
     assert capsys.readouterr().out.splitlines()[-1] == "     1         8"
+
+
+def test_power_growth_checks_the_formula_against_full_normalization(monkeypatch):
+    """With every core doubled, |x| + (k-1) tau no longer matches the
+    normal form of the k-fold word, and the run ends with exit code 1."""
+    real = surfgroup.power_decompose
+
+    def doubled_core(ctx, x):
+        pd = real(ctx, x)
+        return dataclasses.replace(pd, core=pd.core * 2)
+
+    monkeypatch.setattr(surfgroup, "power_decompose", doubled_core)
+    monkeypatch.setattr(sys, "argv", ["power_growth.py", "--samples", "20"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(ROOT / "scripts" / "power_growth.py"), run_name="__main__")
+    assert str(exc.value.code).startswith("length formula broke at x = ")
+
+
+def test_ball_growth_refuses_an_oversized_ball_without_a_traceback():
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "ball_growth.py"), "--radius", "8"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == ("a ball of radius 8 has at least 7579441 elements, "
+                           "more than the cap of 2000000\n")
 
 
 def _bench_pairs():
