@@ -3,22 +3,20 @@
 Partitions every normal form of length up to the chosen radius into
 conjugacy classes, then prints the class count per length of the class
 representative, the largest classes, and how many classes carry the
-exceptional (reversal) marker.
+exceptional (reversal) marker.  A genus or radius out of range, or a
+ball over the cap of enumerate_ball, ends the run with exit code 1 and
+the refusal on stderr.
 """
 
 import argparse
+import sys
 from collections import Counter
 
-from surfgroup import GroupContext, class_nf, enumerate_ball, format_word
+from surfgroup import DomainError, GroupContext, class_nf, enumerate_ball, format_word
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--genus", type=int, default=2)
-    parser.add_argument("--radius", type=int, default=4)
-    parser.add_argument("--top", type=int, default=5, help="largest classes to show")
-    args = parser.parse_args()
-
+def report(args) -> None:
+    """Partition the ball into classes and print the census."""
     ctx = GroupContext(args.genus)
     classes = {}
     exceptional = set()
@@ -43,6 +41,18 @@ def main() -> None:
     ranked = sorted(classes.items(), key=lambda kv: (-len(kv[1]), kv[0]))
     for rep, members in ranked[: args.top]:
         print(f"  {format_word(rep):<24} {len(members)} members")
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--genus", type=int, default=2)
+    parser.add_argument("--radius", type=int, default=4)
+    parser.add_argument("--top", type=int, default=5, help="largest classes to show")
+    args = parser.parse_args()
+    try:
+        report(args)
+    except DomainError as exc:
+        sys.exit(str(exc))
 
 
 if __name__ == "__main__":

@@ -6,7 +6,8 @@ normalization of the k-fold word for every k up to a chosen exponent,
 and prints how tau distributes against the input length.  A sample that
 breaks the formula ends the run with exit code 1 and is named.  A final
 line reports how many samples were already cyclically irreducible
-(tau = |x|).
+(tau = |x|).  A genus out of range ends the run with exit code 1 and
+the refusal on stderr.
 """
 
 import argparse
@@ -14,7 +15,7 @@ import random
 import sys
 from collections import Counter
 
-from surfgroup import GroupContext, format_word, nf, power_decompose
+from surfgroup import DomainError, GroupContext, format_word, nf, power_decompose
 
 
 def sample(ctx, max_length, rng):
@@ -32,15 +33,8 @@ def sample(ctx, max_length, rng):
             return tuple(w), pd
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--genus", type=int, default=2)
-    parser.add_argument("--samples", type=int, default=2000)
-    parser.add_argument("--max-length", type=int, default=20)
-    parser.add_argument("--k-max", type=int, default=6)
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args()
-
+def report(args) -> None:
+    """Sample, check the length formula and print the tau table."""
     ctx = GroupContext(args.genus)
     rng = random.Random(args.seed)
     taus = Counter()
@@ -62,6 +56,24 @@ def main() -> None:
     mean = sum(t * c for t, c in taus.items()) / args.samples
     print(f"mean tau {mean:.2f}")
     print(f"cyclically irreducible inputs {already_core}/{args.samples}")
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--genus", type=int, default=2)
+    parser.add_argument("--samples", type=int, default=2000)
+    parser.add_argument("--max-length", type=int, default=20)
+    parser.add_argument("--k-max", type=int, default=6)
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args()
+    if args.samples < 1:
+        parser.error("--samples must be at least 1")
+    if args.max_length < 1:
+        parser.error("--max-length must be at least 1")
+    try:
+        report(args)
+    except DomainError as exc:
+        sys.exit(str(exc))
 
 
 if __name__ == "__main__":

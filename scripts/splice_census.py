@@ -8,13 +8,16 @@ that observation: it decomposes every freely reduced word of length up
 to --max-length and prints how many nontrivial ones it decomposed per
 length.
 A word whose decomposition fails the check ends the run with exit code
-1 and is named.
+1 and is named, and a genus out of range ends it with exit code 1 and
+the refusal on stderr.
 """
 
 import argparse
 import sys
 
-from surfgroup import GroupContext, VerificationError, format_word, power_decompose
+from surfgroup import (
+    DomainError, GroupContext, VerificationError, format_word, power_decompose,
+)
 
 
 def freely_reduced(letters, length, w=()):
@@ -27,12 +30,8 @@ def freely_reduced(letters, length, w=()):
             yield from freely_reduced(letters, length, w + (x,))
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--genus", type=int, default=2)
-    parser.add_argument("--max-length", type=int, default=5)
-    args = parser.parse_args()
-
+def report(args) -> None:
+    """Decompose every short word and print the count per length."""
     ctx = GroupContext(args.genus)
     print(f"genus {args.genus}, nontrivial freely reduced words of length <= {args.max_length}")
     print(f"{'length':>6} {'words':>9}")
@@ -48,6 +47,17 @@ def main() -> None:
         print(f"{length:>6} {count:>9}")
         total += count
     print(f"total {total}")
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--genus", type=int, default=2)
+    parser.add_argument("--max-length", type=int, default=5)
+    args = parser.parse_args()
+    try:
+        report(args)
+    except DomainError as exc:
+        sys.exit(str(exc))
 
 
 if __name__ == "__main__":

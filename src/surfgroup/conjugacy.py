@@ -9,13 +9,13 @@ letters of W: one cyclic pair, the seam before b_1, has no row, and
 the row after it spells the rest of the block; a successor pair lies
 on one row only, so no other entry or i matches.  No rotation but the
 winner is built: the least rotation is found by Duval's Lyndon
-factorisation over the rank-mapped core, once for W and once for W
-reversed, so a class normal form costs O(|x|).  The conjugator is
-given by a formula, one per family.  Every certificate returned from
-this module has been checked: appending the letters of x.z^-1 to the
-irreducible conjugator z gives nf(z.x.z^-1), which must equal the class
-word.  A failed check raises VerificationError, so an index or
-orientation slip cannot escape.
+factorisation, once over W and once over W reversed, so a class
+normal form costs O(|x|).  The conjugator is given by a formula, one
+per family.  Every certificate returned from this module has been
+checked: appending the letters of x.z^-1 to the irreducible conjugator
+z gives nf(z.x.z^-1), which must equal the class word.  A failed check
+raises VerificationError, so an index or orientation slip cannot
+escape.
 
 Roots are found from the least period of W, which the same Duval scan
 measures, and the conjugate-power decision reduces to conjugacy of
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import neg
 
 from .group_core import (
     DomainError,
@@ -141,11 +142,12 @@ def class_nf(ctx: GroupContext, x: Word) -> ConjugacyCertificate:
     via the relator identity b_2g^-1 (b_1..b_{2g-1})^t b_2g =
     (b_{2g-1}..b_1)^t, and the minimum is taken over both families.
 
-    Both minima come from _least_rotations on the letter ranks of W and
-    of W reversed, so the cost is O(|x|) and no rotation but the winner
-    is built.  A reversed minimum takes the table formula's conjugator
-    rev(W[:j]) rev(b_1..b_i) rev(b_{2g+i+1}..b_4g) S, for the one
-    match (b, i) and the first rotation j whose reversal is the minimum.
+    Both minima come from _least_rotations on the negated letters of W
+    and of W reversed, so the cost is O(|x|) and no rotation but the
+    winner is built.  A reversed minimum takes the table formula's
+    conjugator rev(W[:j]) rev(b_1..b_i) rev(b_{2g+i+1}..b_4g) S, for the
+    one match (b, i) and the first rotation j whose reversal is the
+    minimum.
     """
     pd = power_decompose(ctx, x)
     if not pd.word:
@@ -157,15 +159,16 @@ def _class(ctx: GroupContext, pd: PowerDecomposition) -> ConjugacyCertificate:
     """class_nf of the nontrivial element that pd decomposes."""
     w = pd.core
     suffix = pd.suffix
-    ranks = [ctx.lex_rank[a] for a in w]
-    k0 = _least_rotations(ranks)[0]
+    # the generator order reverses the integers, so the least rotation
+    # of w is the ascending least rotation of its negated letters
+    keys = list(map(neg, w))
+    k0 = _least_rotations(keys)[0]
     best = w[k0:] + w[:k0]
-    # w is cyclically irreducible, so its suffix w[k0:] is irreducible
-    conj = _nf_concat(ctx, w[k0:], suffix)
+    conj = None
     match = _exceptional_match(ctx, w)
     if match is not None:
         rw = w[::-1]
-        rev_rotations = _least_rotations(ranks[::-1])
+        rev_rotations = _least_rotations(keys[::-1])
         kr = rev_rotations[0]
         alt = rw[kr:] + rw[:kr]
         if compare_words(ctx, alt, best) < 0:
@@ -176,6 +179,9 @@ def _class(ctx: GroupContext, pd: PowerDecomposition) -> ConjugacyCertificate:
             best = alt
             conj = nf(ctx, w[:j][::-1] + entry[:i][::-1]
                       + entry[ctx.n_gens + i:][::-1] + suffix)
+    if conj is None:
+        # w is cyclically irreducible, so its suffix w[k0:] is irreducible
+        conj = _nf_concat(ctx, w[k0:], suffix)
     if not _verify_conjugation(ctx, conj, pd.word, best):
         raise VerificationError("class certificate failed verification")
     return ConjugacyCertificate(best, conj, match is not None)
@@ -263,13 +269,12 @@ def conj_power(ctx: GroupContext, x: Word, y: Word) -> ConjPowerResult:
             qy = py if ry.exponent == 1 else power_decompose(ctx, ry.root)
             cy = _class(ctx, qy)
         qx = px if sign == 1 and rx.exponent == 1 else power_decompose(ctx, x1)
-        z = _conjugator(ctx, cy, qy.word, _class(ctx, qx), qx.word)
-        if z is not None:
+        conj = _conjugator(ctx, _class(ctx, qx), qx.word, cy, qy.word)
+        if conj is not None:
             break
     else:
         return ConjPowerResult(False, 0, 0, ())
     n *= sign
-    conj = nf(ctx, invert_word(z))
     # any word equal to y^n will do, so y^-|n| is the inverse of nf(y^|n|)
     y_n = py.assemble(abs(n))
     if not _verify_conjugation(ctx, conj, y_n if n > 0 else invert_word(y_n),

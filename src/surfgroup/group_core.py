@@ -12,7 +12,8 @@ compared length first, then letter by letter in the generator order
     c_2g < c_2g-1 < ... < c_1 < c_1^-1 < c_2^-1 < ... < c_2g^-1,
 
 so the inverse letters sit above all positive ones and c_2g is the
-least letter overall.
+least letter overall.  In the encoding this order is the integer order
+reversed: letter a is below letter b exactly when a > b as integers.
 
 The single defining relator d = c_1...c_2g c_1^-1...c_2g^-1 gives rise
 to two cyclic words, d and d^-1, and the closure of {d} under cyclic
@@ -120,12 +121,6 @@ class GroupContext:
         # rows 0..4g-1 rotate the relator, rows 4g..8g-1 its inverse
         self.relator_table = tuple(c[i:] + c[:i] for c in (self.relator, invert_word(self.relator))
                                    for i in range(self.alphabet_size))
-        # ascending rank: c_2g -> 0 ... c_1 -> 2g-1, c_1^-1 -> 2g ... c_2g^-1 -> 4g-1
-        rank = {}
-        for i in range(1, g2 + 1):
-            rank[i] = g2 - i
-            rank[-i] = g2 - 1 + i
-        self.lex_rank = rank
         # follow[a] holds the three letters that can fire a rule when
         # appended after a: each of its two successors b maps to the row
         # that starts at b and ends at a, and its inverse maps to None.
@@ -157,7 +152,7 @@ class GroupContext:
 
     def greater(self, a: int, b: int) -> bool:
         """True when letter a is above letter b in the generator order."""
-        return self.lex_rank[a] > self.lex_rank[b]
+        return a < b
 
 
 def compare_words(ctx: GroupContext, u: Word, v: Word) -> int:
@@ -166,11 +161,8 @@ def compare_words(ctx: GroupContext, u: Word, v: Word) -> int:
     ctx.check_word(v)
     if len(u) != len(v):
         return -1 if len(u) < len(v) else 1
-    rank = ctx.lex_rank
-    for a, b in zip(u, v):
-        if a != b:
-            return -1 if rank[a] < rank[b] else 1
-    return 0
+    # the order reverses the integers, so u is below v when u > v as tuples
+    return (u < v) - (u > v)
 
 
 def abelianize(ctx: GroupContext, w: Word) -> tuple:

@@ -8,9 +8,10 @@ word parser the token table is held against, the letter-by-letter
 presentation translation and the chain-walking append step the table
 and probe versions are held against, the per-power coarse-formula check
 the linear one is held against, and the
-tools that only the tests use: word and chain utilities, the word sort
-key, the one-letter extension tables on both sides with their case
-tags, the position gaps O(x), the canonical relator, lengths and face
+tools that only the tests use: word and chain utilities, the generator
+order spelled out and the word sort key over it, the one-letter
+extension tables on both sides with their case tags, the position gaps
+O(x), the canonical relator, lengths and face
 relators over other presentations, the two ambient cyclic words (the
 relator and its inverse) with their successor maps, which the
 references walk instead of the library's row map, splicing a rule
@@ -471,7 +472,7 @@ def reversed_conjugators_reference(ctx: GroupContext, w, rev_rotations, suffix, 
         base = entry[:g2 - 1] * t
         u1 = w[(n - i) % n:]
         rev_base = tuple(reversed(base))
-        starts = _least_rotations([ctx.lex_rank[a] for a in rev_base])
+        starts = _least_rotations(rank_list(ctx, rev_base))
         # rev_base is a rotation of the core reversed, so its least rotation is alt
         for a in starts:
             yield rev_base[a:] + (-entry[g2 - 1],) + u1 + suffix
@@ -742,10 +743,25 @@ def prepend_letter_nf(ctx: GroupContext, letter: int, x: Word):
 
 # --- words and successor chains
 
+@functools.cache
+def letter_ranks(genus: int) -> dict:
+    """Letter -> place in the generator order c_2g < ... < c_1 < c_1^-1
+    < ... < c_2g^-1, from 0, spelled out from that list rather than
+    read from the library."""
+    g2 = 2 * genus
+    order = [*range(g2, 0, -1), *range(-1, -g2 - 1, -1)]
+    return {a: r for r, a in enumerate(order)}
+
+
+def rank_list(ctx: GroupContext, w: Word) -> list:
+    """The places of w's letters in the generator order."""
+    rank = letter_ranks(ctx.genus)
+    return [rank[a] for a in w]
+
+
 def word_sort_key(ctx: GroupContext, w: Word) -> tuple:
     """Sort key realising the word order: min() of keys is the least word."""
-    rank = ctx.lex_rank
-    return (len(w), tuple(rank[x] for x in w))
+    return (len(w), tuple(rank_list(ctx, w)))
 
 
 def reverse_word(w: Word) -> Word:

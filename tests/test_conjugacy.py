@@ -19,6 +19,7 @@ from helpers import (
     random_freely_reduced,
     random_nontrivial,
     random_relator_heavy,
+    rank_list,
     reversed_conjugators_reference,
     special_instances,
     verify_conjugation_reference,
@@ -290,7 +291,7 @@ def check_least_rotation(ctx, x):
     core = ci(ctx, x)
     exceptional = is_exceptional_reference(ctx, core)
     indices, word = least_rotation_reference(ctx, core, exceptional)
-    assert list(_least_rotations([ctx.lex_rank[a] for a in core])) == indices
+    assert list(_least_rotations(rank_list(ctx, core))) == indices
     cert = class_nf(ctx, x)
     assert cert.exceptional == exceptional
     assert cert.class_nf == word
@@ -348,7 +349,7 @@ def test_reversed_minimum_is_reached_by_the_table_formula(genus):
             z = random_nontrivial(ctx, 5, rng)
             x = nf(ctx, z + (E[i:blk] + E[:i]) * rng.randrange(1, 4) + invert_word(z))
             pd = power_decompose(ctx, x)
-            rev_rotations = _least_rotations([ctx.lex_rank[a] for a in pd.core[::-1]])
+            rev_rotations = _least_rotations(rank_list(ctx, pd.core[::-1]))
             alt = least_rotation_reference(ctx, pd.core[::-1], False)[1]
             first = next(_reversed_conjugators(
                 ctx, pd.core, rev_rotations, pd.suffix,
@@ -376,7 +377,7 @@ def test_every_chained_reversed_conjugator_verifies(genus):
             # the arguments class_nf derives from x
             pd = power_decompose(ctx, x)
             rw = pd.core[::-1]
-            rev_rotations = _least_rotations([ctx.lex_rank[a] for a in rw])
+            rev_rotations = _least_rotations(rank_list(ctx, rw))
             alt = rw[rev_rotations[0]:] + rw[:rev_rotations[0]]
             matches = exceptional_matches_reference(ctx, pd.core)
             assert matches
@@ -427,7 +428,7 @@ def test_direct_splice_and_conjugator_are_the_first_candidates():
         cert = class_nf(ctx, w)
         if cert.class_nf in cyclic_rotations(pd.core):
             continue
-        rev_rotations = _least_rotations([ctx.lex_rank[a] for a in pd.core[::-1]])
+        rev_rotations = _least_rotations(rank_list(ctx, pd.core[::-1]))
         first = next(reversed_conjugators_reference(
             ctx, pd.core, rev_rotations, pd.suffix, matches))
         assert cert.conjugator == nf(ctx, first)

@@ -16,10 +16,12 @@ from helpers import (
     chain_forward_reference,
     entry_at,
     is_fractional_relator,
+    letter_ranks,
     llfr_at,
     pair_ambient,
     parse_word_reference,
     pred_map,
+    rank_list,
     reverse_word,
     succ_map,
     word_sort_key,
@@ -90,10 +92,14 @@ def test_entry_second_half_inverts_first(ctx2, ctx3):
 def test_letter_order(ctx2):
     # ascending: c4 c3 c2 c1 c1^-1 c2^-1 c3^-1 c4^-1
     chain = [4, 3, 2, 1, -1, -2, -3, -4]
-    assert [ctx2.lex_rank[x] for x in chain] == list(range(8))
-    for a in ctx2.letters:
-        for b in ctx2.letters:
-            assert ctx2.greater(a, b) == (ctx2.lex_rank[a] > ctx2.lex_rank[b])
+    assert rank_list(ctx2, chain) == list(range(8))
+    for genus in range(2, MAX_GENUS + 1):
+        ctx = GroupContext(genus)
+        rank = letter_ranks(genus)
+        assert sorted(rank) == sorted(ctx.letters)
+        for a in ctx.letters:
+            for b in ctx.letters:
+                assert ctx.greater(a, b) == (rank[a] > rank[b])
 
 
 def test_compare_words(ctx2):
@@ -104,10 +110,17 @@ def test_compare_words(ctx2):
     assert compare_words(ctx2, (2, 3), (2, 3)) == 0
 
 
-@given(u=words_g2, v=words_g2)
-@settings(max_examples=120, deadline=None)
-def test_sort_key_realises_compare(u, v):
-    ctx = GroupContext(2)
+@given(data=st.data())
+@settings(max_examples=240, deadline=None)
+def test_sort_key_realises_compare(data):
+    ctx = GroupContext(data.draw(st.sampled_from([2, 3, 8, 64])))
+    letters = st.sampled_from(ctx.letters)
+    u = data.draw(st.lists(letters, max_size=24).map(tuple))
+    # half the pairs share u's length and a prefix of it, so a later letter decides
+    k = data.draw(st.integers(0, len(u)))
+    tail = st.lists(letters, min_size=len(u) - k, max_size=len(u) - k)
+    v = data.draw(st.one_of(st.lists(letters, max_size=24).map(tuple),
+                            tail.map(lambda t: u[:k] + tuple(t))))
     c = compare_words(ctx, u, v)
     ku, kv = word_sort_key(ctx, u), word_sort_key(ctx, v)
     assert c == (ku > kv) - (ku < kv)

@@ -15,6 +15,16 @@ import surfgroup
 from surfgroup import VerificationError
 
 ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ["ball_growth.py", "class_census.py", "power_growth.py", "splice_census.py"]
+
+
+def _run_script(script, *args):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 @pytest.mark.parametrize("script, args, header", [
@@ -24,12 +34,7 @@ ROOT = Path(__file__).resolve().parents[1]
     ("splice_census.py", ["--max-length", "3"], "length     words"),
 ])
 def test_script_runs_and_prints_its_table(script, args, header):
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *args],
-        capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    proc = _run_script(script, *args)
     assert proc.returncode == 0, proc.stderr
     assert header in proc.stdout.splitlines()
 
@@ -70,16 +75,35 @@ def test_power_growth_checks_the_formula_against_full_normalization(monkeypatch)
 
 
 def test_ball_growth_refuses_an_oversized_ball_without_a_traceback():
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "ball_growth.py"), "--radius", "8"],
-        capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    proc = _run_script("ball_growth.py", "--radius", "8")
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr == ("a ball of radius 8 has at least 7579441 elements, "
                            "more than the cap of 2000000\n")
+
+
+@pytest.mark.parametrize("script, args, code, message", [
+    *[(script, ["--genus", "1"], 1, "genus must be between 2 and 64, got 1")
+      for script in SCRIPTS],
+    ("class_census.py", ["--radius", "7"], 1,
+     "a ball of radius 7 has at least 1085905 elements, more than the cap of 1000000"),
+    ("class_census.py", ["--radius", "-1"], 1, "ball radius must be nonnegative"),
+    ("power_growth.py", ["--samples", "0"], 2,
+     "power_growth.py: error: --samples must be at least 1"),
+    ("power_growth.py", ["--max-length", "0"], 2,
+     "power_growth.py: error: --max-length must be at least 1"),
+])
+def test_script_refuses_a_bad_argument_without_a_traceback(script, args, code, message):
+    """A refused argument exits 1 with the refusal alone on stderr, or 2
+    with argparse's usage and error, and prints nothing on stdout."""
+    proc = _run_script(script, *args)
+    assert proc.returncode == code
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    if code == 1:
+        assert proc.stderr == message + "\n"
+    else:
+        assert proc.stderr.splitlines()[-1] == message
 
 
 def _bench_pairs():
