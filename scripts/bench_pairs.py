@@ -10,6 +10,8 @@ benchmark command runs in both trees with the same seed and
 ones.  Each workload takes its own block of seeds from --seed-base, so
 no seed serves two workloads.  A run that exits nonzero, fails an
 operation or reads `correct` false ends the script with exit code 1.
+A --seconds that is not positive, or an --out whose directory does not
+exist, is refused with exit code 2 before the first run.
 
 The summary goes to --out as JSON: every run's metrics and, per
 workload and end-to-end metric, both medians, the change's wins, the
@@ -143,6 +145,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    if not args.seconds > 0:
+        parser.error("--seconds must be positive")
+    if not args.out.parent.is_dir():
+        parser.error(f"--out: no directory {args.out.parent}")
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
     try:

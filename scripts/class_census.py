@@ -5,7 +5,7 @@ conjugacy classes, then prints the class count per length of the class
 representative, the largest classes, and how many classes carry the
 exceptional (reversal) marker.  A genus or radius out of range, or a
 ball over the cap of enumerate_ball, ends the run with exit code 1 and
-the refusal on stderr.
+the refusal on stderr; a negative --top is a usage error (exit 2).
 """
 
 import argparse
@@ -49,6 +49,8 @@ def main() -> None:
     parser.add_argument("--radius", type=int, default=4)
     parser.add_argument("--top", type=int, default=5, help="largest classes to show")
     args = parser.parse_args()
+    if args.top < 0:
+        parser.error("--top must be at least 0")
     try:
         report(args)
     except DomainError as exc:

@@ -24,16 +24,19 @@ letters inside that unchanged prefix, so it still falls short, and
 the scan resumes at s - 2g instead of 0 with the same result as a
 rescan.  Each replacement removes at least 2 letters and moves the
 scan back at most 2g positions beyond the letters it cancels, so at
-most O(g|w|) positions are scanned.  A scan reads each of its
-positions O(1) times, because it carries the chain from letter to
-letter instead of walking it again from every start: linear in |w| at
-a fixed genus (Lyndon-Schupp, ch. V; Domanski-Anshel 1985).  The word
-is held as the scanned list and the unread rest reversed, so a
-replacement changes only their two ends and moves a bounded number of
-letters between them.  dehn_reduce returns the reduced word; only
-dehn_reduce_cyclic decides whether every rotation of a word is reduced
-as well, from its end letters and the chains that start in its last 2g
-letters and run across its end.
+most O(g|w|) positions are scanned.  A scan looks up only every 2g-th
+successor pair.  A long chain has 2g pairs in a row, so it holds one
+of them; pieces have length 1, so each pair lies on one chain, and the
+first sampled pair on a long chain lies on the leftmost.  A long chain
+through a sampled pair reaches g letters past it on one side, so the
+chain is walked only when the letter g places after or before the
+pair continues its row: linear in |w| at a fixed genus (Lyndon-Schupp,
+ch. V; Domanski-Anshel 1985).  The word is held as the scanned list
+and the unread rest reversed, so a replacement changes only their two
+ends and moves a bounded number of letters between them.  dehn_reduce
+returns the reduced word; only dehn_reduce_cyclic decides whether
+every rotation of a word is reduced as well, from its end letters and
+the chains that start in its last 2g letters and run across its end.
 """
 
 from __future__ import annotations
@@ -70,28 +73,33 @@ def _find_long_run(ctx: GroupContext, w: Word, start: int, stop: int, cap: int):
     of more than 2g letters begins: w[p]·E[:length-1], length capped at
     cap (2g < cap <= 4g), E the row follow[w[p]][w[p+1]].
 
-    The scan carries the chain that ends at the current letter, as its
-    row E and its length run.  Pieces have length 1, so the chains that
-    start later on it lie on the same cyclic relator and end where it
-    ends; the first chain to reach 2g+1 letters starts leftmost.  A
-    letter is compared with E unless the chain breaks there, and only
-    then is the row of the new chain looked up.
+    Only the successor pairs (w[j], w[j+1]) at j = start, start+2g, ...
+    are looked up (the module docstring says why that suffices).  A
+    pair on a row E is walked only when w[j+1+g] or w[j-g] continues E,
+    back to where its chain starts and then forward from there.
     """
-    g2 = ctx.n_gens
+    g, g2 = ctx.genus, ctx.n_gens
     follow = ctx.follow
     n = len(w)
-    E, run = None, 1
-    for i in range(start + 1, min(stop + g2, n)):
-        if E is not None and w[i] == E[run - 1]:
+    for j in range(start, min(stop + g2 - 1, n - 1), g2):
+        E = follow[w[j]].get(w[j + 1])
+        if E is None or not (j + g < n - 1 and w[j + g + 1] == E[g]
+                             or j - g >= start and w[j - g] == E[-1 - g]):
+            continue
+        # the last sampled pair was not on this chain, so it starts
+        # less than 2g pairs back and E[p - j - 2] stays inside E
+        p = j
+        while p > start and w[p - 1] == E[p - j - 2]:
+            p -= 1
+        if p >= stop:
+            return None
+        if p < j:
+            E = follow[w[p]][w[p + 1]]
+        run = 2
+        while run < cap and p + run < n and w[p + run] == E[run - 1]:
             run += 1
-            if run > g2:
-                p = i - g2
-                while run < cap and p + run < n and w[p + run] == E[run - 1]:
-                    run += 1
-                return p, run, E
-        else:
-            E = follow[w[i - 1]].get(w[i])
-            run = 1 if E is None else 2
+        if run > g2:
+            return p, run, E
     return None
 
 

@@ -169,20 +169,22 @@ def expected_core_of_fragment(ctx, entry, k):
     return tuple(reversed(E[k - g2:g2]))
 
 
-def special_instances(ctx, t_values=(1, 2), t_sums=(0, 1)):
+def special_instances(ctx, t_values=(1, 2), t_sums=(0, 1), entries=None):
     """All valid special words as (tag, word) pairs.
 
     Enumerates every type A instance with t1, t2 drawn from t_sums, then
     wraps each as the middle of type B and C instances for every outer
     entry and t in t_values.  Combinations whose built word fails the
     standing premises (irreducible, cyclically freely reduced) never occur
-    as cores and are dropped.
+    as cores and are dropped.  entries, when given, limits the type A
+    entry, which is the middle's entry in types B and C, to those table
+    rows: at high genus there are too many instances to build them all.
     """
     g2, n4 = ctx.n_gens, ctx.alphabet_size
     out = []
     inners = []
     for eidx, E in enumerate(ctx.relator_table):
-        if not ctx.greater(E[0], E[g2 - 1]):
+        if not ctx.greater(E[0], E[g2 - 1]) or entries is not None and eidx not in entries:
             continue
         for r in range(1, g2):
             for t1 in t_sums:

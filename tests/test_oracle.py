@@ -1,6 +1,7 @@
 """Dehn-algorithm oracles and the exhaustive ball enumerator."""
 
 import ast
+import copy
 import functools
 import random
 from collections import Counter
@@ -19,6 +20,7 @@ from helpers import (
     random_freely_reduced,
     random_nontrivial,
     random_relator_heavy,
+    special_instances,
 )
 from surfgroup import oracle, rewrite
 from surfgroup.conjugacy import are_conjugate
@@ -145,19 +147,42 @@ def test_dehn_conjugate_edges(ctx2):
     assert dehn_conjugate(ctx2, (1, 2), (2, 1))  # rotation
 
 
+def with_relators(ctx, w, k, rng):
+    """w with k relator-table entries inserted at random cuts."""
+    v = list(w)
+    for _ in range(k):
+        cut = rng.randrange(len(v) + 1)
+        v[cut:cut] = rng.choice(ctx.relator_table)
+    return tuple(v)
+
+
 def word_problem_word(ctx, n, rng, changed):
     """u.v^-1 with v = u plus relator-table entries inserted, and with one
     letter of v changed when `changed`, as a word-problem pair reaches
     dehn_equal."""
     u = random_freely_reduced(ctx, n, rng)
-    v = list(u)
-    for _ in range(1 + n // 20):
-        cut = rng.randrange(len(v) + 1)
-        v[cut:cut] = rng.choice(ctx.relator_table)
+    v = list(with_relators(ctx, u, 1 + n // 20, rng))
     if changed:
         i = rng.randrange(len(v))
         v[i] = rng.choice([a for a in ctx.letters if a != v[i]])
     return u + invert_word(tuple(v))
+
+
+def block_run_words(ctx, count, rng):
+    """count special words and count exceptional cores
+    (b_{i+1}..b_{2g-1}b_1..b_i)^t, each bare and with relator rotations
+    inserted.  Their sampled pairs lie on chains of 2g-1 letters, so
+    _find_long_run's probes decide which of them it walks."""
+    g2, blk = ctx.n_gens, ctx.n_gens - 1
+    entries = None
+    if ctx.genus > 3:
+        entries = [rng.choice([e for e, E in enumerate(ctx.relator_table)
+                               if ctx.greater(E[0], E[g2 - 1])])]
+    words = [w for _, w in rng.sample(special_instances(ctx, entries=entries), count)]
+    for E in rng.sample(ctx.relator_table, count):
+        i = rng.randrange(1, blk + 1)
+        words.append((E[i:blk] + E[:i]) * rng.randrange(1, 4))
+    return words + [with_relators(ctx, w, rng.randrange(1, 4), rng) for w in words]
 
 
 @pytest.mark.parametrize("genus", [2, 3, 5, 8, 16, 64])
@@ -180,6 +205,9 @@ def test_dehn_reduce_matches_the_rescanning_reference(genus, monkeypatch):
     for _ in range(count // 5):
         z = random_freely_reduced(ctx, rng.randrange(1, size // 2), rng)
         words.append(z + random_relator_heavy(ctx, rng.randrange(1, size // 4), rng) + invert_word(z))
+    # block runs, where the scan's probes decide what it walks
+    if genus in (2, 3, 64):
+        words += block_run_words(ctx, 10 if genus <= 3 else 3, rng)
 
     def answers(w):
         out = dehn_reduce(ctx, w)
@@ -205,19 +233,19 @@ def test_dehn_reduce_matches_the_rescanning_reference(genus, monkeypatch):
 
 @pytest.mark.parametrize("genus", [2, 3, 64])
 def test_find_long_run_matches_the_chain_walk_on_every_window(genus):
-    """The incremental _find_long_run returns what _long_run_reference,
+    """The sampling _find_long_run returns what _long_run_reference,
     which walks the chain from every start, returns: the same start and
     capped length, and the row of the reference's ambient.  The answer
     from each start is the reference's on that one position, or else the
     answer from the next start; a window (start, stop) keeps it when it
     starts before stop.  Every window of relator-heavy words, whole
-    relators, E^k and runs of chains of 2g-1 .. 2g+2 letters is checked
-    at cap 4g, at g = 64 every start with the stops that bracket its
-    answer and a seeded one: among them windows that start inside a
-    chain and windows whose stop cuts a chain that only reaches 2g+1
-    letters past stop.  So are the windows (start, stop <= n) of the
-    w + w that _wrapped_long_run scans, at its cap min(4g, n), and
-    _wrapped_long_run itself."""
+    relators, E^k, runs of chains of 2g-1 .. 2g+2 letters and block-run
+    words is checked at cap 4g, at g = 64 every start with the stops
+    that bracket its answer and a seeded one: among them windows that
+    start inside a chain and windows whose stop cuts a chain that only
+    reaches 2g+1 letters past stop.  So are the windows (start, stop <=
+    n) of the w + w that _wrapped_long_run scans, at its cap min(4g, n),
+    and _wrapped_long_run itself."""
     ctx = GroupContext(genus)
     rng = random.Random(1500 + genus)
     g2, n4 = ctx.n_gens, ctx.alphabet_size
@@ -229,6 +257,7 @@ def test_find_long_run_matches_the_chain_walk_on_every_window(genus):
     # chains of every length around 2g+1, cut by single letters
     words += [sum((E[:c] + (rng.choice(ctx.letters),) for c in range(g2 - 1, g2 + 3)), ())
               for E in rows]
+    words += block_run_words(ctx, 2 if high else 6, rng)
     seen = Counter()
 
     def check_windows(w, last, cap):
@@ -265,6 +294,31 @@ def test_find_long_run_matches_the_chain_walk_on_every_window(genus):
             assert got == (want and want[:2] + (entry_at(ctx, w[(want[0] + 1) % n], want[2]),))
             seen["wrapped"] += want is not None
     assert all(seen[k] for k in ("capped", "cut", "inside", "wrapped")), seen
+
+
+@pytest.mark.parametrize("genus", [2, 8, 64])
+def test_find_long_run_samples_one_pair_in_2g(genus):
+    """A scan over a Dehn-reduced word of n letters looks up at most n/g
+    rows: one sampled successor pair in 2g, and one more row for each
+    chain it walks."""
+    ctx = GroupContext(genus)
+    rng = random.Random(2400 + genus)
+    w = dehn_reduce(ctx, random_freely_reduced(ctx, 3000, rng))
+    lookups = Counter()
+
+    class CountingRow(dict):
+        def get(self, key, default=None):
+            lookups["row"] += 1
+            return super().get(key, default)
+
+        def __getitem__(self, key):
+            lookups["row"] += 1
+            return super().__getitem__(key)
+
+    counting = copy.copy(ctx)
+    counting.follow = {a: CountingRow(row) for a, row in ctx.follow.items()}
+    assert oracle._find_long_run(counting, w, 0, len(w), ctx.alphabet_size) is None
+    assert 0 < lookups["row"] <= len(w) / genus, (len(w), lookups)
 
 
 def test_ball_counts_match_brute_force(ctx2):

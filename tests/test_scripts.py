@@ -92,6 +92,8 @@ def test_ball_growth_refuses_an_oversized_ball_without_a_traceback():
      "power_growth.py: error: --samples must be at least 1"),
     ("power_growth.py", ["--max-length", "0"], 2,
      "power_growth.py: error: --max-length must be at least 1"),
+    ("class_census.py", ["--radius", "2", "--top", "-1"], 2,
+     "class_census.py: error: --top must be at least 0"),
 ])
 def test_script_refuses_a_bad_argument_without_a_traceback(script, args, code, message):
     """A refused argument exits 1 with the refusal alone on stderr, or 2
@@ -163,6 +165,32 @@ def test_bench_pairs_refuses_reused_seeds_and_failed_runs(monkeypatch, tmp_path)
         "print(json.dumps({'correct': False, 'attempted': 4, 'failed': 1, 'metrics': {}}))\n")
     with pytest.raises(RuntimeError, match="1 of 4 operations failed"):
         bp["run_once"]([sys.executable, "bench/run.py"], tmp_path, "w", 1, 1)
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--seconds", "-5"], "--seconds must be positive"),
+    (["--out", "missing/BENCH.json"], "--out: no directory missing"),
+])
+def test_bench_pairs_refuses_a_bad_argument_before_any_run(monkeypatch, tmp_path, capsys,
+                                                           args, message):
+    """Exit 2 with argparse's error, and the stub benchmark never starts."""
+    monkeypatch.chdir(tmp_path)
+    bench = tmp_path / "bench"
+    bench.mkdir()
+    (bench / "run.py").write_text(
+        "import json, pathlib\n"
+        "pathlib.Path('ran').touch()\n"
+        "print(json.dumps({'correct': True, 'attempted': 1, 'failed': 0, 'metrics': {}}))\n")
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({
+        "command": [sys.executable, "bench/run.py"], "workloads": [{"name": "w"}],
+        "end_to_end": []}))
+    with pytest.raises(SystemExit) as exc:
+        _bench_pairs()["main"](["--parent", ".", "--change", ".", "--pairs", "1",
+                                "--seconds", "1", "--seed-base", "1", "--out", "BENCH.json",
+                                *args])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(" error: " + message)
+    assert not (tmp_path / "ran").exists()
 
 
 def test_bench_pairs_smoke(tmp_path):
