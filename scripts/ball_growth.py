@@ -6,7 +6,7 @@ sphere size that Cannon's growth series predicts, and the ratio of
 consecutive sphere sizes, which settles quickly toward the growth rate
 of the group.  A ball over the cap, or a genus or radius out of range,
 is refused before anything is enumerated, with exit code 1 and the
-refusal on stderr.
+refusal on stderr.  A --cap below 1 is refused with exit code 2.
 """
 
 import argparse
@@ -43,6 +43,8 @@ def main() -> None:
         help="abort if the ball exceeds this many elements",
     )
     args = parser.parse_args()
+    if args.cap < 1:
+        parser.error("--cap must be at least 1")
     try:
         report(args)
     except DomainError as exc:

@@ -7,7 +7,8 @@ and prints how tau distributes against the input length.  A sample that
 breaks the formula ends the run with exit code 1 and is named.  A final
 line reports how many samples were already cyclically irreducible
 (tau = |x|).  A genus out of range ends the run with exit code 1 and
-the refusal on stderr.
+the refusal on stderr; --samples, --max-length or --k-max below 1 is
+refused with exit code 2 before any sample is drawn.
 """
 
 import argparse
@@ -70,6 +71,8 @@ def main() -> None:
         parser.error("--samples must be at least 1")
     if args.max_length < 1:
         parser.error("--max-length must be at least 1")
+    if args.k_max < 1:
+        parser.error("--k-max must be at least 1")
     try:
         report(args)
     except DomainError as exc:

@@ -9,7 +9,8 @@ to --max-length and prints how many nontrivial ones it decomposed per
 length.
 A word whose decomposition fails the check ends the run with exit code
 1 and is named, and a genus out of range ends it with exit code 1 and
-the refusal on stderr.
+the refusal on stderr.  A --max-length below 1, which would check no
+word, is refused with exit code 2.
 """
 
 import argparse
@@ -54,6 +55,8 @@ def main() -> None:
     parser.add_argument("--genus", type=int, default=2)
     parser.add_argument("--max-length", type=int, default=5)
     args = parser.parse_args()
+    if args.max_length < 1:
+        parser.error("--max-length must be at least 1")
     try:
         report(args)
     except DomainError as exc:

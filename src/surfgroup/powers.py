@@ -117,11 +117,7 @@ def power_decompose(ctx: GroupContext, x: Word) -> PowerDecomposition:
 
 def nf_power(ctx: GroupContext, x: Word, k: int) -> Word:
     """Normal form of x^k without normalizing the k-fold concatenation."""
-    if k < 1:
-        raise DomainError(f"exponent must be >= 1, got {k}")
-    if k == 1:
-        return nf(ctx, x)
-    return power_decompose(ctx, x).assemble(k)
+    return nf(ctx, x) if k == 1 else power_decompose(ctx, x).assemble(k)
 
 
 def ci(ctx: GroupContext, x: Word) -> Word:

@@ -10,7 +10,8 @@ alphabet.  The rotation offset advances by O(x) + 2g at each step,
 where O(x) is the position gap between x and its inverse.  Positions
 and rotation steps come from _rotation_tables alone, one cached pair of
 dicts per cyclic order; translation, its inverse and t_parameter all
-read them.
+read them.  PresentationDescriptor admits only these orders, the
+one-face ones, whether it is built in code or read by load_descriptor.
 
 Everything here reduces questions about an arbitrary such presentation
 (lengths, translation numbers, coarse power-length formulae) to the
@@ -37,12 +38,14 @@ from .rewrite import _extend
 
 @dataclass(frozen=True)
 class PresentationDescriptor:
-    """A presentation named by its cyclic order of signed generators.
+    """A minimal geometric presentation, named by its cyclic order of
+    signed generators.
 
-    cyclic_order lists all 4g signed letters in any order, so that the
-    tables can be tested on arbitrary ones.  Only the one-face orders are
-    geometric, where translate respects the group; load_descriptor and
-    check_coarse_formulae refuse the others.
+    cyclic_order lists all 4g signed letters once, and its face
+    permutation x -> order[pos(x^-1) + 1] must have one cycle: by Euler's
+    formula 1 - 2g + F = 2 - 2g, the one-face orders are the one-vertex
+    gluings of the 4g-gon, where translate respects the group.  Any other
+    order is refused with DomainError.
     """
 
     genus: int
@@ -50,12 +53,24 @@ class PresentationDescriptor:
     label: str
 
     def __post_init__(self):
+        order = self.cyclic_order
         if not 2 <= self.genus <= MAX_GENUS:
             raise DomainError(f"genus {self.genus} out of range")
         full = set(range(1, 2 * self.genus + 1))
         full |= {-i for i in full}
-        if len(self.cyclic_order) != 4 * self.genus or set(self.cyclic_order) != full:
+        if len(order) != 4 * self.genus or set(order) != full:
             raise DomainError("cyclic order must list each signed generator once")
+        pos = {x: i for i, x in enumerate(order)}
+        face = {x: order[(pos[-x] + 1) % len(order)] for x in order}
+        faces = 0
+        while face:
+            x = next(iter(face))
+            while x in face:
+                x = face.pop(x)
+            faces += 1
+        if faces != 1:
+            raise DomainError(f"the cyclic order has {faces} faces, not 1, so it is not "
+                              f"a one-vertex gluing of the {len(order)}-gon")
 
 
 @functools.cache
@@ -66,6 +81,7 @@ def symmetric_descriptor(genus: int) -> PresentationDescriptor:
     )
 
 
+@functools.cache
 def canonical_descriptor(genus: int) -> PresentationDescriptor:
     order = []
     for i in range(1, genus + 1):
@@ -168,13 +184,12 @@ def check_coarse_formulae(
     x^t, .., x^{tK} add up to t*|x|*K(K+1)/2 letters; past
     powers.MAX_POWER_LETTERS that is refused with DomainError before
     anything is built.  The formulae are about geometric presentations,
-    so an order with more than one face is refused as load_descriptor
-    refuses it.
+    and p is one: PresentationDescriptor refuses an order with more than
+    one face.
     """
     if k_max < 1:
         raise DomainError(f"k_max must be >= 1, got {k_max}")
     _check_genus(ctx, p)
-    _check_one_face(p, f"presentation {p.label!r}")
     t = t_parameter(p)
     top = max(k_max, 2)
     letters = t * len(x) * top * (top + 1) // 2
@@ -200,29 +215,6 @@ def check_coarse_formulae(
     return True
 
 
-def _face_count(order: tuple) -> int:
-    """Number of cycles of the face permutation x -> order[pos(x^-1) + 1]:
-    the faces of the one-vertex ribbon graph with 2g loops that `order`
-    rotates.  By Euler's formula 1 - 2g + F = 2 - 2g, a geometric order,
-    a one-vertex gluing of the 4g-gon, has F = 1."""
-    pos = _rotation_tables(order)[0]
-    face = {x: order[(pos[-x] + 1) % len(order)] for x in order}
-    count = 0
-    while face:
-        x = next(iter(face))
-        while x in face:
-            x = face.pop(x)
-        count += 1
-    return count
-
-
-def _check_one_face(p: PresentationDescriptor, where) -> None:
-    faces = _face_count(p.cyclic_order)
-    if faces != 1:
-        raise DomainError(f"{where}: the cyclic order has {faces} faces, not 1, so it is "
-                          f"not a one-vertex gluing of the {4 * p.genus}-gon")
-
-
 def _parse_named(text: str, genus: int) -> Word:
     """parse_word in the generator letter that text uses: the first
     letter of its first token other than 'e', else 'c'."""
@@ -235,8 +227,10 @@ def load_descriptor(path) -> PresentationDescriptor:
 
     Blank lines and '#' comments are skipped.  The order line uses the
     usual word grammar; any single-letter generator name is accepted
-    (a1 A2 .., or c1 C2 ..).  An order with more than one face is no
-    geometric presentation and is refused with DomainError.
+    (a1 A2 .., or c1 C2 ..).  Every refusal is a DomainError that names
+    the file: an unreadable file, a bad genus line, an order line that
+    does not parse, and an order PresentationDescriptor refuses, such as
+    one with more than one face.
     """
     path = Path(path)
     try:
@@ -261,7 +255,7 @@ def load_descriptor(path) -> PresentationDescriptor:
         genus = int(head[1])
     except ValueError:
         raise DomainError(f"{path}: first line must be 'genus <g>'") from None
-    order = _parse_named(lines[1], genus)
-    pres = PresentationDescriptor(genus, order, path.stem)
-    _check_one_face(pres, path)
-    return pres
+    try:
+        return PresentationDescriptor(genus, _parse_named(lines[1], genus), path.stem)
+    except ValueError as exc:
+        raise DomainError(f"{path}: {exc}") from None

@@ -12,7 +12,8 @@ tools that only the tests use: word and chain utilities, the generator
 order spelled out and the word sort key over it, the one-letter
 extension tables on both sides with their case tags, the position gaps
 O(x), the canonical relator, lengths and face
-relators over other presentations, the two ambient cyclic words (the
+relators over other presentations, cyclic orders that no
+PresentationDescriptor admits, the two ambient cyclic words (the
 relator and its inverse) with their successor maps, which the
 references walk instead of the library's row map, splicing a rule
 application and replaying a trace, other reduction
@@ -26,6 +27,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from surfgroup.group_core import (
     _TOKEN_RE,
@@ -541,6 +543,15 @@ def canonical_relator(genus: int) -> Word:
     return tuple(word)
 
 
+class Order(NamedTuple):
+    """Any cyclic order of the 4g signed letters, for the references
+    below.  PresentationDescriptor admits only the one-face ones."""
+
+    genus: int
+    cyclic_order: tuple
+    label: str
+
+
 def _mod1(v: int, n: int) -> int:
     return (v - 1) % n + 1
 
@@ -567,6 +578,7 @@ def face_relators(p: PresentationDescriptor) -> list:
     f(x) = the letter after x^-1 in p's cyclic order, as words.  A
     geometric order has one, the boundary word of its 4g-gon."""
     order = p.cyclic_order
+    pos = {x: i for i, x in enumerate(order)}
     seen = set()
     faces = []
     for x in order:
@@ -574,7 +586,7 @@ def face_relators(p: PresentationDescriptor) -> list:
         while x not in seen:
             seen.add(x)
             face.append(x)
-            x = order[_position(p, -x) % len(order)]
+            x = order[(pos[-x] + 1) % len(order)]
         if face:
             faces.append(tuple(face))
     return faces

@@ -410,6 +410,20 @@ def test_genus_line_that_int_refuses_exits_1(tmp_path, capsys, genus):
     assert captured.err == f"error: {pres}: first line must be 'genus <g>'\n"
 
 
+@pytest.mark.parametrize("text, reason", [
+    ("genus 2\nc1 C2 C1 c2 c3 C4 C3 q4\n", "bad token 'q4' at position 8: expected letter 'c'"),
+    ("genus 2\nc1 C2 C1 c2 c3 C4 C3 c9\n",
+     "bad token 'c9' at position 8: index out of range for genus 2"),
+    ("genus 99\na1 A2 A1 a2 a3 A4 A3 a4\n", "genus 99 out of range"),
+    ("genus 2\nc1 c1 C1 c2 c3 C4 C3 c4\n", "cyclic order must list each signed generator once"),
+], ids=["foreign-letter", "index-out-of-range", "genus-99", "repeated-letter"])
+def test_refused_order_line_names_the_file_and_exits_1(tmp_path, capsys, text, reason):
+    pres = tmp_path / "P.pres"
+    pres.write_text(text, encoding="utf-8")
+    assert main(["translate", "--presentation", f"file:{pres}", "a1"]) == 1
+    assert capsys.readouterr() == ("", f"error: {pres}: {reason}\n")
+
+
 SRC = str(Path(surfgroup.__file__).parents[1])
 
 # the three ways to start the command line without an installed script

@@ -1,5 +1,6 @@
 """Cyclic orders, the word bijection h, rotation bookkeeping, coarse formulae."""
 
+import itertools
 import math
 import random
 from collections import Counter
@@ -7,6 +8,7 @@ from collections import Counter
 import pytest
 
 from helpers import (
+    Order,
     canonical_relator,
     check_coarse_formulae_reference,
     face_relators,
@@ -18,10 +20,9 @@ from helpers import (
     untranslate_reference,
 )
 from surfgroup import rewrite
-from surfgroup.group_core import DomainError, GroupContext, format_word, parse_word
+from surfgroup.group_core import DomainError, GroupContext, format_word
 from surfgroup.presentations import (
     PresentationDescriptor,
-    _face_count,
     canonical_descriptor,
     check_coarse_formulae,
     load_descriptor,
@@ -76,19 +77,22 @@ def test_translation_of_short_words():
     assert translate(can, (1, -1)) == (1, -1)
 
 
-def _orders(genus, rng, shuffles=2, one_face=False):
-    """The canonical and symmetric orders and seeded shuffles of the 4g
-    signed letters; with one_face, only shuffles with one face, the
-    geometric ones, are kept."""
+def _shuffles(genus, rng):
+    """Seeded shuffles of the 4g signed letters, as Orders: one in 2g + 1
+    has one face (Harer-Zagier), the rest no geometric presentation."""
     letters = [x for i in range(1, 2 * genus + 1) for x in (i, -i)]
+    for k in itertools.count():
+        yield Order(genus, tuple(rng.sample(letters, len(letters))), f"shuffled{k}")
+
+
+def _orders(genus, rng, shuffles=2):
+    """The canonical and symmetric descriptors, then descriptors of the
+    first `shuffles` seeded shuffles with one face."""
     yield canonical_descriptor(genus)
     yield symmetric_descriptor(genus)
-    k = 0
-    while k < shuffles:
-        order = tuple(rng.sample(letters, len(letters)))
-        if not one_face or _face_count(order) == 1:
-            yield PresentationDescriptor(genus, order, f"shuffled{k}")
-            k += 1
+    one_face = (q for q in _shuffles(genus, rng) if len(face_relators(q)) == 1)
+    for q in itertools.islice(one_face, shuffles):
+        yield PresentationDescriptor(*q)
 
 
 @pytest.mark.parametrize("genus", [2, 3, 8, 64])
@@ -190,9 +194,10 @@ def test_aligned_gap_sums_commute_with_powers():
 def test_t_parameter_is_the_gap_formula(genus):
     """t_parameter reads its gcd off the rotation steps; it equals
     4g / gcd(2g, gcd of the gaps O(x)) on the canonical, the symmetric
-    and 50 shuffled orders."""
+    and 50 shuffled one-face orders (8 at g = 64, where one shuffle in
+    129 has one face)."""
     rng = random.Random(1300 + genus)
-    for p in _orders(genus, rng, shuffles=50):
+    for p in _orders(genus, rng, shuffles=50 if genus < 64 else 8):
         gaps = math.gcd(*(o_value(p, d) for d in p.cyclic_order))
         assert t_parameter(p) == 4 * genus // math.gcd(2 * genus, gaps), p
 
@@ -203,7 +208,7 @@ def test_powers_of_x_to_the_t_translate_to_powers(genus):
     translate(x^t)^m: the identity check_coarse_formulae appends by."""
     rng = random.Random(1350 + genus)
     letters = GroupContext(genus).letters
-    for p in _orders(genus, rng, shuffles=50):
+    for p in _orders(genus, rng, shuffles=50 if genus < 64 else 8):
         t = t_parameter(p)
         for _ in range(3):
             x = tuple(rng.choices(letters, k=rng.randrange(1, 6)))
@@ -226,12 +231,11 @@ def test_coarse_check_by_appending_matches_the_reference(genus):
     which normalizes every x^{tm} from scratch, on random words (not
     freely reduced, trivial ones included) over the canonical, the
     symmetric and shuffled one-face orders.  The formulae hold for every
-    nontrivial word there.  An order with more than one face is no
-    geometric presentation, and the check refuses it."""
+    nontrivial word there."""
     rng = random.Random(1400 + genus)
     ctx = GroupContext(genus)
     seen = Counter()
-    for p in _orders(genus, rng, shuffles=2, one_face=True):
+    for p in _orders(genus, rng, shuffles=2):
         words = [(), (1, -1), canonical_relator(genus)]
         words += [tuple(rng.choices(ctx.letters, k=rng.randrange(1, 7))) for _ in range(25)]
         for x in words:
@@ -241,9 +245,6 @@ def test_coarse_check_by_appending_matches_the_reference(genus):
                 seen[got] += 1
     assert seen[True] and seen["coarse formulae need a nontrivial element"]
     assert not seen[False]
-    faces = PresentationDescriptor(2, parse_word("C2 c2 c1 C3 c3 c4 C1 C4", 2), "faces")
-    with pytest.raises(DomainError, match="^presentation 'faces': the cyclic order has 3 faces, not 1"):
-        check_coarse_formulae(GroupContext(2), faces, (2,), 3)
 
 
 def test_check_coarse_formulae():
@@ -315,6 +316,30 @@ def test_descriptor_validation():
         PresentationDescriptor(2, (1, -2, 3, -4, -1, 2, -3), "short")
     with pytest.raises(DomainError):
         PresentationDescriptor(2, (1, 1, 3, -4, -1, 2, -3, 4), "dup")
+    with pytest.raises(DomainError) as exc:
+        PresentationDescriptor(2, (-2, 2, 1, -3, 3, 4, -1, -4), "x")
+    assert str(exc.value) == ("the cyclic order has 3 faces, not 1, so it is not "
+                              "a one-vertex gluing of the 8-gon")
+
+
+@pytest.mark.parametrize("genus, shuffles", [(2, 100), (3, 100), (5, 150), (64, 600)])
+def test_descriptor_accepts_exactly_the_one_face_orders(genus, shuffles):
+    """On seeded shuffles PresentationDescriptor accepts an order exactly
+    when face_relators finds one face, and otherwise names the count."""
+    rng = random.Random(1450 + genus)
+    seen = Counter()
+    for q in itertools.islice(_shuffles(genus, rng), shuffles):
+        faces = len(face_relators(q))
+        try:
+            PresentationDescriptor(*q)
+            accepted = True
+        except DomainError as exc:
+            assert str(exc) == (f"the cyclic order has {faces} faces, not 1, so it is "
+                                f"not a one-vertex gluing of the {4 * genus}-gon")
+            accepted = False
+        assert accepted == (faces == 1), q
+        seen[accepted] += 1
+    assert seen[True] and seen[False]
 
 
 def test_o_value_rejects_foreign_letters():
@@ -345,9 +370,8 @@ def test_load_descriptor_refuses_an_order_with_three_faces(tmp_path):
     """The order C2 c2 c1 C3 c3 c4 C1 C4 has faces of 6, 1 and 1 letters;
     translate does not respect the group there (it sends c2 to a
     nontrivial word and c2^8 to a rotation of the relator)."""
-    order = (-2, 2, 1, -3, 3, 4, -1, -4)
-    p = PresentationDescriptor(2, order, "three-faces")
-    assert sorted(map(len, face_relators(p))) == [1, 1, 6]
+    order = Order(2, (-2, 2, 1, -3, 3, 4, -1, -4), "three-faces")
+    assert sorted(map(len, face_relators(order))) == [1, 1, 6]
     path = tmp_path / "three-faces.pres"
     path.write_text("genus 2\nC2 c2 c1 C3 c3 c4 C1 C4\n")
     with pytest.raises(DomainError, match="has 3 faces, not 1"):
@@ -361,13 +385,16 @@ def test_load_descriptor_refuses_an_order_with_three_faces(tmp_path):
 def test_loader_accepts_exactly_the_orders_that_respect_the_relators(genus, tmp_path):
     """On seeded shuffled orders the loader accepts an order exactly when
     its translation sends every face relator, placed between random
-    words, to the identity: u.r.v and u.v translate to equal elements."""
+    words, to the identity: u.r.v and u.v translate to equal elements.
+    translate_reference translates by any order, geometric or not."""
     rng = random.Random(1500 + genus)
     ctx = GroupContext(genus)
     seen = Counter()
-    for k, p in enumerate(_orders(genus, rng, shuffles=60)):
+    geometric = (canonical_descriptor(genus), symmetric_descriptor(genus))
+    shuffled = itertools.islice(_shuffles(genus, rng), 60)
+    for k, p in enumerate(itertools.chain(geometric, shuffled)):
         respects = all(
-            nf(ctx, translate(p, u + r + v)) == nf(ctx, translate(p, u + v))
+            nf(ctx, translate_reference(p, u + r + v)) == nf(ctx, translate_reference(p, u + v))
             for r in face_relators(p)
             for u, v in [(random_freely_reduced(ctx, rng.randrange(0, 8), rng),
                           random_freely_reduced(ctx, rng.randrange(0, 8), rng))

@@ -94,6 +94,12 @@ def test_ball_growth_refuses_an_oversized_ball_without_a_traceback():
      "power_growth.py: error: --max-length must be at least 1"),
     ("class_census.py", ["--radius", "2", "--top", "-1"], 2,
      "class_census.py: error: --top must be at least 0"),
+    ("power_growth.py", ["--k-max", "0"], 2,
+     "power_growth.py: error: --k-max must be at least 1"),
+    ("splice_census.py", ["--max-length", "0"], 2,
+     "splice_census.py: error: --max-length must be at least 1"),
+    ("ball_growth.py", ["--cap", "-1"], 2,
+     "ball_growth.py: error: --cap must be at least 1"),
 ])
 def test_script_refuses_a_bad_argument_without_a_traceback(script, args, code, message):
     """A refused argument exits 1 with the refusal alone on stderr, or 2
