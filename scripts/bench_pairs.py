@@ -10,8 +10,9 @@ benchmark command runs in both trees with the same seed and
 ones.  Each workload takes its own block of seeds from --seed-base, so
 no seed serves two workloads.  A run that exits nonzero, fails an
 operation or reads `correct` false ends the script with exit code 1.
-A --seconds that is not positive, or an --out whose directory does not
-exist, is refused with exit code 2 before the first run.
+A --seconds that is not positive, an --out whose directory does not
+exist, or a --workload that the change's BENCHMARK.json does not list
+is refused with exit code 2 before the first run.
 
 The summary goes to --out as JSON: every run's metrics and, per
 workload and end-to-end metric, both medians, the change's wins, the
@@ -150,7 +151,11 @@ def main(argv=None) -> int:
     if not args.out.parent.is_dir():
         parser.error(f"--out: no directory {args.out.parent}")
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    workloads = args.workload or [w["name"] for w in spec["workloads"]]
+    listed = [w["name"] for w in spec["workloads"]]
+    workloads = args.workload or listed
+    for name in workloads:
+        if name not in listed:
+            parser.error(f"--workload {name} is not in BENCHMARK.json")
     try:
         seeds = seed_plan(workloads, args.pairs, args.seed_base)
     except ValueError as exc:

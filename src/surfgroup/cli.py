@@ -38,6 +38,7 @@ from .group_core import (
     VerificationError,
     WordParseError,
     format_word,
+    free_reduce,
     parse_word,
 )
 from .oracle import dehn_conjugate, dehn_equal
@@ -63,17 +64,38 @@ class Request:
     options: dict = field(default_factory=dict)
 
 
-def _descriptor(name: str, ctx: GroupContext):
-    """The named presentation; DomainError unless it has ctx's genus."""
+#: the most letters `oracle conj` lets dehn_conjugate read: n_u * n_v *
+#: (4g + 1) dehn_equal calls on words of n_u + n_v letters, for freely
+#: reduced inputs of n_u and n_v letters; about 2 s at the cap (README)
+ORACLE_CONJ_CAP = 10**7
+
+
+def _load_file(path):
+    """load_descriptor(path), or the DomainError that refuses the file."""
+    try:
+        return load_descriptor(path)
+    except DomainError as exc:
+        return exc
+
+
+def _descriptor(name, ctx: GroupContext):
+    """The named presentation; DomainError unless it has ctx's genus.
+
+    A batch hands in a file:PATH name already loaded by _load_file, as
+    the descriptor or as the refusal, which each line raises again.
+    """
     if name == "canonical":
         return canonical_descriptor(ctx.genus)
     if name == "symmetric":
         return symmetric_descriptor(ctx.genus)
-    if not name.startswith("file:"):
-        raise DomainError(f"unknown presentation {name!r}")
-    pres = load_descriptor(name[5:])
-    _check_genus(ctx, pres)
-    return pres
+    if isinstance(name, str):
+        if not name.startswith("file:"):
+            raise DomainError(f"unknown presentation {name!r}")
+        name = _load_file(name[5:])
+    if isinstance(name, DomainError):
+        raise DomainError(*name.args)
+    _check_genus(ctx, name)
+    return name
 
 
 def _parse(ctx, words) -> tuple:
@@ -158,6 +180,19 @@ def _check(ctx, words, opt):
     holds = check_coarse_formulae(ctx, pres, _parse_named(words[0], ctx.genus),
                                   opt("k_max", 3))
     return _value_doc({"holds": holds, "t": t_parameter(pres)})
+
+
+def _oracle_conj(ctx, words, opt):
+    """dehn_conjugate, refused before any rotation is built when the
+    letters its dehn_equal calls read could pass ORACLE_CONJ_CAP."""
+    u, v = _parse(ctx, words)
+    nu, nv = len(free_reduce(u)), len(free_reduce(v))
+    calls = nu * nv * (ctx.alphabet_size + 1)
+    if calls * (nu + nv) > ORACLE_CONJ_CAP:
+        raise DomainError(
+            f"oracle conj could make {calls} dehn_equal calls on {nu + nv} letters each, "
+            f"more than the cap of {ORACLE_CONJ_CAP} letters")
+    return _value_doc(dehn_conjugate(ctx, u, v))
 
 
 def _oracle_ball(ctx, words, opt):
@@ -261,8 +296,7 @@ _COMMANDS = {
         lambda ctx, words, opt: _value_doc(dehn_equal(ctx, *_parse(ctx, words))),
         lambda doc: [f"equal: {_yesno(doc['result'])}"]),
     "oracle-conj": _Command(
-        2, "conjugacy oracle",
-        lambda ctx, words, opt: _value_doc(dehn_conjugate(ctx, *_parse(ctx, words))),
+        2, "conjugacy oracle", _oracle_conj,
         lambda doc: [f"conjugate: {_yesno(doc['result'])}"]),
     "oracle-ball": _Command(0, "enumerate normal forms up to a radius", _oracle_ball,
                             _field_lines, (
@@ -314,7 +348,8 @@ def run_file(path, command: str, options: dict):
     lines and '#' comments are skipped.  Text mode emits one result
     line per input line plus a summary; JSON mode emits an array.  The
     first line that gets as far as needing a context builds the one
-    that every line of the file shares.  The exit code is 3 if a line
+    that every line of the file shares, and a --presentation file:PATH
+    is read once, before the first line.  The exit code is 3 if a line
     failed verification, else 1 if any line failed, else 0.
     """
     genus = options.get("genus", 2)
@@ -325,6 +360,9 @@ def run_file(path, command: str, options: dict):
         return 1, "", f"error: {exc}"
     except UnicodeDecodeError:
         return 1, "", f"error: {path}: not valid UTF-8"
+    pres = options.get("presentation")
+    if isinstance(pres, str) and pres.startswith("file:"):
+        options = {**options, "presentation": _load_file(pres[5:])}
     ctx = None
     docs = []
     lines = []

@@ -30,15 +30,14 @@ from __future__ import annotations
 
 import functools
 import re
-from operator import neg
+from itertools import islice
+from operator import add, neg
 
 Word = tuple  # tuple of signed ints
 
 #: hard ceiling on the genus accepted by GroupContext; the tables are
 #: O(g^2) so this is a safety valve, not a tight bound
 MAX_GENUS = 64
-
-_INT_ONLY = frozenset((int,))
 
 
 class WordParseError(ValueError):
@@ -66,7 +65,14 @@ def invert_word(w: Word) -> Word:
 
 
 def free_reduce(w: Word) -> Word:
-    """Delete inverse pairs x x^-1 until none remain."""
+    """Delete inverse pairs x x^-1 until none remain.
+
+    A word has an inverse pair exactly when two neighbouring letters sum
+    to 0, so one C pass over the pair sums returns a word with none as it
+    is, as a tuple; only a word with a pair takes the loop.
+    """
+    if 0 not in map(add, w, islice(w, 1, None)):
+        return tuple(w)
     out = []
     for x in w:
         if out and out[-1] == -x:
@@ -137,12 +143,25 @@ class GroupContext:
 
     def check_word(self, w) -> None:
         """Raise ValueError unless every letter lies in the alphabet."""
-        # accept at C speed; anything else takes the loop, which names
-        # the first bad letter.  The type test comes first, so that the
-        # set test only ever hashes ints, and it is exact because True
-        # and 1.0 compare equal to the letter 1.
-        if _INT_ONLY.issuperset(map(type, w)) and self._letter_set.issuperset(w):
-            return
+        # accept in one hash pass and one sum at C speed; anything else
+        # takes the loop, which names the first bad letter.  Only values
+        # that hash and compare equal to a letter pass the set test: ints,
+        # bools and int subclasses, which the loop accepts too, but also
+        # 1.0, Decimal(1), Fraction(1) or 1+0j.  One of those makes the sum
+        # a float, Decimal, Fraction or complex, or raises TypeError, while
+        # ints, bools and int subclasses that keep int's addition sum to
+        # an int.  An unhashable letter raises TypeError in the set test.
+        # So the fast test accepts only words the loop accepts, and the
+        # loop decides every word it does not accept.
+        try:
+            if self._letter_set.issuperset(w) and type(sum(w)) is int:
+                return
+        except TypeError:
+            pass
+        self._check_letters(w)
+
+    def _check_letters(self, w) -> None:
+        """check_word letter by letter: ValueError naming the first bad one."""
         g2 = self.n_gens
         for i, x in enumerate(w):
             if not isinstance(x, int) or x == 0 or abs(x) > g2:

@@ -37,6 +37,13 @@ ends and moves a bounded number of letters between them.  dehn_reduce
 returns the reduced word; only dehn_reduce_cyclic decides whether
 every rotation of a word is reduced as well, from its end letters and
 the chains that start in its last 2g letters and run across its end.
+
+dehn_equal(u, v) drops the common prefix p and suffix s of u and v
+before it reduces: with u = p.u'.s and v = p.v'.s, u.v^-1 is the
+conjugate p.u'.v'^-1.p^-1, trivial exactly when u'.v'^-1 is.  The
+letters of u' and v' meet only at a pair that differs, so two freely
+reduced inputs give a freely reduced u'.v'^-1, which free_reduce passes
+in one C pass, and the scan is the first pass over it in Python.
 """
 
 from __future__ import annotations
@@ -47,6 +54,8 @@ from .group_core import (
     GroupContext,
     Word,
     abelianize,
+    common_prefix_len,
+    common_suffix_len,
     cyclic_rotations,
     free_reduce,
     invert_word,
@@ -180,7 +189,24 @@ def dehn_reduce_cyclic(ctx: GroupContext, w: Word) -> Word:
 
 
 def dehn_equal(ctx: GroupContext, u: Word, v: Word) -> bool:
-    return dehn_reduce(ctx, u + invert_word(v)) == ()
+    """True when u and v represent the same element.
+
+    With u = p.u'.s and v = p.v'.s, u.v^-1 = p.u'.v'^-1.p^-1 is trivial
+    exactly when u'.v'^-1 is, so the common prefix p and suffix s are
+    dropped before the reduction.  dehn_reduce checks the letters of u'
+    and v', and the ends of both words are checked here, so every letter
+    is checked once.  A bad letter is named at its position in u or v.
+    """
+    p = common_prefix_len(u, v)
+    s = min(common_suffix_len(u, v), min(len(u), len(v)) - p)
+    try:
+        ctx.check_word(u[:p] + u[len(u) - s:])
+        ctx.check_word(v[:p] + v[len(v) - s:])
+        return dehn_reduce(ctx, u[p:len(u) - s] + invert_word(v[p:len(v) - s])) == ()
+    except (TypeError, ValueError):
+        ctx.check_word(u)
+        ctx.check_word(v)
+        raise
 
 
 def dehn_conjugate(ctx: GroupContext, u: Word, v: Word) -> bool:

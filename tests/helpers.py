@@ -1,5 +1,6 @@
 """Shared word generators for the test suite, the quadratic references
-the linear library code is held against, the candidate searches the
+the linear library code is held against, the free-reduction loop the
+one-pass test is held against, the candidate searches the
 direct splice and conjugator constructions are held against, the
 certificate check by normalizing all of z.x.z^-1 the appended one is
 held against, the conjugate-power decision that tried both orientations
@@ -100,6 +101,18 @@ def parse_word_reference(text: str, genus: int, base: str = "c") -> Word:
                 token=tok, position=i + 1,
             )
         out.append(-idx if (name == hi or caret) else idx)
+    return tuple(out)
+
+
+def free_reduce_reference(w: Word) -> Word:
+    """The stack loop free_reduce runs only on a word with an inverse
+    pair, here run on every word."""
+    out = []
+    for x in w:
+        if out and out[-1] == -x:
+            out.pop()
+        else:
+            out.append(x)
     return tuple(out)
 
 

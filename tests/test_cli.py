@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import surfgroup
-from surfgroup import conjugacy
+from surfgroup import cli, conjugacy
 from surfgroup.cli import _COMMANDS, Request, _build_parser, main, run, run_file
 from surfgroup.group_core import parse_word
 
@@ -185,6 +185,77 @@ def test_order_with_more_than_one_face_exits_1(tmp_path, capsys):
         f"error: {path}: the cyclic order has 3 faces, not 1, so it is not "
         "a one-vertex gluing of the 8-gon\n")
     assert main(["check", "--presentation", f"file:{DATA / 'golden_pres_g2.txt'}", "a1 a2"]) == 0
+
+
+def test_batch_loads_its_presentation_file_once(tmp_path, monkeypatch):
+    """A batch reads --presentation file:P once, not once per line, and
+    answers each line as a single request does."""
+    calls = []
+    real = cli.load_descriptor
+    monkeypatch.setattr(cli, "load_descriptor", lambda path: calls.append(path) or real(path))
+    pres = f"file:{DATA / 'golden_pres_g2.txt'}"
+    words = ["a1", "a2 a3", "A4 a1 a1", "e", "a9"]
+    batch = tmp_path / "words.txt"
+    batch.write_text("\n".join(words * 4) + "\n")
+    for command in ("translate", "check"):
+        calls.clear()
+        code, out, _ = run_file(batch, command, {"genus": 2, "presentation": pres})
+        assert len(calls) == 1
+        assert code == 1
+        single = []
+        for line, word in enumerate(words * 4, start=1):
+            c, o, e = run(Request(command, 2, (word,), {"presentation": pres}))
+            single.append("; ".join(o.splitlines()) if c == 0 else f"line {line}: {e}")
+        errors = sum(line.startswith("line ") for line in single)
+        assert errors
+        assert out.splitlines() == single + [f"processed 20 ok {20 - errors} errors {errors}"]
+
+
+def test_batch_with_a_refused_presentation_file_fails_every_line(tmp_path):
+    """The file is refused once, and every line that needs it fails with
+    exit 1 and the file's path, as before it was read once per batch."""
+    pres = tmp_path / "faces.pres"
+    pres.write_text("genus 2\nC2 c2 c1 C3 c3 c4 C1 C4\n")
+    batch = tmp_path / "words.txt"
+    batch.write_text("a1\na2\ta3\nA4 a1\n")
+    message = (f"error: {pres}: the cyclic order has 3 faces, not 1, so it is not "
+               "a one-vertex gluing of the 8-gon")
+    code, out, _ = run_file(batch, "translate", {"genus": 2, "presentation": f"file:{pres}"})
+    assert code == 1
+    assert out.splitlines() == [
+        f"line 1: {message}",
+        "line 2: error: expected 1 tab-separated word(s), got 2",
+        f"line 3: {message}",
+        "processed 3 ok 0 errors 3",
+    ]
+    missing = tmp_path / "missing.pres"
+    batch.write_text("a1\na2\n")
+    assert run_file(batch, "check", {"genus": 2, "presentation": f"file:{missing}"}) == (
+        1, f"line 1: error: {missing}: No such file or directory\n"
+           f"line 2: error: {missing}: No such file or directory\n"
+           "processed 2 ok 0 errors 2", "")
+
+
+def test_oracle_conj_is_refused_over_its_cap(monkeypatch, capsys):
+    """n_u * n_v * (4g + 1) dehn_equal calls on n_u + n_v letters each:
+    over ORACLE_CONJ_CAP, exit 1 before dehn_conjugate starts."""
+    # c1 c2 against c2 c1 at genus 2: 2 * 2 * 9 = 36 calls on 4 letters
+    monkeypatch.setattr(cli, "ORACLE_CONJ_CAP", 144)
+    assert run(Request("oracle-conj", 2, ("c1 c2", "c2 c1"))) == (0, "conjugate: yes", "")
+    # the lengths are taken after free reduction
+    assert run(Request("oracle-conj", 2, ("c1 c3 c3^-1 c2", "c2 c1")))[1] == "conjugate: yes"
+    monkeypatch.setattr(cli, "ORACLE_CONJ_CAP", 143)
+    monkeypatch.setattr(cli, "dehn_conjugate", lambda *args: pytest.fail("ran"))
+    assert run(Request("oracle-conj", 2, ("c1 c2", "c2 c1"))) == (
+        1, "", "error: oracle conj could make 36 dehn_equal calls on 4 letters each, "
+               "more than the cap of 143 letters")
+    monkeypatch.undo()
+    # 200 letters against 200 at genus 2: 360,000 calls on 400 letters each
+    word = " ".join(["c1 c2"] * 100)
+    assert main(["oracle", "conj", word, word]) == 1
+    assert capsys.readouterr().err == (
+        "error: oracle conj could make 360000 dehn_equal calls on 400 letters each, "
+        "more than the cap of 10000000 letters\n")
 
 
 def test_unknown_presentation_exits_1(capsys):

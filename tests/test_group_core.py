@@ -5,6 +5,8 @@ import copy
 import itertools
 import re
 import sys
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,7 @@ from helpers import (
     chain_backward,
     chain_forward_reference,
     entry_at,
+    free_reduce_reference,
     is_fractional_relator,
     letter_ranks,
     llfr_at,
@@ -266,6 +269,20 @@ def test_free_reduce_properties(w):
     assert abelianize(ctx, r) == abelianize(ctx, w)
 
 
+@given(w=words_g2, pairs=st.lists(st.tuples(st.integers(0, 24), letters_g2), max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_free_reduce_matches_the_loop(w, pairs):
+    """w, and w with inverse pairs x x^-1 inserted: the one-pass test
+    returns the loop's word, as a tuple, for a tuple or a list."""
+    v = list(w)
+    for cut, x in pairs:
+        v[cut:cut] = [x, -x]
+    for word in (w, tuple(v), v):
+        r = free_reduce(word)
+        assert type(r) is tuple
+        assert r == free_reduce_reference(word)
+
+
 @given(w=words_g2)
 @settings(max_examples=80, deadline=None)
 def test_invert_reverse_involutions(w):
@@ -321,6 +338,31 @@ def test_check_word(ctx2):
         assert str(exc.value) == (
             f"letter {letter} at position {pos} is outside the alphabet for genus 2"
         )
+
+
+class _Letter(int):
+    """An int subclass, which check_word takes as a letter."""
+
+
+@pytest.mark.parametrize("odd", [
+    True, _Letter(1), 1.0, Decimal(1), Fraction(1), 1 + 0j, "1", None, [1], 0, 5, -5, 10**30,
+], ids=repr)
+@pytest.mark.parametrize("position", [0, 2, 4])
+def test_check_word_fast_path_agrees_with_its_loop(ctx2, odd, position):
+    """One odd letter first, in the middle or last: check_word and its
+    letter loop accept alike or refuse with the same message."""
+    w = [1, -2, 3, -4, 2]
+    w[position] = odd
+    for word in (w, tuple(w)):
+        outcomes = []
+        for check in (ctx2.check_word, ctx2._check_letters):
+            try:
+                check(word)
+                outcomes.append(None)
+            except ValueError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        assert (outcomes[0] is None) == (type(odd) in (bool, _Letter))
 
 
 def test_parse_word_basics():

@@ -117,6 +117,45 @@ def test_dehn_equal_is_engine_equality():
             assert dehn_equal(ctx, u, v) == (nf(ctx, u) == nf(ctx, v))
 
 
+@pytest.mark.parametrize("genus", [2, 8, 64])
+def test_dehn_equal_drops_the_common_ends(genus):
+    """u = p.u'.s against v = p.v'.s with long shared p and s: equal
+    pairs (v' is u' with relators inserted) and pairs that differ in one
+    letter, and pairs whose ends overlap.  dehn_equal, which drops p and
+    s, answers as the reduction of the whole of u.v^-1."""
+    ctx = GroupContext(genus)
+    rng = random.Random(223 + genus)
+    pairs = []
+    for _ in range(12):
+        p = random_freely_reduced(ctx, rng.randrange(100, 400), rng)
+        s = random_freely_reduced(ctx, rng.randrange(100, 400), rng)
+        m = random_freely_reduced(ctx, rng.randrange(0, 40), rng)
+        v = list(with_relators(ctx, m, rng.randrange(1, 3), rng))
+        pairs.append((p + m + s, p + tuple(v) + s))
+        i = rng.randrange(len(v))
+        v[i] = rng.choice([a for a in ctx.letters if a != v[i]])
+        pairs.append((p + m + s, p + tuple(v) + s))
+        E = rng.choice(ctx.relator_table)
+        pairs += [(p, p), (p, p + E), (E + p, p), (p + s, p + E + s), (p, p + (p[-1],))]
+    verdicts = []
+    for u, v in pairs:
+        verdicts.append(dehn_equal(ctx, u, v))
+        assert verdicts[-1] == (dehn_reduce(ctx, u + invert_word(v)) == ())
+        assert dehn_equal(ctx, v, u) == dehn_equal(ctx, u, list(v)) == verdicts[-1]
+    assert True in verdicts and False in verdicts
+    # a letter outside the alphabet is refused, in the shared ends too,
+    # and named at its position in u or v
+    top = ctx.n_gens + 1
+    for u, v, bad, position in (
+            ((0,) + p, (0,) + p, 0, 1), (p + (0,), p + (0,), 0, len(p) + 1),
+            (p + s, p + (1.0,) + s, 1.0, len(p) + 1), (p + (top,) + s, p + s, top, len(p) + 1),
+            (p + (1,) + s, p + (True, "1") + s, "1", len(p) + 2), (p + (1,), p + (1.0,), 1.0, len(p) + 1)):
+        with pytest.raises(ValueError) as exc:
+            dehn_equal(ctx, u, v)
+        assert str(exc.value) == (f"letter {bad!r} at position {position} "
+                                  f"is outside the alphabet for genus {genus}")
+
+
 def test_dehn_conjugate_agrees_with_engine():
     rng = random.Random(211)
     for genus in (2, 3, 5, 8, 64):

@@ -176,6 +176,8 @@ def test_bench_pairs_refuses_reused_seeds_and_failed_runs(monkeypatch, tmp_path)
 @pytest.mark.parametrize("args, message", [
     (["--seconds", "-5"], "--seconds must be positive"),
     (["--out", "missing/BENCH.json"], "--out: no directory missing"),
+    (["--workload", "w", "--workload", "word-problme"],
+     "--workload word-problme is not in BENCHMARK.json"),
 ])
 def test_bench_pairs_refuses_a_bad_argument_before_any_run(monkeypatch, tmp_path, capsys,
                                                            args, message):
