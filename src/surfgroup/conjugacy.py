@@ -12,10 +12,10 @@ winner is built: the least rotation is found by Duval's Lyndon
 factorisation, once over W and once over W reversed, so a class
 normal form costs O(|x|).  The conjugator is given by a formula, one
 per family.  Every certificate returned from this module has been
-checked: appending the letters of x.z^-1 to the irreducible conjugator
-z gives nf(z.x.z^-1), which must equal the class word.  A failed check
-raises VerificationError, so an index or orientation slip cannot
-escape.
+checked: joining x to the irreducible conjugator z and appending the
+letters of z^-1 gives nf(z.x.z^-1), which must equal the class word.
+A failed check raises VerificationError, so an index or orientation
+slip cannot escape.
 
 Roots are found from the least period of W, which the same Duval scan
 measures, and the conjugate-power decision reduces to conjugacy of
@@ -40,7 +40,7 @@ from .group_core import (
     invert_word,
 )
 from .powers import PowerDecomposition, power_decompose
-from .rewrite import _nf_concat, is_irreducible, nf
+from .rewrite import _nf_concat, _nf_join, is_irreducible, nf
 
 
 @dataclass(frozen=True)
@@ -71,15 +71,22 @@ class ConjPowerResult:
 
 
 def _verify_conjugation(ctx, z: Word, x: Word, target: Word) -> bool:
-    """Whether z.x.z^-1 = target, by appending x.z^-1 to z.
+    """Whether z.x.z^-1 = target: x is joined to z, then the letters of
+    z^-1 are appended one at a time.
 
-    Sound for every z: each rule _extend fires replaces a relator
-    fragment it has read in acc by an equal word, so an output equal to
-    target proves the equation.  An irreducible z, as every caller
-    passes, makes the output nf(z.x.z^-1); with any other z the check
+    Sound for every z and x: each rule _extend fires replaces a relator
+    fragment it has read in acc by an equal word, and a join appends the
+    letters it does not read as they are, so an output equal to target
+    proves the equation.  An irreducible z and x, as every caller
+    passes, make the join nf(z.x) and the output nf(z.x.z^-1).  The x
+    that conj_power passes for n < 0, the inverse of nf(y^|n|), is
+    irreducible too: inversion maps each left side of S1, S2(2g+1),
+    S3(t) and S4(1) to a left side of the same rule, read along the
+    inverse row, and it reverses the generator order, so S4(1)'s
+    condition b_1 > b_2g carries over.  With any other z or x the check
     can only fail, never accept a wrong certificate.
     """
-    return _nf_concat(ctx, z, x + invert_word(z)) == target
+    return _nf_concat(ctx, _nf_join(ctx, z, x), invert_word(z)) == target
 
 
 def _least_rotations(s) -> range:
@@ -181,7 +188,7 @@ def _class(ctx: GroupContext, pd: PowerDecomposition) -> ConjugacyCertificate:
                       + entry[ctx.n_gens + i:][::-1] + suffix)
     if conj is None:
         # w is cyclically irreducible, so its suffix w[k0:] is irreducible
-        conj = _nf_concat(ctx, w[k0:], suffix)
+        conj = _nf_join(ctx, w[k0:], suffix)
     if not _verify_conjugation(ctx, conj, pd.word, best):
         raise VerificationError("class certificate failed verification")
     return ConjugacyCertificate(best, conj, match is not None)
@@ -295,7 +302,7 @@ def reducing_pair(ctx: GroupContext, w1: Word, w2: Word):
         raise DomainError("reducing_pair requires irreducible words")
     if w1 and w2 and w1[-1] == -w2[0]:
         raise DomainError("product must be freely reduced at the junction")
-    product_nf = _nf_concat(ctx, w1, w2)
+    product_nf = _nf_join(ctx, w1, w2)
     a = common_prefix_len(w1, product_nf)
     b = min(common_suffix_len(w2, product_nf), len(product_nf) - a)
     return w1[a:], w2[:len(w2) - b]

@@ -18,8 +18,11 @@ reduces but which admit no two-piece splice; they are the reason the
 decomposition needs nf(x^3) and not just nf(x^2).
 
 nf(x^2) and nf(x^3) are not normalized from scratch: nf(x) is
-irreducible, so nf(x^2) is nf(x) extended by the letters of nf(x), and
-nf(x^3) is nf(x^2) extended by them once more, |nf(x)| appends each.
+irreducible, so nf(x^2) is nf(x) joined to nf(x), and nf(x^3) is
+nf(x^2) joined to nf(x) once more.  A join (rewrite._nf_join) rewrites
+only near its junction: once the letters there have settled it copies
+the rest of nf(x) unread.  A nf(x) that runs along one (2g-1)-letter
+relator block, as an exceptional core does, is read to the end.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .group_core import (
     Word,
     common_prefix_len,
 )
-from .rewrite import _nf_concat, is_cyclically_irreducible, nf
+from .rewrite import _nf_join, is_cyclically_irreducible, nf
 
 #: longest nf(x^k) that nf_power builds; longer ones are refused unbuilt
 MAX_POWER_LETTERS = 10_000_000
@@ -71,7 +74,7 @@ def translation_number(ctx: GroupContext, x: Word) -> int:
     n1 = nf(ctx, x)
     if not n1:
         return 0
-    return len(_nf_concat(ctx, n1, n1)) - len(n1)
+    return len(_nf_join(ctx, n1, n1)) - len(n1)
 
 
 def power_decompose(ctx: GroupContext, x: Word) -> PowerDecomposition:
@@ -94,8 +97,8 @@ def power_decompose(ctx: GroupContext, x: Word) -> PowerDecomposition:
     n1 = nf(ctx, x)
     if not n1:
         return PowerDecomposition((), (), (), ())
-    n2 = _nf_concat(ctx, n1, n1)
-    n3 = _nf_concat(ctx, n2, n1)
+    n2 = _nf_join(ctx, n1, n1)
+    n3 = _nf_join(ctx, n2, n1)
     tau = len(n2) - len(n1)
     if tau <= 0 or len(n3) != len(n1) + 2 * tau:
         raise VerificationError("power lengths violate the growth formula")

@@ -42,7 +42,15 @@ built only on request, records them as genuine S-rule applications
 splicing reproduces the normal form.  Without a trace no rule record
 is built.
 Because an irreducible word passes through unchanged, nf(u v) for an
-irreducible u starts from u and costs only the letters of v.
+irreducible u starts from u and costs only the letters of v.  When v is
+irreducible too, _nf_join reads only the letters of v near the
+junction: v contains no left side, so a rule fired past the junction
+has a left side that starts in u's part of acc and covers every letter
+of v read since.  The left sides of S1, S2(2g+1) and S4(1) have at
+most 2g+1 letters, and every longer one that can fire runs along a
+(2g-1)-periodic block, so once acc ends with 4g letters of v that are
+not (2g-1)-periodic, no later letter of v fires a rule and the rest is
+appended unread.
 enumerate_ball lists the normal forms up to a radius by the same
 one-letter extension, after the growth series has shown that they fit
 under its cap, and checks each sphere against that series.
@@ -234,6 +242,42 @@ def _nf_concat(ctx: GroupContext, u: Word, v: Word) -> Word:
     """
     acc = list(u)
     _extend(ctx, acc, v, None)
+    return tuple(acc)
+
+
+def _nf_join(ctx: GroupContext, u: Word, v: Word) -> Word:
+    """nf(u + v) for u and v both irreducible, rewriting only near the junction.
+
+    v goes to _extend in pieces: its first max(4g, 32) letters, then as
+    many again each time, so that m, the number read, doubles.  A v no
+    longer than the first piece goes in whole, as _nf_concat takes it.
+    After each piece the rest of v goes in unread once acc ends with the
+    window W = v[m-4g:m] and W is not (2g-1)-periodic.
+
+    Why no later letter can fire a rule then: write acc = Q.W.  Until a
+    rule fires, acc is Q.v[m-4g:m'] when v[m'] is appended, and v has no
+    left side, so the left side that v[m'] would complete starts in Q
+    and contains W.v[m'].  That rules out the left sides of at most
+    2g+1 letters (S1, S2(2g+1), S4(1)), and no longer S2 fires on an
+    irreducible acc.  Each other left side, S3(t) and S4(t) for t >= 2,
+    is a run of one (2g-1)-letter block, (b_2...b_2g)^t or
+    (b_1...b_2g-1)^t, with one letter before it, after it or both.  W
+    follows the first letter of the left side and precedes v[m'], its
+    last, so W would lie in the run and be (2g-1)-periodic.  A window
+    of 2g letters would do; 4g keeps a margin.  A fully periodic v,
+    such as a power of an exceptional core, is read to the end.
+    """
+    acc = list(u)
+    K = 2 * ctx.n_gens
+    L = ctx.n_gens - 1
+    m = K if K > 32 else 32
+    _extend(ctx, acc, v[:m], None)
+    while m < len(v):
+        if acc[-K:] == list(v[m - K:m]) and v[m - K:m - L] != v[m - K + L:m]:
+            acc += v[m:]
+            break
+        _extend(ctx, acc, v[m:2 * m], None)
+        m *= 2
     return tuple(acc)
 
 

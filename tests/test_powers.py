@@ -143,7 +143,7 @@ def test_each_splice_check_raises(ctx2, monkeypatch, power, corrupt, message):
     n2, n3 = nf(ctx2, SPLICED * 2), nf(ctx2, SPLICED * 3)
     assert power_decompose(ctx2, SPLICED) == PowerDecomposition((3, 1, 2, 1, 2), (1, 2), (-3,), SPLICED)
     given = iter([corrupt(n2) if power == 2 else n2, corrupt(n3) if power == 3 else n3])
-    monkeypatch.setattr(powers, "_nf_concat", lambda ctx, u, v: next(given))
+    monkeypatch.setattr(powers, "_nf_join", lambda ctx, u, v: next(given))
     with pytest.raises(VerificationError, match=message):
         power_decompose(ctx2, SPLICED)
 

@@ -36,6 +36,7 @@ from surfgroup import rewrite
 from surfgroup.rewrite import (
     ReductionStep,
     _nf_concat,
+    _nf_join,
     d_basis_normalize,
     is_cyclically_irreducible,
     is_irreducible,
@@ -540,7 +541,7 @@ def test_the_d_engine_uses_no_s_engine_name():
     """The D engine is a cross-check only while it shares no code with
     the S engine: its functions name neither the S rewriting nor the S
     trace types."""
-    s_engine = {"_extend", "_append_step", "normalize", "nf", "_nf_concat",
+    s_engine = {"_extend", "_append_step", "normalize", "nf", "_nf_concat", "_nf_join",
                 "RuleId", "ReductionStep", "apply_step"}
     tree = ast.parse(Path(rewrite.__file__).read_text(encoding="utf-8"))
     bodies = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
@@ -575,3 +576,95 @@ def test_untraced_paths_build_no_rule_record(genus, monkeypatch):
         assert nf(ctx, w) == expected[w]
         h = len(w) // 2
         assert _nf_concat(ctx, nf(ctx, w[:h]), w[h:]) == expected[w]
+
+
+def test_the_inverse_of_an_irreducible_word_is_irreducible():
+    """Inversion maps each left side of S1, S2(2g+1), S3(t) and S4(1) to
+    a left side of the same rule, read along the inverse row, and it
+    reverses the generator order, so S4(1)'s condition b_1 > b_2g
+    carries over: the inverse of a normal form is a normal form.  Every
+    word of length <= 5 at g = 2, and random normal forms up to 600
+    letters at g up to 64."""
+    ctx = GroupContext(2)
+    for w in all_freely_reduced(ctx, 5):
+        assert is_irreducible(ctx, invert_word(w)) == is_irreducible(ctx, w)
+    for genus in (2, 3, 5, 8, 16, 64):
+        ctx = GroupContext(genus)
+        rng = random.Random(2700 + genus)
+        for _ in range(40):
+            w = nf(ctx, random_relator_heavy(ctx, rng.randrange(1, 600), rng))
+            assert is_irreducible(ctx, invert_word(w))
+
+
+def join_cases(ctx, rng):
+    """(family, u, v) with u and v irreducible, for _nf_join.
+
+    random: normal forms of random and relator-heavy words up to six
+    first pieces C long.  short: u = () or random, with v a cyclically
+    irreducible word of C-1, C, C+1 and 2C letters.  conjugate: nf(y)
+    joined to itself and nf(y^2) joined to nf(y), for y = z.x.z^-1,
+    whose cancellation runs about |z| letters into v, with |z| up to
+    five first pieces.  boundary: u joined to a v that begins with the
+    inverse of the last c letters of u, so that v[c-1] still cancels,
+    for c one letter either side of and on each check at C, 2C, 4C.
+    s3: u ending with b_1 joined to (b_2..b_2g)^t b_2g+1, whose rule
+    S3(t) fires at the last letter, after windows that are
+    (2g-1)-periodic at every check.  periodic: powers of exceptional
+    cores (fully periodic v) and of special shapes."""
+    g2 = ctx.n_gens
+    C = max(2 * g2, 32)  # the letters _nf_join reads before its first check
+    for _ in range(6):
+        u = nf(ctx, random_relator_heavy(ctx, rng.randrange(0, 6 * C), rng))
+        v = nf(ctx, random_freely_reduced(ctx, rng.randrange(0, 6 * C), rng))
+        yield "random", u, v
+        yield "random", v, u
+    for n in (C - 1, C, C + 1, 2 * C):
+        v = random_cyclic_core(ctx, n, rng)
+        yield "short", (), v
+        yield "short", nf(ctx, random_freely_reduced(ctx, 3 * C, rng)), v
+    for size in (C // 2, C, 2 * C, 5 * C):
+        z = random_freely_reduced(ctx, size, rng)
+        y = nf(ctx, z + random_cyclic_core(ctx, C, rng) + invert_word(z))
+        yield "conjugate", y, y
+        yield "conjugate", _nf_concat(ctx, y, y), y
+    u = nf(ctx, random_freely_reduced(ctx, 10 * C, rng))
+    for c in (C - 1, C, C + 1, 2 * C - 1, 2 * C, 2 * C + 1, 4 * C - 1, 4 * C, 4 * C + 1):
+        head = invert_word(u[-c:])
+        for _ in range(20):
+            v = nf(ctx, head + random_freely_reduced(ctx, 3 * C, rng))
+            if v[:c] == head:
+                yield "boundary", u, v
+                break
+    # the run b_1 b_2 ... b_2g fires S4(1) unless b_1 is below b_2g
+    rows = [E for E in ctx.relator_table if not ctx.greater(E[0], E[g2 - 1])]
+    for E in rng.sample(rows, 4):
+        u = nf(ctx, random_freely_reduced(ctx, C, rng) + E[:1])
+        for t in (C // (g2 - 1), 2 * C // (g2 - 1) + 1, 4 * C // (g2 - 1) + 2):
+            v = E[1:g2] * t + E[g2:g2 + 1]
+            if u[-1:] == E[:1] and is_irreducible(ctx, v):
+                yield "s3", u, v
+    blk = g2 - 1
+    for E in rng.sample(ctx.relator_table, 4):
+        i = rng.randrange(1, blk + 1)
+        core = (E[i:blk] + E[:i]) * (3 * C // blk + 1)
+        yield "periodic", core, core
+        yield "periodic", nf(ctx, random_freely_reduced(ctx, C, rng) + core), core
+    for _tag, w in rng.sample(special_instances(ctx, entries=(0,)), 4):
+        k = 3 * C // len(w) + 2
+        yield "periodic", nf(ctx, w * k), nf(ctx, w * k)
+        yield "periodic", nf(ctx, w * (2 * k)), nf(ctx, w * k)
+
+
+@pytest.mark.parametrize("genus", [2, 3, 5, 8, 16, 64])
+def test_nf_join_matches_nf_concat(genus):
+    """_nf_join(u, v) is _nf_concat(u, v) on irreducible pairs of every
+    family of join_cases: around each piece boundary, inside long
+    cancellations and rule runs, and on fully periodic words."""
+    ctx = GroupContext(genus)
+    rng = random.Random(2710 + genus)
+    families = Counter()
+    for family, u, v in join_cases(ctx, rng):
+        assert is_irreducible(ctx, u) and is_irreducible(ctx, v), family
+        assert _nf_join(ctx, u, v) == _nf_concat(ctx, u, v), (family, u, v)
+        families[family] += 1
+    assert set(families) == {"random", "short", "conjugate", "boundary", "s3", "periodic"}, families
