@@ -18,7 +18,9 @@ the executor, builds the document and maps the errors to exit codes.
 Exit codes: 0 success, 1 domain error (trivial element where one is
 forbidden, genus out of range, power too long, ...), 2 parse error (bad
 flags, bad word syntax or the wrong number of words), 3 failed internal
-verification.
+verification.  The steps of `nf --trace` are verified too before they
+are printed: replayed by splicing, they must end at the normal form, and
+each step's two sides must be equal by the Dehn oracle.
 """
 
 from __future__ import annotations
@@ -114,10 +116,40 @@ def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
+def _check_trace(ctx, w, final, steps) -> None:
+    """Raise VerificationError unless steps are a certificate of nf(w) = final.
+
+    Replaying the steps by splicing each into the evolving word at its
+    start must give final, and each step's matched and replacement words
+    must be equal by dehn_equal, which shares only the relator table
+    with the rewriting engine.  The evolving word is held as the list
+    head and the unread rest w[pos:]; a step of normalize ends at the
+    letter just appended, so it splices at the end of head, and the
+    replay is linear in |w| and the lengths of the steps.
+    """
+    head = []
+    pos = 0
+    for k, step in enumerate(steps, start=1):
+        end = step.start + len(step.matched)
+        need = end - len(head)
+        if need > 0:
+            head += w[pos:pos + need]
+            pos += need
+        if step.start < 0 or tuple(head[step.start:end]) != step.matched:
+            raise VerificationError(f"trace step {k} does not match the word at {step.start}")
+        if not dehn_equal(ctx, step.matched, step.replacement):
+            raise VerificationError(f"trace step {k} replaces a word by an unequal one")
+        head[step.start:end] = step.replacement
+    if tuple(head) + w[pos:] != final:
+        raise VerificationError("the trace does not end at the normal form")
+
+
 def _nf(ctx, words, opt):
-    final, steps = normalize(ctx, *_parse(ctx, words), trace=opt("trace"))
+    w = _parse(ctx, words)[0]
+    final, steps = normalize(ctx, w, trace=opt("trace"))
     doc = _word_doc(final)
     if opt("trace"):
+        _check_trace(ctx, w, final, steps)
         doc["trace"] = [
             {
                 "rule": str(step.rule),

@@ -12,10 +12,11 @@ winner is built: the least rotation is found by Duval's Lyndon
 factorisation, once over W and once over W reversed, so a class
 normal form costs O(|x|).  The conjugator is given by a formula, one
 per family.  Every certificate returned from this module has been
-checked: joining x to the irreducible conjugator z and appending the
-letters of z^-1 gives nf(z.x.z^-1), which must equal the class word.
-A failed check raises VerificationError, so an index or orientation
-slip cannot escape.
+checked as z.x = c.z for the class word c: x is joined to the
+irreducible conjugator z, z is joined to c, and the two normal forms
+must be equal.  Each join rewrites only near its junction, so neither
+reads most of z.  A failed check raises VerificationError, so an index
+or orientation slip cannot escape.
 
 Roots are found from the least period of W, which the same Duval scan
 measures, and the conjugate-power decision reduces to conjugacy of
@@ -71,22 +72,25 @@ class ConjPowerResult:
 
 
 def _verify_conjugation(ctx, z: Word, x: Word, target: Word) -> bool:
-    """Whether z.x.z^-1 = target: x is joined to z, then the letters of
-    z^-1 are appended one at a time.
+    """Whether z.x.z^-1 = target, checked as z.x = target.z: x is joined
+    to z, z is joined to target, and the two words must be equal.
 
-    Sound for every z and x: each rule _extend fires replaces a relator
-    fragment it has read in acc by an equal word, and a join appends the
-    letters it does not read as they are, so an output equal to target
-    proves the equation.  An irreducible z and x, as every caller
-    passes, make the join nf(z.x) and the output nf(z.x.z^-1).  The x
-    that conj_power passes for n < 0, the inverse of nf(y^|n|), is
-    irreducible too: inversion maps each left side of S1, S2(2g+1),
-    S3(t) and S4(1) to a left side of the same rule, read along the
-    inverse row, and it reverses the generator order, so S4(1)'s
-    condition b_1 > b_2g carries over.  With any other z or x the check
-    can only fail, never accept a wrong certificate.
+    Sound for every z, x and target: each rule _extend fires replaces a
+    relator fragment it has read in acc by an equal word, and a join
+    appends the letters it does not read as they are, so the two
+    outputs equal z.x and target.z in the group, and equal outputs
+    prove the equation.  When all three are irreducible, as every
+    caller passes, the joins are nf(z.x) and nf(target.z), which are
+    equal exactly when the equation holds.  The x that conj_power
+    passes for n < 0, the inverse of nf(y^|n|), is irreducible too:
+    inversion maps each left side of S1, S2(2g+1), S3(t) and S4(1) to a
+    left side of the same rule, read along the inverse row, and it
+    reverses the generator order, so S4(1)'s condition b_1 > b_2g
+    carries over.  With any other words the check can only fail, never
+    accept a wrong certificate.  For a true certificate both joins
+    rewrite only near the junction, so most of z is read by neither.
     """
-    return _nf_concat(ctx, _nf_join(ctx, z, x), invert_word(z)) == target
+    return _nf_join(ctx, z, x) == _nf_join(ctx, target, z)
 
 
 def _least_rotations(s) -> range:
@@ -216,7 +220,9 @@ def _conjugator(ctx: GroupContext, cx: ConjugacyCertificate, x: Word,
     """are_conjugate of the normal forms x and y, from their class certificates."""
     if cx.class_nf != cy.class_nf:
         return None
-    z = nf(ctx, invert_word(cx.conjugator) + cy.conjugator)
+    # the inverse of the irreducible cx.conjugator is irreducible (see
+    # _verify_conjugation), so the join is nf(cx.conjugator^-1 . cy.conjugator)
+    z = _nf_join(ctx, invert_word(cx.conjugator), cy.conjugator)
     if not _verify_conjugation(ctx, z, y, x):
         raise VerificationError("conjugator failed verification")
     return z

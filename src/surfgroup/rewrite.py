@@ -248,11 +248,12 @@ def _nf_concat(ctx: GroupContext, u: Word, v: Word) -> Word:
 def _nf_join(ctx: GroupContext, u: Word, v: Word) -> Word:
     """nf(u + v) for u and v both irreducible, rewriting only near the junction.
 
-    v goes to _extend in pieces: its first max(4g, 32) letters, then as
-    many again each time, so that m, the number read, doubles.  A v no
-    longer than the first piece goes in whole, as _nf_concat takes it.
-    After each piece the rest of v goes in unread once acc ends with the
-    window W = v[m-4g:m] and W is not (2g-1)-periodic.
+    v goes to _extend in pieces of C = max(4g, 32) letters, so the
+    number m of its letters read runs through C, 2C, 3C, ...  A v no
+    longer than C goes in whole, as _nf_concat takes it.  After each
+    piece the rest of v goes in unread once acc ends with the window
+    W = v[m-4g:m] and W is not (2g-1)-periodic.  So the test is tried
+    at most C letters after the first window that would pass it.
 
     Why no later letter can fire a rule then: write acc = Q.W.  Until a
     rule fires, acc is Q.v[m-4g:m'] when v[m'] is appended, and v has no
@@ -270,14 +271,17 @@ def _nf_join(ctx: GroupContext, u: Word, v: Word) -> Word:
     acc = list(u)
     K = 2 * ctx.n_gens
     L = ctx.n_gens - 1
-    m = K if K > 32 else 32
-    _extend(ctx, acc, v[:m], None)
+    C = K if K > 32 else 32
+    _extend(ctx, acc, v[:C], None)
+    m = C
     while m < len(v):
-        if acc[-K:] == list(v[m - K:m]) and v[m - K:m - L] != v[m - K + L:m]:
+        # the periodicity test first: on a periodic v it fails on two
+        # tuple slices, without building a list
+        if v[m - K:m - L] != v[m - K + L:m] and acc[-K:] == list(v[m - K:m]):
             acc += v[m:]
             break
-        _extend(ctx, acc, v[m:2 * m], None)
-        m *= 2
+        _extend(ctx, acc, v[m:m + C], None)
+        m += C
     return tuple(acc)
 
 

@@ -2,18 +2,23 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import surfgroup
+from helpers import random_relator_heavy, replay
 from surfgroup import cli, conjugacy
 from surfgroup.cli import _COMMANDS, Request, _build_parser, main, run, run_file
-from surfgroup.group_core import parse_word
+from surfgroup.group_core import GroupContext, VerificationError, parse_word
+from surfgroup.oracle import dehn_equal
+from surfgroup.rewrite import normalize
 
 DATA = Path(__file__).parent / "data"
 
@@ -61,6 +66,97 @@ def test_trace_replays_by_splicing():
         assert w[a:a + len(matched)] == matched
         w = w[:a] + replacement + w[a + len(matched):]
     assert w == parse_word(doc["result"], 2)
+
+
+TRACED = "c1 c2 c3 c4 c4^-1 c1 c2 c3 c4"
+
+
+def trace_accepted_reference(ctx, w, final, steps) -> bool:
+    """Whether steps replay to final by splicing the whole word each time,
+    with each step's two sides equal by dehn_equal."""
+    try:
+        end = replay(w, steps)
+    except ValueError:
+        return False
+    return end == final and all(dehn_equal(ctx, s.matched, s.replacement) for s in steps)
+
+
+def test_the_trace_check_agrees_with_the_reference():
+    """The traces normalize records pass the check at several genera.
+    With one step corrupted (its start moved, a replacement letter
+    changed, its two sides swapped, or the step dropped), the check
+    rejects exactly when the reference does."""
+    rng = random.Random(2801)
+    rejected = 0
+    for genus in (2, 3, 8):
+        ctx = GroupContext(genus)
+        for _ in range(40):
+            w = random_relator_heavy(ctx, rng.randrange(1, 200), rng)
+            final, steps = normalize(ctx, w)
+            cli._check_trace(ctx, w, final, steps)
+            if not steps:
+                continue
+            k = rng.randrange(len(steps))
+            s = steps[k]
+            bad = rng.choice([
+                [replace(s, start=max(0, s.start + rng.choice((-1, 1))))],
+                [replace(s, replacement=s.replacement + (rng.choice(ctx.letters),))],
+                [replace(s, matched=s.replacement, replacement=s.matched)],
+                [],
+            ])
+            forged = steps[:k] + tuple(bad) + steps[k + 1:]
+            expected = trace_accepted_reference(ctx, w, final, forged)
+            try:
+                cli._check_trace(ctx, w, final, forged)
+            except VerificationError:
+                assert not expected, (w, forged)
+                rejected += 1
+            else:
+                assert expected, (w, forged)
+    assert rejected > 50
+
+
+@pytest.mark.parametrize("how", ["replacement", "start", "swapped", "dropped", "padded",
+                                 "forged"])
+def test_a_corrupted_trace_exits_3(monkeypatch, capsys, how):
+    """nf --trace checks its steps before it prints them.  One corrupted
+    step (a letter of its replacement changed, its start moved, its two
+    sides swapped, the step dropped, the last replacement padded with a
+    cancelling pair, or a letter of the last replacement changed along
+    with the normal form, so that the trace replays to it) makes it exit
+    3 with the input named, and print nothing on stdout."""
+    real = cli.normalize
+
+    def corrupted(ctx, w, *, trace):
+        final, steps = real(ctx, w, trace=trace)
+        assert len(steps) == 3
+        k = 2 if how in ("padded", "forged") else 1
+        s = steps[k]
+        flipped = replace(s, replacement=s.replacement[:-1] + (-s.replacement[-1],))
+        changed = {
+            "replacement": [flipped],
+            "start": [replace(s, start=s.start + 1)],
+            "swapped": [replace(s, matched=s.replacement, replacement=s.matched)],
+            "dropped": [],
+            "padded": [replace(s, replacement=s.replacement + (1, -1))],
+            "forged": [flipped],
+        }[how]
+        if how == "forged":
+            # a wrong normal form whose trace replays to it
+            final = flipped.replacement
+        return final, steps[:k] + tuple(changed) + steps[k + 1:]
+
+    monkeypatch.setattr(cli, "normalize", corrupted)
+    assert main(["nf", "--trace", TRACED]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: verification failed for {TRACED!r}: ")
+
+
+def test_nf_without_trace_checks_nothing(monkeypatch):
+    """Without --trace nothing is recorded or checked, and the output is as before."""
+    monkeypatch.setattr(cli, "_check_trace", lambda *args: pytest.fail("checked"))
+    assert run(Request("nf", 2, (TRACED,))) == (0, "c4 c3 c2 c1 c3 c2 c1\nlength 7", "")
 
 
 def test_len_and_tau_and_power():

@@ -668,3 +668,58 @@ def test_nf_join_matches_nf_concat(genus):
         assert _nf_join(ctx, u, v) == _nf_concat(ctx, u, v), (family, u, v)
         families[family] += 1
     assert set(families) == {"random", "short", "conjugate", "boundary", "s3", "periodic"}, families
+
+
+def settle_point(ctx, u, v):
+    """The least m at which acc, u with the letters of v[:m] appended one
+    at a time, ends with the window v[m-4g:m] and that window is not
+    (2g-1)-periodic: the first point at which _nf_join's settle test
+    would pass if it were tried after every letter.  None if there is
+    none."""
+    K = 2 * ctx.n_gens
+    L = ctx.n_gens - 1
+    acc = list(u)
+    for m in range(1, len(v) + 1):
+        rewrite._extend(ctx, acc, v[m - 1:m], None)
+        if m >= K and acc[-K:] == list(v[m - K:m]) and v[m - K:m - L] != v[m - K + L:m]:
+            return m
+    return None
+
+
+@pytest.mark.parametrize("genus", [2, 8, 64])
+def test_nf_join_reads_at_most_one_piece_past_the_settle_point(genus, monkeypatch):
+    """On joins whose settle point s lies just past C, 2C+1 and 4C+1
+    letters into v (v begins with the inverse of the last s - 4g letters
+    of u), _nf_join sends at most s + C + 4g letters of v through
+    _extend, and v is longer than that.  Trying the settle test only
+    when the letters read had doubled (at C, 2C, 4C, ...) reads 4C
+    letters for s = 2C + 1 and 8C for s = 4C + 1, and fails here."""
+    ctx = GroupContext(genus)
+    rng = random.Random(2800 + genus)
+    K = 2 * ctx.n_gens
+    C = max(K, 32)
+    cases = []
+    for s in (C + 1, 2 * C + 1, 4 * C + 1):
+        c = s - K  # the letters of v that cancel against u
+        for _ in range(50):
+            u = nf(ctx, random_freely_reduced(ctx, c + 2 * C, rng))
+            head = invert_word(u[-c:])
+            v = nf(ctx, head + random_freely_reduced(ctx, 3 * C + 2 * K, rng))
+            if (len(u) > c and v[:c] == head and len(v) > s + C + K
+                    and settle_point(ctx, u, v) == s):
+                cases.append((s, u, v, _nf_concat(ctx, u, v)))
+                break
+        else:
+            pytest.fail(f"no join settles at {s} letters at genus {genus}")
+    real = rewrite._extend
+    read = []
+
+    def counting(ctx, acc, letters, steps):
+        read.append(len(letters))
+        return real(ctx, acc, letters, steps)
+
+    monkeypatch.setattr(rewrite, "_extend", counting)
+    for s, u, v, expected in cases:
+        read.clear()
+        assert _nf_join(ctx, u, v) == expected
+        assert s <= sum(read) <= s + C + K, (s, read)
