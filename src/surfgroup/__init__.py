@@ -5,6 +5,11 @@ generators c_1, ..., c_2g and the single relator
 c_1...c_2g c_1^-1...c_2g^-1.  Words are tuples of nonzero ints, letter
 +i for c_i and -i for c_i^-1.  Everything is exact integer arithmetic;
 there are no matrices and no floating point anywhere.
+
+The result records RootResult, ConjPowerResult, PowerDecomposition,
+RuleId and ReductionStep are named tuples: their fields read as
+attributes, they unpack and compare as tuples, and r._replace(field=...)
+takes the place of dataclasses.replace.
 """
 
 from .group_core import (

@@ -30,8 +30,8 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass, field
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple
 
 from .conjugacy import are_conjugate, class_nf, conj_power, reducing_pair, root
 from .group_core import (
@@ -58,12 +58,12 @@ from .presentations import (
 from .rewrite import enumerate_ball, nf, normalize
 
 
-@dataclass(frozen=True)
-class Request:
+class Request(NamedTuple):
     command: str
     genus: int = 2
     words: tuple = ()
-    options: dict = field(default_factory=dict)
+    # one object shared by every default, so it is read-only
+    options: Mapping = MappingProxyType({})
 
 
 #: the most letters `oracle conj` lets dehn_conjugate read: n_u * n_v *
@@ -270,8 +270,7 @@ def _field_lines(doc):
     return lines
 
 
-@dataclass(frozen=True)
-class _Command:
+class _Command(NamedTuple):
     """One command.  execute(ctx, words, opt), with opt = options.get,
     returns the document fields beyond command, genus and input; render
     turns a document into the lines of single-request text output, which

@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import neg
+from typing import NamedTuple
 
 from .group_core import (
     DomainError,
@@ -44,6 +45,7 @@ from .powers import PowerDecomposition, power_decompose
 from .rewrite import _nf_concat, _nf_join, is_irreducible, nf
 
 
+# a dataclass: bench/test_bench.py builds a wrong one with dataclasses.replace
 @dataclass(frozen=True)
 class ConjugacyCertificate:
     """class_nf = normalize(conjugator . x . conjugator^-1).
@@ -57,14 +59,12 @@ class ConjugacyCertificate:
     exceptional: bool
 
 
-@dataclass(frozen=True)
-class RootResult:
+class RootResult(NamedTuple):
     root: Word
     exponent: int
 
 
-@dataclass(frozen=True)
-class ConjPowerResult:
+class ConjPowerResult(NamedTuple):
     found: bool
     m: int
     n: int

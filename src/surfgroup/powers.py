@@ -27,7 +27,7 @@ relator block, as an exceptional core does, is read to the end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .group_core import (
     DomainError,
@@ -42,8 +42,7 @@ from .rewrite import _nf_join, is_cyclically_irreducible, nf
 MAX_POWER_LETTERS = 10_000_000
 
 
-@dataclass(frozen=True)
-class PowerDecomposition:
+class PowerDecomposition(NamedTuple):
     """Splice decomposition of the powers of one element x.
 
     prefix . core^(k - 2) . suffix is irreducible and equals nf(x^k) for

@@ -36,6 +36,7 @@ from .powers import MAX_POWER_LETTERS
 from .rewrite import _extend
 
 
+# a dataclass: __post_init__ validates, and a NamedTuple cannot override __new__
 @dataclass(frozen=True)
 class PresentationDescriptor:
     """A minimal geometric presentation, named by its cyclic order of

@@ -59,7 +59,7 @@ under its cap, and checks each sphere against that series.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .group_core import (
     DomainError,
@@ -70,8 +70,7 @@ from .group_core import (
 )
 
 
-@dataclass(frozen=True)
-class RuleId:
+class RuleId(NamedTuple):
     """Identifies one rewriting rule instance.
 
     family: S1, S2, S3, S4a or S4b.  param is k for S2, t for S3/S4
@@ -89,8 +88,7 @@ class RuleId:
         return self.family
 
 
-@dataclass(frozen=True)
-class ReductionStep:
+class ReductionStep(NamedTuple):
     rule: RuleId
     start: int  # 0-based offset of the matched subword
     matched: Word

@@ -6,7 +6,6 @@ import random
 import subprocess
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -99,9 +98,9 @@ def test_the_trace_check_agrees_with_the_reference():
             k = rng.randrange(len(steps))
             s = steps[k]
             bad = rng.choice([
-                [replace(s, start=max(0, s.start + rng.choice((-1, 1))))],
-                [replace(s, replacement=s.replacement + (rng.choice(ctx.letters),))],
-                [replace(s, matched=s.replacement, replacement=s.matched)],
+                [s._replace(start=max(0, s.start + rng.choice((-1, 1))))],
+                [s._replace(replacement=s.replacement + (rng.choice(ctx.letters),))],
+                [s._replace(matched=s.replacement, replacement=s.matched)],
                 [],
             ])
             forged = steps[:k] + tuple(bad) + steps[k + 1:]
@@ -132,13 +131,13 @@ def test_a_corrupted_trace_exits_3(monkeypatch, capsys, how):
         assert len(steps) == 3
         k = 2 if how in ("padded", "forged") else 1
         s = steps[k]
-        flipped = replace(s, replacement=s.replacement[:-1] + (-s.replacement[-1],))
+        flipped = s._replace(replacement=s.replacement[:-1] + (-s.replacement[-1],))
         changed = {
             "replacement": [flipped],
-            "start": [replace(s, start=s.start + 1)],
-            "swapped": [replace(s, matched=s.replacement, replacement=s.matched)],
+            "start": [s._replace(start=s.start + 1)],
+            "swapped": [s._replace(matched=s.replacement, replacement=s.matched)],
             "dropped": [],
-            "padded": [replace(s, replacement=s.replacement + (1, -1))],
+            "padded": [s._replace(replacement=s.replacement + (1, -1))],
             "forged": [flipped],
         }[how]
         if how == "forged":

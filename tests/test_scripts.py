@@ -1,6 +1,5 @@
 """The experiment scripts in scripts/ run end to end on tiny inputs."""
 
-import dataclasses
 import json
 import os
 import runpy
@@ -65,7 +64,7 @@ def test_power_growth_checks_the_formula_against_full_normalization(monkeypatch)
 
     def doubled_core(ctx, x):
         pd = real(ctx, x)
-        return dataclasses.replace(pd, core=pd.core * 2)
+        return pd._replace(core=pd.core * 2)
 
     monkeypatch.setattr(surfgroup, "power_decompose", doubled_core)
     monkeypatch.setattr(sys, "argv", ["power_growth.py", "--samples", "20"])
