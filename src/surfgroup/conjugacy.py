@@ -11,16 +11,16 @@ on one row only, so no other entry or i matches.  No rotation but the
 winner is built: the least rotation is found by Duval's Lyndon
 factorisation, once over W and once over W reversed, so a class
 normal form costs O(|x|).  The conjugator is given by a formula, one
-per family.  Every certificate returned from this module has been
-checked as z.x = c.z for the class word c: x is joined to the
-irreducible conjugator z, z is joined to c, and the two normal forms
-must be equal.  Each join rewrites only near its junction, so neither
-reads most of z.  A failed check raises VerificationError, so an index
-or orientation slip cannot escape.
+per family.  Every conjugator returned from this module has been
+checked as z.x = c.z for the words x and c it conjugates: x is joined
+to the irreducible conjugator z, z is joined to c, and the two normal
+forms must be equal.  Each join rewrites only near its junction, so
+neither reads most of z.  A failed check raises VerificationError, so
+an index or orientation slip cannot escape.
 
 Roots are found from the least period of W, which the same Duval scan
-measures, and the conjugate-power decision reduces to conjugacy of
-primitive roots.
+measures.  The conjugate-power decision reduces to conjugacy of
+primitive roots, and its answer is checked on them alone.
 """
 
 from __future__ import annotations
@@ -81,8 +81,8 @@ def _verify_conjugation(ctx, z: Word, x: Word, target: Word) -> bool:
     outputs equal z.x and target.z in the group, and equal outputs
     prove the equation.  When all three are irreducible, as every
     caller passes, the joins are nf(z.x) and nf(target.z), which are
-    equal exactly when the equation holds.  The x that conj_power
-    passes for n < 0, the inverse of nf(y^|n|), is irreducible too:
+    equal exactly when the equation holds.  The inverse of an
+    irreducible word, which _conjugator joins, is irreducible too:
     inversion maps each left side of S1, S2(2g+1), S3(t) and S4(1) to a
     left side of the same rule, read along the inverse row, and it
     reverses the generator order, so S4(1)'s condition b_1 > b_2g
@@ -263,6 +263,10 @@ def conj_power(ctx: GroupContext, x: Word, y: Word) -> ConjPowerResult:
     root of exponent 1 is nf of its input and reuses that decomposition.
     Roots whose exponent sums differ up to sign answer "no" before any
     class is built, and y1's class is built at most once.
+
+    z is verified on the roots, so no power is built: _root checks
+    x1^r1 = x and y1^r2 = y, _conjugator z.y1.z^-1 = x1^+-1, and then
+    z.y^n.z^-1 = x1^(|n|.r2) is x^m once m.r1 = |n|.r2 is checked.
     """
     px = power_decompose(ctx, x)
     py = power_decompose(ctx, y)
@@ -284,16 +288,10 @@ def conj_power(ctx: GroupContext, x: Word, y: Word) -> ConjPowerResult:
         qx = px if sign == 1 and rx.exponent == 1 else power_decompose(ctx, x1)
         conj = _conjugator(ctx, _class(ctx, qx), qx.word, cy, qy.word)
         if conj is not None:
-            break
-    else:
-        return ConjPowerResult(False, 0, 0, ())
-    n *= sign
-    # any word equal to y^n will do, so y^-|n| is the inverse of nf(y^|n|)
-    y_n = py.assemble(abs(n))
-    if not _verify_conjugation(ctx, conj, y_n if n > 0 else invert_word(y_n),
-                               px.assemble(m)):
-        raise VerificationError("conjugate-power certificate failed verification")
-    return ConjPowerResult(True, m, n, conj)
+            if m * rx.exponent != n * ry.exponent:
+                raise VerificationError("conjugate-power exponents failed verification")
+            return ConjPowerResult(True, m, sign * n, conj)
+    return ConjPowerResult(False, 0, 0, ())
 
 
 def reducing_pair(ctx: GroupContext, w1: Word, w2: Word):

@@ -249,6 +249,13 @@ def test_oversized_power_exits_1_at_once(capsys):
     assert captured.err.startswith("error: x^1000000000 has 2000000000 letters")
 
 
+def test_conj_power_past_the_power_limit_exits_0(capsys):
+    """y^2499 would exceed MAX_POWER_LETTERS; conj-power builds no power."""
+    x, y = " ".join(["c1 c2"] * 2499), " ".join(["c1 c2"] * 2500)
+    assert main(["conj-power", x, y]) == 0
+    assert capsys.readouterr().out.splitlines()[:3] == ["found: yes", "m 2500", "n 2499"]
+
+
 def test_oversized_check_exits_1_at_once(capsys):
     # t = 4 for the canonical order, so the power words x^4 .. x^400000
     # add up to 4 * 2 * 10^5 * (10^5 + 1) / 2 letters; it is refused

@@ -27,7 +27,7 @@ from helpers import (
     word_sort_key,
 )
 from helpers import reversed_conjugators_reference as _reversed_conjugators
-from surfgroup import conjugacy, rewrite
+from surfgroup import conjugacy, powers, rewrite
 from surfgroup.conjugacy import (
     ConjPowerResult,
     RootResult,
@@ -756,9 +756,10 @@ def test_conj_power_inverse_orientation(ctx2):
 ])
 def test_conj_power_checks_its_certificate_by_verify_conjugation(ctx2, monkeypatch,
                                                                  x, y, m, n):
-    """conj_power's own check is a _verify_conjugation call: its
-    conjugator z with target = nf(x^m) and, for x, nf(y^n), or for a
-    negative n the inverse of nf(y^-n)."""
+    """conj_power's conjugator is checked by _verify_conjugation on the
+    primitive roots, as the last check it makes: _conjugator's call on
+    z with nf(y1) and target nf(x1^sign) for the sign of n.  No power of
+    x or y is checked."""
     calls = []
     real = conjugacy._verify_conjugation
 
@@ -769,9 +770,16 @@ def test_conj_power_checks_its_certificate_by_verify_conjugation(ctx2, monkeypat
     monkeypatch.setattr(conjugacy, "_verify_conjugation", record)
     res = conj_power(ctx2, x, y)
     assert (res.found, res.m, res.n) == (True, m, n)
-    y_n = nf_power(ctx2, y, abs(n))
-    y_n = y_n if n > 0 else invert_word(y_n)
-    assert (res.conjugator, y_n, nf_power(ctx2, x, m)) in calls
+    x1, y1 = root(ctx2, x).root, root(ctx2, y).root
+    x1 = x1 if n > 0 else invert_word(x1)
+    assert calls[-1] == (res.conjugator, nf(ctx2, y1), nf(ctx2, x1))
+
+
+def test_conj_power_answers_powers_past_the_power_limit(ctx2):
+    """(c1 c2)^2499 against (c1 c2)^2500: y^2499 would have 12,495,000
+    letters, more than MAX_POWER_LETTERS, but the answer is checked on
+    the roots and no power is built."""
+    assert conj_power(ctx2, (1, 2) * 2499, (1, 2) * 2500) == ConjPowerResult(True, 2500, 2499, ())
 
 
 def test_conj_power_negative_and_domain(ctx2):
@@ -808,7 +816,7 @@ def _conj_power_corpus(ctx, rng, per_family):
                z + other * rng.randrange(1, 3) + invert_word(z))
 
 
-@pytest.mark.parametrize("genus", [2, 3, 5])
+@pytest.mark.parametrize("genus", [2, 3, 5, 8, 16, 64])
 def test_conj_power_matches_the_reference(genus):
     """conj_power, which builds each class at most once, gives the
     (found, m, n, conjugator) of conj_power_reference, which builds
@@ -824,6 +832,22 @@ def test_conj_power_matches_the_reference(genus):
     assert found["random", False, False] >= 25
     assert found["commutator", True, True] and found["commutator", True, False]
     assert found["commutator", False, False]
+
+
+@pytest.mark.parametrize("genus", [2, 3, 5])
+def test_conj_power_builds_no_power(genus, monkeypatch):
+    """With PowerDecomposition.assemble made to raise, conj_power still
+    gives the answer of conj_power_reference on every pair of the corpus."""
+    ctx = GroupContext(genus)
+    corpus = list(_conj_power_corpus(ctx, random.Random(139 + genus), 30))
+    expected = [conj_power_reference(ctx, x, y) for _, x, y in corpus]
+
+    def refuse(self, k):
+        raise AssertionError(f"assemble({k}) called")
+
+    monkeypatch.setattr(powers.PowerDecomposition, "assemble", refuse)
+    for (family, x, y), want in zip(corpus, expected):
+        assert conj_power(ctx, x, y) == want, (family, x, y)
 
 
 def test_conj_power_builds_each_class_at_most_once(ctx2, ctx3, monkeypatch):
