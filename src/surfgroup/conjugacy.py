@@ -76,10 +76,11 @@ def _verify_conjugation(ctx, z: Word, x: Word, target: Word) -> bool:
     to z, z is joined to target, and the two words must be equal.
 
     Sound for every z, x and target: each rule _extend fires replaces a
-    relator fragment it has read in acc by an equal word, and a join
-    appends the letters it does not read as they are, so the two
-    outputs equal z.x and target.z in the group, and equal outputs
-    prove the equation.  When all three are irreducible, as every
+    relator fragment it has read in acc by an equal word, a join drops
+    only a.a^-1 pairs at its junction before it reads, and it appends
+    the letters it does not read as they are, so the two outputs equal
+    z.x and target.z in the group, and equal outputs prove the
+    equation.  When all three are irreducible, as every
     caller passes, the joins are nf(z.x) and nf(target.z), which are
     equal exactly when the equation holds.  The inverse of an
     irreducible word, which _conjugator joins, is irreducible too:
@@ -106,12 +107,20 @@ def _least_rotations(s) -> range:
     """
     n = len(s)
     ss = s + s
+    n2 = 2 * n
     i = k0 = 0
     while i < n:
         k0 = i
         j, k = i + 1, i
-        while j < 2 * n and ss[k] <= ss[j]:
-            k = i if ss[k] < ss[j] else k + 1
+        while j < n2:
+            a = ss[k]
+            b = ss[j]
+            if a < b:
+                k = i
+            elif a == b:
+                k += 1
+            else:
+                break
             j += 1
         while i <= k:
             i += j - k

@@ -44,10 +44,14 @@ is built.
 Because an irreducible word passes through unchanged, nf(u v) for an
 irreducible u starts from u and costs only the letters of v.  When v is
 irreducible too, _nf_join reads only the letters of v near the
-junction: v contains no left side, so a rule fired past the junction
-has a left side that starts in u's part of acc and covers every letter
-of v read since.  The left sides of S1, S2(2g+1) and S4(1) have at
-most 2g+1 letters, and every longer one that can fire runs along a
+junction.  From a v longer than one piece it first drops the a.a^-1
+pairs that meet there, if any, found by slice comparison: appending
+them one at a time would only pop them (S1), and the words left are a
+prefix of u and a suffix of v, so they are irreducible too.  Then v
+contains no left side, so a rule fired past the junction has a left
+side that starts in u's part of acc and covers every letter of v read
+since.  The left sides of S1, S2(2g+1) and S4(1) have at most 2g+1
+letters, and every longer one that can fire runs along a
 (2g-1)-periodic block, so once acc ends with 4g letters of v that are
 not (2g-1)-periodic, no later letter of v fires a rule and the rest is
 appended unread.
@@ -66,6 +70,7 @@ from .group_core import (
     GroupContext,
     VerificationError,
     Word,
+    common_prefix_len,
     invert_word,
 )
 
@@ -246,12 +251,25 @@ def _nf_concat(ctx: GroupContext, u: Word, v: Word) -> Word:
 def _nf_join(ctx: GroupContext, u: Word, v: Word) -> Word:
     """nf(u + v) for u and v both irreducible, rewriting only near the junction.
 
-    v goes to _extend in pieces of C = max(4g, 32) letters, so the
-    number m of its letters read runs through C, 2C, 3C, ...  A v no
-    longer than C goes in whole, as _nf_concat takes it.  After each
-    piece the rest of v goes in unread once acc ends with the window
-    W = v[m-4g:m] and W is not (2g-1)-periodic.  So the test is tried
-    at most C letters after the first window that would pass it.
+    A v no longer than C = max(4g, 32) letters goes to _extend whole, as
+    _nf_concat takes it.  When a longer v starts with the inverse of the
+    last letter of u, the free cancellation at the junction is dropped
+    first: the largest k with v[:k] the inverse of u[-k:], found by
+    common_prefix_len at C speed, and the join goes on with u[:len(u)-k]
+    and v[k:]; without that first pair no letter of u is inverted.  That
+    is exact: while the appended letter is the inverse of acc[-1],
+    _extend only pops it (S1), and no other rule can fire in between;
+    and a prefix or a suffix of an irreducible word is irreducible, so
+    the argument below holds for the shortened pair.  It is sound for
+    any u and v, as it removes only a.a^-1 pairs.  Those k pops are S1
+    steps that _extend never sees: a count of the rules fired must add
+    k to them.
+
+    v goes to _extend in pieces of C letters, so the number m of its
+    letters read runs through C, 2C, 3C, ...  After each piece the rest
+    of v goes in unread once acc ends with the window W = v[m-4g:m] and
+    W is not (2g-1)-periodic.  So the test is tried at most C letters
+    after the first window that would pass it.
 
     Why no later letter can fire a rule then: write acc = Q.W.  Until a
     rule fires, acc is Q.v[m-4g:m'] when v[m'] is appended, and v has no
@@ -266,10 +284,13 @@ def _nf_join(ctx: GroupContext, u: Word, v: Word) -> Word:
     of 2g letters would do; 4g keeps a margin.  A fully periodic v,
     such as a power of an exceptional core, is read to the end.
     """
-    acc = list(u)
     K = 2 * ctx.n_gens
     L = ctx.n_gens - 1
     C = K if K > 32 else 32
+    if len(v) > C and u and u[-1] == -v[0]:
+        k = common_prefix_len(invert_word(u[-len(v):]), v)
+        u, v = u[:len(u) - k], v[k:]
+    acc = list(u)
     _extend(ctx, acc, v[:C], None)
     m = C
     while m < len(v):

@@ -3,6 +3,7 @@
 import ast
 import copy
 import itertools
+import random
 import re
 import sys
 from decimal import Decimal
@@ -310,6 +311,52 @@ def test_common_prefix_suffix():
     assert common_suffix_len((1, 2, 3), (4, 2, 3)) == 2
     assert common_prefix_len((), (1,)) == 0
     assert common_suffix_len((1,), (1,)) == 1
+
+
+def prefix_len_by_letter(u, v):
+    n = min(len(u), len(v))
+    i = 0
+    while i < n and u[i] == v[i]:
+        i += 1
+    return i
+
+
+def suffix_len_by_letter(u, v):
+    n = min(len(u), len(v))
+    i = 0
+    while i < n and u[-1 - i] == v[-1 - i]:
+        i += 1
+    return i
+
+
+def test_common_prefix_and_suffix_match_the_letter_loop():
+    """On random pairs of 0 to 3,000 letters sharing a prefix and a suffix
+    of random length, and on equal words, words that differ at the first
+    or the last letter, and a word against its own prefix or suffix:
+    both scans give the letter loop's answer, also with either word a
+    list, since a list slice never equals a tuple slice.  So they do on a
+    1,000-letter word against itself with the letter at each distance up
+    to 400 from either end changed, and on equal words and a word against
+    its own prefix of each length up to 400, which puts a mismatch or the
+    end of a word on every boundary the search's slices can have."""
+    rng = random.Random(3101)
+    w = tuple(rng.choice((1, -1, 2, -2)) for _ in range(1000))
+    pairs = [(w, w[:k] + (3,) + w[k + 1:]) for k in range(400)]
+    pairs += [(w, w[:999 - k] + (3,) + w[1000 - k:]) for k in range(400)]
+    pairs += [(w[:k], w[:k]) for k in range(400)] + [(w[:k], w[:k + 1]) for k in range(400)]
+    pairs += [(w[-k:], w[-k - 1:]) for k in range(1, 400)]
+    for _ in range(300):
+        n = rng.choice((rng.randrange(0, 30), rng.randrange(0, 3001)))
+        u = tuple(rng.choice((1, -1, 2, -2)) for _ in range(n))
+        a, b = sorted(rng.randrange(0, n + 1) for _ in range(2))
+        mid = tuple(rng.choice((1, -1, 2, -2)) for _ in range(rng.randrange(0, 40)))
+        pairs += [(u, u[:a] + mid + u[b:]), (u, u[:a]), (u, u[b:]), (u, u)]
+        if u:
+            pairs += [(u, (-u[0],) + u[1:]), (u, u[:-1] + (-u[-1],))]
+    for u, v in pairs:
+        for x, y in ((u, v), (v, u), (list(u), v), (u, list(v)), (list(u), list(v))):
+            assert common_prefix_len(x, y) == prefix_len_by_letter(u, v), (u, v)
+            assert common_suffix_len(x, y) == suffix_len_by_letter(u, v), (u, v)
 
 
 def test_abelianize(ctx2):

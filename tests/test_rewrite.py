@@ -689,11 +689,11 @@ def settle_point(ctx, u, v):
 @pytest.mark.parametrize("genus", [2, 8, 64])
 def test_nf_join_reads_at_most_one_piece_past_the_settle_point(genus, monkeypatch):
     """On joins whose settle point s lies just past C, 2C+1 and 4C+1
-    letters into v (v begins with the inverse of the last s - 4g letters
-    of u), _nf_join sends at most s + C + 4g letters of v through
-    _extend, and v is longer than that.  Trying the settle test only
-    when the letters read had doubled (at C, 2C, 4C, ...) reads 4C
-    letters for s = 2C + 1 and 8C for s = 4C + 1, and fails here."""
+    letters into v, where v begins with the inverse of the last
+    c = s - 4g letters of u, _nf_join hands none of those c letters to
+    _extend and at most s - c + C + 4g letters of v in all, and v is
+    longer than that.  Appending the cancelled letters one at a time
+    reads at least s letters and fails here."""
     ctx = GroupContext(genus)
     rng = random.Random(2800 + genus)
     K = 2 * ctx.n_gens
@@ -715,11 +715,113 @@ def test_nf_join_reads_at_most_one_piece_past_the_settle_point(genus, monkeypatc
     read = []
 
     def counting(ctx, acc, letters, steps):
-        read.append(len(letters))
+        read.append(tuple(letters))
         return real(ctx, acc, letters, steps)
 
     monkeypatch.setattr(rewrite, "_extend", counting)
     for s, u, v, expected in cases:
         read.clear()
         assert _nf_join(ctx, u, v) == expected
-        assert s <= sum(read) <= s + C + K, (s, read)
+        c = s - K
+        handed = sum(read, ())
+        assert handed == v[c:c + len(handed)], (s, read)
+        assert len(handed) <= s - c + C + K, (s, read)
+
+
+def cancelled_len(u, v):
+    """The number of letters v opens with that cancel the end of u, letter
+    by letter."""
+    k = 0
+    while k < min(len(u), len(v)) and v[k] == -u[-1 - k]:
+        k += 1
+    return k
+
+
+def cancelling_join(ctx, rng, left, right, k):
+    """(u, v) = (left.w, w^-1.right), both irreducible, for a random w of
+    k letters, with no letter of left cancelling against right, so that
+    exactly the k letters of w cancel.  None if 100 tries find no w."""
+    for _ in range(100):
+        w = random_freely_reduced(ctx, k, rng)
+        u, v = left + w, invert_word(w) + right
+        if nf(ctx, u) == u and nf(ctx, v) == v and cancelled_len(u, v) == k:
+            return u, v
+    return None
+
+
+def junction_rule_cases(ctx, rng):
+    """(family, left, right): irreducible words whose join fires an S2(2g+1),
+    S3(2) or S4b(2) rule with a left side that starts in left and ends in
+    right.  Each left side is split at a random point of a random row."""
+    g2 = ctx.n_gens
+    found = {}
+    for E in rng.sample(ctx.relator_table, len(ctx.relator_table)):
+        sides = {"S2": E[:g2 + 1],
+                 "S3": E[:1] + E[1:g2] * 2 + E[g2:g2 + 1],
+                 "S4b": E[:g2 - 1] * 2 + E[g2 - 1:g2]}
+        for family, side in sides.items():
+            if family in found:
+                continue
+            j = rng.randrange(1, len(side))
+            left, right = side[:j], side[j:]
+            if nf(ctx, left) != left or nf(ctx, right) != right:
+                continue
+            steps = normalize(ctx, left + right)[1]
+            if steps and steps[0].rule.family == family and steps[0].start < len(left):
+                found[family] = (left, right)
+        if len(found) == 3:
+            break
+    return [(family, *found[family]) for family in sorted(found)]
+
+
+@pytest.mark.parametrize("genus", [2, 3, 8, 64])
+def test_nf_join_cancels_the_junction_before_extend(genus, monkeypatch):
+    """_nf_join(u, v) is _nf_concat(u, v) when v opens with the inverse of
+    the last k letters of u: for k = 1, C-1, C and C+1; when all of u
+    cancels, all of v, or both; and when an S2, S3 or S4b rule fires at
+    the junction the cancellation leaves.  None of the k cancelled
+    letters reaches _extend: the letters it is handed are those of v[k:],
+    in order."""
+    ctx = GroupContext(genus)
+    rng = random.Random(3100 + genus)
+    C = max(2 * ctx.n_gens, 32)
+    cases = []  # (what, u, v, k)
+    u = nf(ctx, random_freely_reduced(ctx, 6 * C, rng))
+    for k in (1, C - 1, C, C + 1):
+        for _ in range(20):
+            v = invert_word(u[-k:]) + nf(ctx, random_freely_reduced(ctx, 2 * C, rng))
+            if nf(ctx, v) == v and cancelled_len(u, v) == k:
+                cases.append((f"k={k}", u, v, k))
+                break
+    head = nf(ctx, random_freely_reduced(ctx, 2 * C, rng))
+    for right in (nf(ctx, random_freely_reduced(ctx, C, rng)) for _ in range(20)):
+        v = invert_word(head) + right
+        if nf(ctx, v) == v and cancelled_len(head, v) == len(head):
+            cases.append(("all of u", head, v, len(head)))
+            break
+    cases.append(("all of v", u, invert_word(u[-2 * C:]), 2 * C))
+    cases.append(("both", head, invert_word(head), len(head)))
+    for family, left, right in junction_rule_cases(ctx, rng):
+        pair = cancelling_join(ctx, rng, left, right, C + 1)
+        assert pair is not None, family
+        cases.append((family, *pair, C + 1))
+    assert {what for what, *_ in cases} == {
+        "k=1", f"k={C - 1}", f"k={C}", f"k={C + 1}", "all of u", "all of v", "both",
+        "S2", "S3", "S4b"}, [what for what, *_ in cases]
+    real = rewrite._extend
+    read = []
+
+    def counting(ctx, acc, letters, steps):
+        read.append(tuple(letters))
+        return real(ctx, acc, letters, steps)
+
+    for what, u, v, k in cases:
+        assert nf(ctx, u) == u and nf(ctx, v) == v and len(v) > C, what
+        assert cancelled_len(u, v) == k, what
+        expected = _nf_concat(ctx, u, v)
+        read.clear()
+        monkeypatch.setattr(rewrite, "_extend", counting)
+        assert _nf_join(ctx, u, v) == expected, what
+        monkeypatch.setattr(rewrite, "_extend", real)
+        handed = sum(read, ())
+        assert handed == v[k:k + len(handed)], what
