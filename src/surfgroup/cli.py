@@ -9,7 +9,10 @@ grammar of parse_word: whitespace- or '*'-separated tokens c1, c2^-1,
 C2, with e for the empty word.  They come from the arguments or from
 --file, never both.  Output is plain text or a JSON document with the
 stable fields {command, genus, input, result, length, trace?,
-certificate?}.
+certificate?}.  JSON is written by the CLI's own writer, _dumps: byte
+for byte what json.dumps(..., indent=2) gives, without the stdlib's
+pure-Python indenting encoder, and json is imported only once a
+document is written.
 
 Every request, a single one or a line of a batch file, goes through
 _attempt: it checks the word count, builds or reuses the context, runs
@@ -27,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from types import MappingProxyType
@@ -362,13 +364,79 @@ def _attempt(request: Request, ctx=None):
                "input": list(words), **doc}, ctx
 
 
+def _write_json(value, nl, out, quote) -> None:
+    """Append to out the pieces of value as json.dumps(..., indent=2)
+    writes it at the line break nl, for dict, list, str, int, bool and
+    None; any other value is written by json.dumps itself, its line
+    breaks moved in to nl.  A non-str dict key makes quote raise
+    TypeError."""
+    t = type(value)
+    if t is str:
+        out(quote(value))
+    elif t is dict:
+        if not value:
+            out("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            out(sep)
+            out(quote(key))
+            out(": ")
+            _write_json(item, inner, out, quote)
+            sep = "," + inner
+        out(nl + "}")
+    elif t is list:
+        if not value:
+            out("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for item in value:
+            out(sep)
+            _write_json(item, inner, out, quote)
+            sep = "," + inner
+        out(nl + "]")
+    elif t is int:
+        out(repr(value))
+    elif value is True:
+        out("true")
+    elif value is False:
+        out("false")
+    elif value is None:
+        out("null")
+    else:
+        import json
+        out(json.dumps(value, indent=2).replace("\n", nl))
+
+
+def _dumps(doc) -> str:
+    """json.dumps(doc, indent=2), byte for byte, written by _write_json.
+
+    With an indent, json.dumps runs the stdlib's pure-Python generator
+    encoder; this writer appends the pieces to one list instead.  json
+    is imported on the first document, not with the CLI.  A document
+    with a dict key that is not a str goes to json.dumps whole, which
+    converts such keys.
+    """
+    from json.encoder import encode_basestring_ascii
+
+    parts = []
+    try:
+        _write_json(doc, "\n", parts.append, encode_basestring_ascii)
+    except TypeError:
+        import json
+        return json.dumps(doc, indent=2)
+    return "".join(parts)
+
+
 def run(request: Request):
     """Execute one request; returns (exit_code, stdout_text, stderr_text)."""
     code, doc, _ = _attempt(request)
     if code:
         return code, "", f"error: {doc}"
     if request.options.get("format") == "json":
-        return 0, json.dumps(doc, indent=2), ""
+        return 0, _dumps(doc), ""
     return 0, "\n".join(_COMMANDS[request.command].render(doc)), ""
 
 
@@ -414,7 +482,7 @@ def run_file(path, command: str, options: dict):
         docs.append({"line": lineno, **doc})
         lines.append("; ".join(_COMMANDS[command].render(doc)))
     if options.get("format") == "json":
-        return code, json.dumps(docs, indent=2), ""
+        return code, _dumps(docs), ""
     if ok or errors:
         lines.append(f"processed {ok + errors} ok {ok} errors {errors}")
     return code, "\n".join(lines), ""

@@ -307,10 +307,11 @@ def reducing_pair(ctx: GroupContext, w1: Word, w2: Word):
     """The excised pair (C1, C2): w1 = A.C1, w2 = C2.B, nf(w1 w2) = A.C'.B.
 
     A is the longest prefix of w1 surviving in nf(w1 w2), then B the
-    longest surviving suffix of w2.
+    longest surviving suffix of w2.  Lists give the tuples tuples give.
     """
     ctx.check_word(w1)
     ctx.check_word(w2)
+    w1, w2 = tuple(w1), tuple(w2)
     if not is_irreducible(ctx, w1) or not is_irreducible(ctx, w2):
         raise DomainError("reducing_pair requires irreducible words")
     if w1 and w2 and w1[-1] == -w2[0]:

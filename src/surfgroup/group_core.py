@@ -179,9 +179,12 @@ class GroupContext:
         # fixed iteration order for deterministic enumeration
         self.letters = tuple(range(1, g2 + 1)) + tuple(-i for i in range(1, g2 + 1))
         self.relator = tuple(range(1, g2 + 1)) + tuple(-i for i in range(1, g2 + 1))
-        # rows 0..4g-1 rotate the relator, rows 4g..8g-1 its inverse
-        self.relator_table = tuple(c[i:] + c[:i] for c in (self.relator, invert_word(self.relator))
-                                   for i in range(self.alphabet_size))
+        # rows 0..4g-1 rotate the relator, rows 4g..8g-1 its inverse; the
+        # rotation by i is one slice of the doubled cyclic word
+        n4 = self.alphabet_size
+        self.relator_table = tuple(cc[i:i + n4] for cc in (self.relator * 2,
+                                                          invert_word(self.relator) * 2)
+                                   for i in range(n4))
         # follow[a] holds the three letters that can fire a rule when
         # appended after a: each of its two successors b maps to the row
         # that starts at b and ends at a, and its inverse maps to None.
@@ -311,18 +314,26 @@ def parse_word(text: str, genus: int, base: str = "c") -> Word:
     ('c' for the symmetric presentation, 'a' for words handed to a
     presentation translator).
 
-    Each token is looked up in the cached table _token_letters(genus,
-    base) of the canonical spellings.  A miss is skipped if it is `e` and
-    otherwise goes through _parse_token, the regex path the table was
-    built from, so other spellings such as `c01` still parse and every
-    error keeps its text, token and position.  A table is built only for
-    2 <= genus <= MAX_GENUS: a descriptor file is parsed with its genus
-    before that genus is checked, and a huge one must not build a huge
-    table.
+    The tokens are looked up in the cached table _token_letters(genus,
+    base) of the canonical spellings, all at once in one list
+    comprehension.  Only a word with a miss takes the per-token loop:
+    there a miss is skipped if it is `e` and otherwise goes through
+    _parse_token, the regex path the table was built from, so other
+    spellings such as `c01` still parse and every error keeps its text,
+    token and position.  A table is built only for 2 <= genus <=
+    MAX_GENUS: a descriptor file is parsed with its genus before that
+    genus is checked, and a huge one must not build a huge table.
     """
     table = _token_letters(genus, base) if 2 <= genus <= MAX_GENUS else {}
+    tokens = text.replace("*", " ").split()
+    try:
+        # a list first: tuple(map(...)) has no length to size the tuple
+        # by, grows it by resizing, and raised cli-batch's peak memory
+        return tuple([table[tok] for tok in tokens])
+    except KeyError:
+        pass
     out = []
-    for i, tok in enumerate(text.replace("*", " ").split()):
+    for i, tok in enumerate(tokens):
         x = table.get(tok)
         if x is None:
             if tok == "e":
@@ -343,9 +354,17 @@ def _letter_names(base: str) -> dict:
 
 
 def format_word(w: Word, base: str = "c") -> str:
-    """Inverse of parse_word; the empty word prints as 'e'."""
+    """Inverse of parse_word; the empty word prints as 'e'.
+
+    The names of a word whose letters all lie in the table
+    _letter_names(base) are joined at C speed; a letter past it, beyond
+    genus MAX_GENUS, sends the word to the f-string per letter.
+    """
     if not w:
         return "e"
     names = _letter_names(base)
-    return " ".join([names[x] if x in names
-                     else f"{base}{x}" if x > 0 else f"{base}{-x}^-1" for x in w])
+    try:
+        return " ".join(map(names.__getitem__, w))
+    except KeyError:
+        return " ".join([names[x] if x in names
+                         else f"{base}{x}" if x > 0 else f"{base}{-x}^-1" for x in w])

@@ -110,9 +110,10 @@ def is_irreducible(ctx: GroupContext, w: Word) -> bool:
     The S system is complete: each element has exactly one irreducible
     word, its normal form, so w is irreducible exactly when nf(w) == w.
     The tests hold this against a leftmost scan that matches every rule
-    family at every position.
+    family at every position.  nf returns a tuple, so w is compared as
+    one: a list reads as a tuple does.
     """
-    return nf(ctx, w) == w
+    return nf(ctx, w) == tuple(w)
 
 
 def is_cyclically_irreducible(ctx: GroupContext, w: Word) -> bool:
@@ -128,8 +129,10 @@ def is_cyclically_irreducible(ctx: GroupContext, w: Word) -> bool:
     Until the first rule fires acc holds the letters of w + w as given,
     and _extend fires on the last letter of the first such left side,
     since its probes and _append_step read only the letters that end acc.
+    w is taken as a tuple, so a list reads as a tuple does.
     """
     ctx.check_word(w)
+    w = tuple(w)
     return _nf_concat(ctx, w, w) == w + w
 
 

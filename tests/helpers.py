@@ -5,7 +5,9 @@ direct splice and conjugator constructions are held against, the
 certificate check by normalizing all of z.x.z^-1 the appended one is
 held against, the conjugate-power decision that tried both orientations
 of x's root with no exponent-sum test, the regex
-word parser the token table is held against, the letter-by-letter
+word parser the token table is held against, the per-token parse loop
+and the per-letter format the one-pass parse and format are held
+against, the letter-by-letter
 presentation translation and the chain-walking append step the table
 and probe versions are held against, the per-power coarse-formula check
 the linear one is held against, and the
@@ -32,11 +34,15 @@ from typing import NamedTuple
 
 from surfgroup.group_core import (
     _TOKEN_RE,
+    MAX_GENUS,
     DomainError,
     GroupContext,
     VerificationError,
     Word,
     WordParseError,
+    _letter_names,
+    _parse_token,
+    _token_letters,
     common_prefix_len,
     cyclic_rotations,
     free_reduce,
@@ -102,6 +108,32 @@ def parse_word_reference(text: str, genus: int, base: str = "c") -> Word:
             )
         out.append(-idx if (name == hi or caret) else idx)
     return tuple(out)
+
+
+def parse_word_loop_reference(text: str, genus: int, base: str = "c") -> Word:
+    """parse_word's per-token loop, run on every word: each token is
+    looked up in the table, and a miss is skipped if it is `e`, else
+    parsed by _parse_token."""
+    table = _token_letters(genus, base) if 2 <= genus <= MAX_GENUS else {}
+    out = []
+    for i, tok in enumerate(text.replace("*", " ").split()):
+        x = table.get(tok)
+        if x is None:
+            if tok == "e":
+                continue
+            x = _parse_token(tok, i, genus, base.lower(), base.upper())
+        out.append(x)
+    return tuple(out)
+
+
+def format_word_loop_reference(w: Word, base: str = "c") -> str:
+    """format_word's per-letter form, run on every word: a table name
+    where there is one, else the f-string."""
+    if not w:
+        return "e"
+    names = _letter_names(base)
+    return " ".join([names[x] if x in names
+                     else f"{base}{x}" if x > 0 else f"{base}{-x}^-1" for x in w])
 
 
 def free_reduce_reference(w: Word) -> Word:

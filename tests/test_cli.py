@@ -758,3 +758,94 @@ def test_main_never_raises(tmp_path, data):
     code, out, err = run(request)
     assert code in (0, 1, 2, 3)
     assert (out == "") == err.startswith("error: ") == (code != 0)
+
+
+def test_importing_the_cli_imports_no_json():
+    """json is imported by the first JSON document the CLI writes, not
+    with the CLI."""
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", "import surfgroup.cli, sys; print('json' in sys.modules)"],
+        capture_output=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"False\n", b"")
+
+
+_json_text = st.text(st.one_of(st.characters(), st.sampled_from(
+    ['"', "\\", "/", "\n", "\r", "\t", "\x00", "\x1f", "\x7f", "é", " ", "\ud800", "😀"])),
+    max_size=12)
+_json_ints = st.one_of(st.integers(), st.integers(min_value=2**64 - 2, max_value=2**80),
+                       st.integers(min_value=-(2**80), max_value=-(2**64) + 2))
+_json_docs = st.recursive(
+    st.one_of(_json_text, _json_ints, st.booleans(), st.none()),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(_json_text, inner, max_size=4)),
+    max_leaves=24)
+
+
+@given(doc=_json_docs)
+@settings(max_examples=300, deadline=None)
+def test_the_json_writer_matches_json_dumps(doc):
+    """Nested dicts and lists, empty ones included, of str (non-ASCII,
+    quotes, backslashes, control characters, a lone surrogate), int
+    (negative and past 2**64), bool and None."""
+    assert cli._dumps(doc) == json.dumps(doc, indent=2)
+
+
+def test_the_json_writer_hands_other_values_to_json_dumps():
+    """A float, a tuple or a dict subclass at any depth is written by
+    json.dumps, its lines indented to their place; a dict key that is not
+    a str sends the whole document there; a value json cannot write
+    raises its TypeError."""
+    docs = [
+        1.5,
+        [float("nan"), -0.0, 1e300],
+        {"a": [(1, [2, {}]), {"b": 2.5}], "c": ()},
+        {"x": {"y": [1, (), {"z": (None, "é")}]}},
+        {"a": {1: "one", None: True, 2.5: [], False: {}}},
+        [{"k": [1]}, {3: 4}],
+        {"o": __import__("collections").OrderedDict(b=1, a=[2, 3])},
+    ]
+    for doc in docs:
+        assert cli._dumps(doc) == json.dumps(doc, indent=2)
+    for doc in ([object()], {"a": {"b": {1, 2}}}):
+        with pytest.raises(TypeError):
+            cli._dumps(doc)
+
+
+_ONE_PER_COMMAND = {
+    "len": (2, ("c1 c2 c1^-1",), {}),
+    "nf": (2, ("c1 c2 c3 c4 c4^-1 c1 c2 c3 c4",), {"trace": True}),
+    "power": (2, ("c1 c2 c3",), {"k": 3}),
+    "tau": (2, ("c1 c2 c3 c4 c1^-1",), {}),
+    "ci": (2, ("c2 c1 c2 c3 c2^-1",), {}),
+    "root": (2, ("c1 c2 c1 c2",), {}),
+    "class-nf": (3, ("c1 c2 c3 c4 c5 c6 c1^-1",), {}),
+    "conj": (2, ("c1 c2", "c2 c1"), {}),
+    "conj-power": (2, ("c1 c2 c1 c2", "c3 c1 c2 c1 c2 c1 c2 c3^-1"), {}),
+    "rp": (2, ("c1 c2 c3", "c4 c1"), {}),
+    "translate": (2, ("c1 c2 c3",), {"presentation": "symmetric"}),
+    "check": (2, ("a1 a2",), {}),
+    "oracle-equal": (2, ("c1 c2", "c2 c1"), {}),
+    "oracle-conj": (2, ("c1 c2", "c2 c1"), {}),
+    "oracle-ball": (2, (), {"radius": 1}),
+}
+
+
+def test_one_json_document_per_command_is_json_dumps():
+    assert list(_ONE_PER_COMMAND) == list(_COMMANDS)
+    for command, (genus, words, options) in _ONE_PER_COMMAND.items():
+        request = Request(command, genus, words, {"format": "json", **options})
+        code, doc, _ = cli._attempt(request)
+        assert code == 0, (command, doc)
+        assert run(request) == (0, json.dumps(doc, indent=2), "")
+
+
+def test_a_json_batch_with_error_lines_is_json_dumps(tmp_path):
+    batch = tmp_path / "batch.txt"
+    batch.write_text("c1 c2 c3\n# comment\nc1 é1 c2\n\nc1\tc2\nc1 c1^-1\n", encoding="utf-8")
+    code, out, err = run_file(batch, "class-nf", {"format": "json", "genus": 2})
+    assert (code, err) == (1, "")
+    docs = json.loads(out)
+    assert [doc["line"] for doc in docs] == [1, 3, 5, 6]
+    assert ["error" in doc for doc in docs] == [False, True, True, True]
+    assert "\\u00e9" in out
+    assert out == json.dumps(docs, indent=2)

@@ -950,6 +950,40 @@ def test_reducing_pair_domain(ctx2):
         reducing_pair(ctx2, (1,), (-1,))  # junction cancels
 
 
+@pytest.mark.parametrize("genus", [2, 3, 8])
+def test_lists_and_tuples_get_the_same_verdicts(genus):
+    """is_irreducible, is_cyclically_irreducible and reducing_pair read a
+    list word as the tuple of its letters: irreducible words, reducible
+    ones and the empty word, and pairs that reducing_pair accepts and
+    refuses."""
+    ctx = GroupContext(genus)
+    rng = random.Random(genus)
+    words = [(), (1, 2), (1, -1), (ctx.n_gens,) * 3]
+    for _ in range(60):
+        w = random_relator_heavy(ctx, rng.randrange(1, 20), rng)
+        words += [w, nf(ctx, w)]
+    assert is_irreducible(ctx, [1, 2]) and rewrite.is_cyclically_irreducible(ctx, [1, 2])
+    for w in words:
+        assert is_irreducible(ctx, list(w)) == is_irreducible(ctx, w)
+        assert (rewrite.is_cyclically_irreducible(ctx, list(w))
+                == rewrite.is_cyclically_irreducible(ctx, w))
+
+    def outcome(w1, w2):
+        try:
+            return reducing_pair(ctx, w1, w2)
+        except DomainError as exc:
+            return str(exc)
+
+    accepted = 0
+    for _ in range(150):
+        w1, w2 = rng.choice(words), rng.choice(words)
+        expected = outcome(w1, w2)
+        accepted += not isinstance(expected, str)
+        assert outcome(list(w1), list(w2)) == outcome(list(w1), w2) == expected
+    assert reducing_pair(ctx, [1, 2], [3]) == reducing_pair(ctx, (1, 2), (3,))
+    assert accepted >= 30
+
+
 def test_reducing_pair_frames_the_product(ctx2):
     """nf(w1 w2) keeps w1's prefix before C1 and w2's suffix after C2."""
     rng = random.Random(131)

@@ -18,11 +18,13 @@ from helpers import (
     chain_backward,
     chain_forward_reference,
     entry_at,
+    format_word_loop_reference,
     free_reduce_reference,
     is_fractional_relator,
     letter_ranks,
     llfr_at,
     pair_ambient,
+    parse_word_loop_reference,
     parse_word_reference,
     pred_map,
     rank_list,
@@ -517,6 +519,69 @@ def test_parse_word_agrees_on_token_shaped_text(text, genus, base):
 def test_format_word_matches_the_f_string(w, base):
     assert format_word(w, base=base) == " ".join(
         f"{base}{x}" if x > 0 else f"{base}{-x}^-1" for x in w)
+
+
+@pytest.mark.parametrize("genus", [2, 8, 64])
+def test_parse_word_matches_the_token_loop(genus):
+    """The one-pass lookup and the per-token loop give the same tuple, or
+    a WordParseError with the same text, token and position: words with
+    '*' separators, C<i> and c<i>^-1 spellings, e tokens, other spellings
+    of a letter (c01), a token one index past the table, and a token of
+    each error message at every position of a word."""
+    n = 2 * genus
+    rng = random.Random(genus)
+    letters = [tok for i in range(1, n + 1) for tok in (f"c{i}", f"c{i}^-1", f"C{i}")]
+    odd = ["e", "C3", "c3^-1", f"c0{n}", f"C0{n}", f"c{n}^-1"]
+    bad = [f"c{n + 1}", f"C{n + 1}", "c0", "x1", "a1", "C1^-1", "c1^2", "c", "1", "é1", "c1^-2"]
+    seps = [" ", "*", " * ", "\t", "  "]
+
+    def text_of(tokens):
+        return "".join(tok + rng.choice(seps) for tok in tokens)
+
+    for _ in range(400):
+        tokens = rng.choices(letters, k=rng.randrange(0, 14))
+        for pool in (odd, bad):
+            if rng.random() < 0.4:
+                tokens.insert(rng.randrange(len(tokens) + 1), rng.choice(pool))
+        for text in (text_of(tokens), " ".join(tokens)):
+            assert _outcome(parse_word, text, genus, "c") == _outcome(
+                parse_word_loop_reference, text, genus, "c")
+    for tok in bad:
+        for k in range(4):
+            text = text_of(rng.choices(letters, k=k) + [tok] + rng.choices(letters, k=2))
+            got = _outcome(parse_word, text, genus, "c")
+            assert got == _outcome(parse_word_loop_reference, text, genus, "c")
+            assert got[1:] == (tok, k + 1)
+    for text in ("", "e", "e * e", "C3 e c3^-1"):
+        assert parse_word(text, genus) == parse_word_loop_reference(text, genus)
+
+
+def test_format_word_matches_the_letter_loop():
+    """The one-pass join and the per-letter form agree on words of every
+    letter up to genus MAX_GENUS and, through the fallback, on words with
+    a letter past it."""
+    rng = random.Random(5)
+    n = 2 * MAX_GENUS
+    table = [x for i in range(1, n + 1) for x in (i, -i)]
+    past = [n + 1, -n - 1, 10**30, -(10**30), 0, True]
+    for base in ("c", "a", "é", ""):
+        assert format_word(tuple(table), base) == format_word_loop_reference(tuple(table), base)
+        for _ in range(200):
+            w = rng.choices(table, k=rng.randrange(1, 20))
+            if rng.random() < 0.5:
+                w.insert(rng.randrange(len(w) + 1), rng.choice(past))
+            assert format_word(tuple(w), base) == format_word_loop_reference(tuple(w), base)
+            assert format_word(w, base) == format_word_loop_reference(w, base)
+
+
+def test_relator_table_rows_are_the_rotations_at_every_genus():
+    """Each row, a slice of the doubled relator, is the rotation d[i:] +
+    d[:i] of d or of its inverse, for every genus GroupContext admits."""
+    for genus in range(2, MAX_GENUS + 1):
+        ctx = GroupContext(genus)
+        d = ctx.relator
+        assert ctx.relator_table == tuple(c[i:] + c[:i] for c in (d, invert_word(d))
+                                          for i in range(4 * genus))
 
 
 def test_a_huge_descriptor_genus_builds_no_table(tmp_path, monkeypatch, capsys):
