@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import time
+from collections import OrderedDict
 from pathlib import Path
 
 import pytest
@@ -802,7 +803,7 @@ def test_the_json_writer_hands_other_values_to_json_dumps():
         {"x": {"y": [1, (), {"z": (None, "é")}]}},
         {"a": {1: "one", None: True, 2.5: [], False: {}}},
         [{"k": [1]}, {3: 4}],
-        {"o": __import__("collections").OrderedDict(b=1, a=[2, 3])},
+        {"o": OrderedDict(b=1, a=[2, 3])},
     ]
     for doc in docs:
         assert cli._dumps(doc) == json.dumps(doc, indent=2)
