@@ -18,9 +18,13 @@ forms must be equal.  Each join rewrites only near its junction, so
 neither reads most of z.  A failed check raises VerificationError, so
 an index or orientation slip cannot escape.
 
-Roots are found from the least period of W, which the same Duval scan
-measures.  The conjugate-power decision reduces to conjugacy of
-primitive roots, and its answer is checked on them alone.
+x = S^-1.W.S for the splice suffix S, the short end of the splice.
+The root of x is the block of W's least period, found by slice tests
+at C speed, conjugated back through S.  It is checked, without
+building any power of it, as W = block^r letter for letter and as
+the joins of S^-1, W and S giving nf(x).  The conjugate-power decision
+reduces to conjugacy of primitive roots, and its answer is checked on
+them alone.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from .group_core import (
     invert_word,
 )
 from .powers import PowerDecomposition, power_decompose
-from .rewrite import _nf_concat, _nf_join, is_irreducible, nf
+from .rewrite import _nf_join, is_irreducible, nf
 
 
 # a dataclass: bench/test_bench.py builds a wrong one with dataclasses.replace
@@ -237,13 +241,39 @@ def _conjugator(ctx: GroupContext, cx: ConjugacyCertificate, x: Word,
     return z
 
 
+def _least_period(w) -> int:
+    """The least d with w == w[:d] * (len(w) // d), for a nonempty w.
+
+    The periods of w that divide n = len(w) are the multiples of the
+    least one that divide n: w is invariant under the rotations by any
+    two of them, and so under the rotation by their gcd.  So d starts at
+    n and is divided by each prime q of n for as long as w[:d // q]
+    repeats to w, and it ends at the least.  Each test is one slice
+    product and one compare at C speed, and there are at most
+    2 log2(n) of them.
+    """
+    n = d = m = len(w)
+    q = 2
+    while m > 1:
+        if q * q > m:
+            q = m
+        if m % q == 0:
+            while m % q == 0:
+                m //= q
+            while d % q == 0 and w[:d // q] * (n * q // d) == w:
+                d //= q
+        q += 1
+    return d
+
+
 def root(ctx: GroupContext, x: Word) -> RootResult:
     """Primitive root Y and exponent r with Y^r = x.
 
-    The least period d of the core W comes from the Duval scan of
-    _least_rotations (it does not depend on the letter order); the root
-    is the conjugate of that period block back through the splice
-    prefix.
+    nf(x^2) = P.S and nf(x^3) = P.W.S for the splice prefix P, core W
+    and suffix S, so x = S^-1.W.S.  With d the least period of W that
+    divides |W|, W = B^r for the block B = W[:d], and the root is
+    Y = nf(S^-1.B.S), the block conjugated back through the suffix, the
+    short end of the splice.
     """
     pd = power_decompose(ctx, x)
     if not pd.word:
@@ -252,13 +282,24 @@ def root(ctx: GroupContext, x: Word) -> RootResult:
 
 
 def _root(ctx: GroupContext, pd: PowerDecomposition) -> RootResult:
-    """root of the nontrivial element that pd decomposes."""
+    """root of the nontrivial element that pd decomposes.
+
+    S^-1, B and S are irreducible (S ends nf(x^2), B lies in the core,
+    and see _verify_conjugation for the inverse), so two joins give
+    Y = nf(S^-1.B.S).  Y^r = x is checked as two facts: W == B * r,
+    literally, and the joins of S^-1, W and S give nf(x).  Joins only
+    ever replace a word by an equal one (see _verify_conjugation), so
+    then Y^r = S^-1.B^r.S = S^-1.W.S = x, and the check can fail but
+    can never accept a wrong root.  No power of Y is built.
+    """
     w = pd.core
-    d = _least_rotations(w).step
+    s = pd.suffix
+    s_inv = invert_word(s)
+    d = _least_period(w)
     r = len(w) // d
-    # prefix.core begins nf(x^3), so prefix + w[:d] is irreducible, and so is y
-    y = _nf_concat(ctx, pd.prefix + w[:d], invert_word(pd.prefix))
-    if _nf_concat(ctx, y, y * (r - 1)) != pd.word:
+    block = w[:d]
+    y = _nf_join(ctx, _nf_join(ctx, s_inv, block), s)
+    if block * r != w or _nf_join(ctx, _nf_join(ctx, s_inv, w), s) != pd.word:
         raise VerificationError("root reassembly failed verification")
     return RootResult(y, r)
 

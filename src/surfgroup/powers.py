@@ -56,7 +56,12 @@ class PowerDecomposition(NamedTuple):
     word: Word
 
     def assemble(self, k: int) -> Word:
-        """nf(x^k) for k >= 1; refused unbuilt past MAX_POWER_LETTERS."""
+        """nf(x^k) for k >= 1; refused unbuilt past MAX_POWER_LETTERS.
+
+        The letters are copied once into one list, which grows in place,
+        and then once into the tuple returned: prefix + core * (k - 2) +
+        suffix would build two temporary tuples of about the full length.
+        """
         if k < 1:
             raise DomainError(f"exponent must be >= 1, got {k}")
         if k == 1:
@@ -65,7 +70,11 @@ class PowerDecomposition(NamedTuple):
         if length > MAX_POWER_LETTERS:
             raise DomainError(
                 f"x^{k} has {length} letters, more than the limit of {MAX_POWER_LETTERS}")
-        return self.prefix + self.core * (k - 2) + self.suffix
+        acc = list(self.prefix)
+        for _ in range(k - 2):
+            acc.extend(self.core)
+        acc.extend(self.suffix)
+        return tuple(acc)
 
 
 def translation_number(ctx: GroupContext, x: Word) -> int:

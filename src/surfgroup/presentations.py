@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass
-from pathlib import Path
 
 from .group_core import (
     MAX_GENUS,
@@ -233,9 +233,10 @@ def load_descriptor(path) -> PresentationDescriptor:
     does not parse, and an order PresentationDescriptor refuses, such as
     one with more than one face.
     """
-    path = Path(path)
+    path = os.fspath(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
     except OSError as exc:
         raise DomainError(f"{path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError:
@@ -257,6 +258,7 @@ def load_descriptor(path) -> PresentationDescriptor:
     except ValueError:
         raise DomainError(f"{path}: first line must be 'genus <g>'") from None
     try:
-        return PresentationDescriptor(genus, _parse_named(lines[1], genus), path.stem)
+        return PresentationDescriptor(genus, _parse_named(lines[1], genus),
+                                      os.path.splitext(os.path.basename(path))[0])
     except ValueError as exc:
         raise DomainError(f"{path}: {exc}") from None

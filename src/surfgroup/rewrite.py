@@ -254,7 +254,8 @@ def _nf_concat(ctx: GroupContext, u: Word, v: Word) -> Word:
 def _nf_join(ctx: GroupContext, u: Word, v: Word) -> Word:
     """nf(u + v) for u and v both irreducible, rewriting only near the junction.
 
-    A v no longer than C = max(4g, 32) letters goes to _extend whole, as
+    An empty u or v returns the other word as it is, unread.  A v no
+    longer than C = max(4g, 32) letters goes to _extend whole, as
     _nf_concat takes it.  When a longer v starts with the inverse of the
     last letter of u, the free cancellation at the junction is dropped
     first: the largest k with v[:k] the inverse of u[-k:], found by
@@ -287,10 +288,12 @@ def _nf_join(ctx: GroupContext, u: Word, v: Word) -> Word:
     of 2g letters would do; 4g keeps a margin.  A fully periodic v,
     such as a power of an exceptional core, is read to the end.
     """
+    if not u or not v:
+        return tuple(u or v)
     K = 2 * ctx.n_gens
     L = ctx.n_gens - 1
     C = K if K > 32 else 32
-    if len(v) > C and u and u[-1] == -v[0]:
+    if len(v) > C and u[-1] == -v[0]:
         k = common_prefix_len(invert_word(u[-len(v):]), v)
         u, v = u[:len(u) - k], v[k:]
     acc = list(u)

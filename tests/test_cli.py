@@ -763,11 +763,13 @@ def test_main_never_raises(tmp_path, data):
 
 def test_importing_the_cli_imports_no_json():
     """json is imported by the first JSON document the CLI writes, not
-    with the CLI."""
+    with the CLI, and pathlib not at all: a descriptor file is opened by
+    its name."""
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", "import surfgroup.cli, sys; print('json' in sys.modules)"],
+        [sys.executable, "-S", "-c",
+         "import surfgroup.cli, sys; print('json' in sys.modules, 'pathlib' in sys.modules)"],
         capture_output=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=60)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"False\n", b"")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"False False\n", b"")
 
 
 _json_text = st.text(st.one_of(st.characters(), st.sampled_from(

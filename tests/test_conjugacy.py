@@ -32,6 +32,7 @@ from surfgroup.conjugacy import (
     ConjPowerResult,
     RootResult,
     _exceptional_match,
+    _least_period,
     _least_rotations,
     _verify_conjugation,
     are_conjugate,
@@ -294,6 +295,35 @@ def test_joins_bound_the_letters_appended(genus, monkeypatch):
         assert are_conjugate(ctx, x, y) is not None
     assert appended["power_decompose"] <= 1.7 * given, appended
     assert appended["are_conjugate"] <= 1.8 * given, appended
+
+
+@pytest.mark.parametrize("genus", [2, 3, 8])
+def test_root_bounds_the_letters_appended(genus, monkeypatch):
+    """On z.x^r.z^-1 with |x| = |z| = 600 and r = 2 and 3, root sends at
+    most 1.8 letters per input letter through _extend.  This corpus
+    measured 1.58 (r = 2) and 1.66 (r = 3) at each of g = 2, 3 and 8.
+    Conjugating the period block back through the splice prefix, the
+    long end, and checking Y^r = x by appending (r-1).|Y| letters one
+    at a time took 3.52 to 4.22."""
+    ctx = GroupContext(genus)
+    rng = random.Random(3300 + genus)
+    real = rewrite._extend
+    appended = [0]
+
+    def counting(ctx, acc, letters, steps):
+        appended[0] += len(letters)
+        return real(ctx, acc, letters, steps)
+
+    monkeypatch.setattr(rewrite, "_extend", counting)
+    given = 0
+    for r in (2, 3):
+        for _ in range(3):
+            x = random_freely_reduced(ctx, 600, rng)
+            z = random_freely_reduced(ctx, 600, rng)
+            w = z + x * r + invert_word(z)
+            given += len(w)
+            assert root(ctx, w).exponent == r
+    assert appended[0] <= 1.8 * given, (appended, given)
 
 
 def change_first_result(ctx, monkeypatch, name, rng, changed, caller=None):
@@ -718,10 +748,58 @@ def test_root_reassembles_and_is_primitive():
             assert res.exponent == r * root(ctx, y).exponent
 
 
+@pytest.mark.parametrize("genus", [2, 3, 8])
+def test_a_changed_splice_suffix_fails_the_root_check(genus):
+    """_root on a decomposition whose suffix has one letter changed
+    raises VerificationError: the block, conjugated back through that
+    suffix, is not a root of x.  Only the joins of S^-1, W and S
+    against nf(x) catch it, since the core still is the block's power."""
+    ctx = GroupContext(genus)
+    rng = random.Random(3500 + genus)
+    tested = 0
+    while tested < 20:
+        x = random_nontrivial(ctx, rng.randrange(4, 40), rng)
+        z = random_freely_reduced(ctx, rng.randrange(1, 30), rng)
+        pd = power_decompose(ctx, z + x * rng.randrange(1, 4) + invert_word(z))
+        if not pd.suffix:
+            continue
+        res = root(ctx, pd.word)
+        wrong = pd._replace(suffix=one_letter_changed(ctx, pd.suffix, rng))
+        # a wrong suffix conjugates the core to another element
+        assert nf(ctx, invert_word(wrong.suffix) + pd.core + wrong.suffix) != pd.word
+        with pytest.raises(VerificationError, match="root reassembly"):
+            conjugacy._root(ctx, wrong)
+        assert conjugacy._root(ctx, pd) == res
+        tested += 1
+
+
+def test_a_block_that_is_not_a_period_fails_the_root_check(ctx2, ctx3, monkeypatch):
+    """When the period found is a divisor d of |W| with W[:d] * (|W| // d)
+    != W, _root raises VerificationError.  The joins of S^-1, W and S
+    still give nf(x) there, so only the comparison of W with the block's
+    power catches it."""
+    rng = random.Random(3600)
+    for ctx in (ctx2, ctx3):
+        tested = 0
+        while tested < 20:
+            x = random_nontrivial(ctx, rng.randrange(4, 30), rng)
+            pd = power_decompose(ctx, x * rng.randrange(1, 4))
+            n = len(pd.core)
+            wrong = [d for d in range(1, n) if n % d == 0 and pd.core[:d] * (n // d) != pd.core]
+            if not wrong:
+                continue
+            d = rng.choice(wrong)
+            monkeypatch.setattr(conjugacy, "_least_period", lambda w: d)
+            with pytest.raises(VerificationError, match="root reassembly"):
+                conjugacy._root(ctx, pd)
+            monkeypatch.undo()
+            tested += 1
+
+
 def test_least_rotations_exhaustive_small():
     """Every sequence over 2 symbols up to length 12 and over 3 up to
     length 8: the indices are the least rotations, and the step is the
-    least period dividing the length."""
+    least period dividing the length, as _least_period finds it."""
     count = 0
     for base, top in ((2, 12), (3, 8)):
         for n in range(1, top + 1):
@@ -732,6 +810,7 @@ def test_least_rotations_exhaustive_small():
                 assert list(got) == [k for k in range(n) if rotations[k] == least], s
                 assert got.step == next(p for p in range(1, n + 1)
                                         if n % p == 0 and s[p:] + s[:p] == s), s
+                assert _least_period(s) == got.step, s
                 count += 1
     assert count == 2 ** 13 - 2 + (3 ** 9 - 3) // 2
 

@@ -825,3 +825,32 @@ def test_nf_join_cancels_the_junction_before_extend(genus, monkeypatch):
         monkeypatch.setattr(rewrite, "_extend", real)
         handed = sum(read, ())
         assert handed == v[k:k + len(handed)], what
+
+
+@pytest.mark.parametrize("genus", [2, 3, 8, 64])
+def test_nf_join_with_an_empty_side_reads_nothing(genus, monkeypatch):
+    """_nf_join with u or v empty returns the other word as a tuple,
+    given as a tuple or as a list, and hands _extend no letter: so a
+    root whose splice suffix is empty, as an exceptional core's often
+    is, reads its core no more.  Reading v to join it to an empty u
+    hands _extend all of v and fails here."""
+    ctx = GroupContext(genus)
+    rng = random.Random(3400 + genus)
+    C = max(2 * ctx.n_gens, 32)
+    blk = ctx.n_gens - 1
+    E = rng.choice(ctx.relator_table)
+    words = [nf(ctx, random_freely_reduced(ctx, n, rng)) for n in (0, 1, C, 3 * C)]
+    words.append((E[1:blk] + E[:1]) * (3 * C // blk + 1))
+    real = rewrite._extend
+    read = []
+
+    def counting(ctx, acc, letters, steps):
+        read.append(tuple(letters))
+        return real(ctx, acc, letters, steps)
+
+    monkeypatch.setattr(rewrite, "_extend", counting)
+    for w in words:
+        for u, v in ((w, ()), ((), w), (list(w), []), ([], list(w))):
+            out = _nf_join(ctx, u, v)
+            assert type(out) is tuple and out == w, (u, v)
+    assert read == []
