@@ -19,10 +19,11 @@ neither reads most of z.  A failed check raises VerificationError, so
 an index or orientation slip cannot escape.
 
 x = S^-1.W.S for the splice suffix S, the short end of the splice.
-The root of x is the block of W's least period, found by slice tests
-at C speed, conjugated back through S.  It is checked, without
-building any power of it, as W = block^r letter for letter and as
-the joins of S^-1, W and S giving nf(x).  The conjugate-power decision
+The root of x is the block of W's least period, which the same Duval
+scan measures, conjugated back through S.  It is checked, without
+building any power of it, as W = block^r letter for letter, as
+root = S^-1.block.S by the conjugation check, and as the joins of
+S^-1, W and S giving nf(x).  The conjugate-power decision
 reduces to conjugacy of primitive roots, and its answer is checked on
 them alone.
 """
@@ -241,39 +242,15 @@ def _conjugator(ctx: GroupContext, cx: ConjugacyCertificate, x: Word,
     return z
 
 
-def _least_period(w) -> int:
-    """The least d with w == w[:d] * (len(w) // d), for a nonempty w.
-
-    The periods of w that divide n = len(w) are the multiples of the
-    least one that divide n: w is invariant under the rotations by any
-    two of them, and so under the rotation by their gcd.  So d starts at
-    n and is divided by each prime q of n for as long as w[:d // q]
-    repeats to w, and it ends at the least.  Each test is one slice
-    product and one compare at C speed, and there are at most
-    2 log2(n) of them.
-    """
-    n = d = m = len(w)
-    q = 2
-    while m > 1:
-        if q * q > m:
-            q = m
-        if m % q == 0:
-            while m % q == 0:
-                m //= q
-            while d % q == 0 and w[:d // q] * (n * q // d) == w:
-                d //= q
-        q += 1
-    return d
-
-
 def root(ctx: GroupContext, x: Word) -> RootResult:
     """Primitive root Y and exponent r with Y^r = x.
 
     nf(x^2) = P.S and nf(x^3) = P.W.S for the splice prefix P, core W
     and suffix S, so x = S^-1.W.S.  With d the least period of W that
-    divides |W|, W = B^r for the block B = W[:d], and the root is
-    Y = nf(S^-1.B.S), the block conjugated back through the suffix, the
-    short end of the splice.
+    divides |W|, which the Duval scan of _least_rotations measures (it
+    does not depend on the letter order), W = B^r for the block
+    B = W[:d], and the root is Y = nf(S^-1.B.S), the block conjugated
+    back through the suffix, the short end of the splice.
     """
     pd = power_decompose(ctx, x)
     if not pd.word:
@@ -286,20 +263,23 @@ def _root(ctx: GroupContext, pd: PowerDecomposition) -> RootResult:
 
     S^-1, B and S are irreducible (S ends nf(x^2), B lies in the core,
     and see _verify_conjugation for the inverse), so two joins give
-    Y = nf(S^-1.B.S).  Y^r = x is checked as two facts: W == B * r,
-    literally, and the joins of S^-1, W and S give nf(x).  Joins only
-    ever replace a word by an equal one (see _verify_conjugation), so
-    then Y^r = S^-1.B^r.S = S^-1.W.S = x, and the check can fail but
-    can never accept a wrong root.  No power of Y is built.
+    Y = nf(S^-1.B.S).  Y^r = x is checked as three facts: W == B * r,
+    literally; S^-1.B = Y.S^-1, by _verify_conjugation, which joins S^-1
+    to B anew, so a slip in building Y cannot pass; and the joins of
+    S^-1, W and S give nf(x).  Joins only ever replace a word by an
+    equal one (see _verify_conjugation), so then
+    Y^r = S^-1.B^r.S = S^-1.W.S = x, and the check can fail but can
+    never accept a wrong root.  No power of Y is built.
     """
     w = pd.core
     s = pd.suffix
     s_inv = invert_word(s)
-    d = _least_period(w)
+    d = _least_rotations(w).step
     r = len(w) // d
     block = w[:d]
     y = _nf_join(ctx, _nf_join(ctx, s_inv, block), s)
-    if block * r != w or _nf_join(ctx, _nf_join(ctx, s_inv, w), s) != pd.word:
+    if (block * r != w or not _verify_conjugation(ctx, s_inv, block, y)
+            or _nf_join(ctx, _nf_join(ctx, s_inv, w), s) != pd.word):
         raise VerificationError("root reassembly failed verification")
     return RootResult(y, r)
 

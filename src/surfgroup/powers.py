@@ -58,9 +58,13 @@ class PowerDecomposition(NamedTuple):
     def assemble(self, k: int) -> Word:
         """nf(x^k) for k >= 1; refused unbuilt past MAX_POWER_LETTERS.
 
-        The letters are copied once into one list, which grows in place,
-        and then once into the tuple returned: prefix + core * (k - 2) +
-        suffix would build two temporary tuples of about the full length.
+        With no suffix, prefix + core * (k - 2) builds one temporary of
+        about the full length; a tuple + () is the tuple itself.  With one,
+        adding it would build a second, so the letters are copied once into
+        one list, which grows in place, and then once into the tuple
+        returned.  The cores go into the list as blocks of whole cores of
+        about 512 letters, so a short core takes few interpreter steps and
+        a long one no copy.
         """
         if k < 1:
             raise DomainError(f"exponent must be >= 1, got {k}")
@@ -70,10 +74,17 @@ class PowerDecomposition(NamedTuple):
         if length > MAX_POWER_LETTERS:
             raise DomainError(
                 f"x^{k} has {length} letters, more than the limit of {MAX_POWER_LETTERS}")
+        if not self.suffix:
+            return self.prefix + self.core * (k - 2)
         acc = list(self.prefix)
-        for _ in range(k - 2):
-            acc.extend(self.core)
-        acc.extend(self.suffix)
+        core = self.core
+        m = 1 + 512 // len(core)
+        q, rem = divmod(k - 2, m)
+        block = core * m
+        for _ in range(q):
+            acc += block
+        acc += core * rem
+        acc += self.suffix
         return tuple(acc)
 
 

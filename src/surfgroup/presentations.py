@@ -231,9 +231,12 @@ def load_descriptor(path) -> PresentationDescriptor:
     (a1 A2 .., or c1 C2 ..).  Every refusal is a DomainError that names
     the file: an unreadable file, a bad genus line, an order line that
     does not parse, and an order PresentationDescriptor refuses, such as
-    one with more than one face.
+    one with more than one face.  An empty name is refused before any
+    open, since no file has it.
     """
     path = os.fspath(path)
+    if not path:
+        raise DomainError("descriptor file name is empty")
     try:
         with open(path, encoding="utf-8") as f:
             text = f.read()

@@ -571,6 +571,12 @@ def test_main_missing_presentation_file(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {bad}: not valid UTF-8\n"
 
 
+def test_an_empty_presentation_file_name_exits_1(capsys):
+    """--presentation file: names no file, and the error says so."""
+    assert main(["translate", "--presentation", "file:", "a1"]) == 1
+    assert capsys.readouterr() == ("", "error: descriptor file name is empty\n")
+
+
 @pytest.mark.parametrize("genus", ["\u00b2", "3\u00b2", "9" * 5000],
                          ids=["superscript", "digit-superscript", "5000-digits"])
 def test_genus_line_that_int_refuses_exits_1(tmp_path, capsys, genus):

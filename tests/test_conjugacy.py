@@ -32,7 +32,6 @@ from surfgroup.conjugacy import (
     ConjPowerResult,
     RootResult,
     _exceptional_match,
-    _least_period,
     _least_rotations,
     _verify_conjugation,
     are_conjugate,
@@ -301,7 +300,7 @@ def test_joins_bound_the_letters_appended(genus, monkeypatch):
 def test_root_bounds_the_letters_appended(genus, monkeypatch):
     """On z.x^r.z^-1 with |x| = |z| = 600 and r = 2 and 3, root sends at
     most 1.8 letters per input letter through _extend.  This corpus
-    measured 1.58 (r = 2) and 1.66 (r = 3) at each of g = 2, 3 and 8.
+    measured 1.59 (r = 2) and 1.67 to 1.68 (r = 3) at g = 2, 3 and 8.
     Conjugating the period block back through the splice prefix, the
     long end, and checking Y^r = x by appending (r-1).|Y| letters one
     at a time took 3.52 to 4.22."""
@@ -789,17 +788,54 @@ def test_a_block_that_is_not_a_period_fails_the_root_check(ctx2, ctx3, monkeypat
             if not wrong:
                 continue
             d = rng.choice(wrong)
-            monkeypatch.setattr(conjugacy, "_least_period", lambda w: d)
+            monkeypatch.setattr(conjugacy, "_least_rotations", lambda w: range(0, n, d))
             with pytest.raises(VerificationError, match="root reassembly"):
                 conjugacy._root(ctx, pd)
             monkeypatch.undo()
             tested += 1
 
 
+@pytest.mark.parametrize("genus", [2, 3, 8])
+def test_a_root_built_with_the_suffix_swapped_fails_the_root_check(genus, monkeypatch):
+    """_root builds Y = nf(S^-1.B.S) by two joins.  Built as nf(S.B.S^-1)
+    instead, with S and S^-1 swapped, Y is not a root of x, and _root
+    raises VerificationError.  Only the check S^-1.B = Y.S^-1 catches
+    it: the comparison of W with B * r and the joins of S^-1, W and S
+    against nf(x) do not read Y."""
+    ctx = GroupContext(genus)
+    rng = random.Random(3700 + genus)
+    real = conjugacy._nf_join
+    tested = 0
+    while tested < 20:
+        x = random_nontrivial(ctx, rng.randrange(4, 40), rng)
+        z = random_freely_reduced(ctx, rng.randrange(1, 30), rng)
+        pd = power_decompose(ctx, z + x * rng.randrange(1, 4) + invert_word(z))
+        res = conjugacy._root(ctx, pd)
+        s = pd.suffix
+        block = pd.core[:len(pd.core) // res.exponent]
+        if nf(ctx, s + block + invert_word(s)) == res.root:
+            continue
+        calls = []
+
+        def swapped(ctx_, u, v):
+            # the first two joins _root makes build Y: S^-1 with B, then with S
+            if sys._getframe(1).f_code.co_name == "_root" and len(calls) < 2:
+                calls.append((u, v))
+                u, v = (invert_word(u), v) if len(calls) == 1 else (u, invert_word(v))
+            return real(ctx_, u, v)
+
+        monkeypatch.setattr(conjugacy, "_nf_join", swapped)
+        with pytest.raises(VerificationError, match="root reassembly"):
+            conjugacy._root(ctx, pd)
+        monkeypatch.undo()
+        assert calls[0] == (invert_word(s), block) and calls[1][1] == s
+        tested += 1
+
+
 def test_least_rotations_exhaustive_small():
     """Every sequence over 2 symbols up to length 12 and over 3 up to
     length 8: the indices are the least rotations, and the step is the
-    least period dividing the length, as _least_period finds it."""
+    least period dividing the length."""
     count = 0
     for base, top in ((2, 12), (3, 8)):
         for n in range(1, top + 1):
@@ -810,7 +846,6 @@ def test_least_rotations_exhaustive_small():
                 assert list(got) == [k for k in range(n) if rotations[k] == least], s
                 assert got.step == next(p for p in range(1, n + 1)
                                         if n % p == 0 and s[p:] + s[:p] == s), s
-                assert _least_period(s) == got.step, s
                 count += 1
     assert count == 2 ** 13 - 2 + (3 ** 9 - 3) // 2
 
@@ -870,10 +905,11 @@ def test_conj_power_checks_its_certificate_by_verify_conjugation(ctx2, monkeypat
 
     monkeypatch.setattr(conjugacy, "_verify_conjugation", record)
     res = conj_power(ctx2, x, y)
+    last = calls[-1]
     assert (res.found, res.m, res.n) == (True, m, n)
     x1, y1 = root(ctx2, x).root, root(ctx2, y).root
     x1 = x1 if n > 0 else invert_word(x1)
-    assert calls[-1] == (res.conjugator, nf(ctx2, y1), nf(ctx2, x1))
+    assert last == (res.conjugator, nf(ctx2, y1), nf(ctx2, x1))
 
 
 def test_conj_power_answers_powers_past_the_power_limit(ctx2):

@@ -124,6 +124,24 @@ def test_assemble_builds_every_positive_power_and_refuses_the_rest(ctx2, ctx3, m
 SPLICED = (3, 1, 2, -3)
 
 
+def test_assemble_copies_every_core_at_each_block_boundary(ctx2):
+    """With a suffix, assemble copies the cores in blocks of whole cores
+    of about 512 letters.  Around each block boundary, for cores of 1 to
+    1,000 letters, it gives prefix + core * (k - 2) + suffix, and the
+    powers of c3 c1 c2 c3^-1 are c3 (c1 c2)^k c3^-1 across the
+    boundaries of its 2-letter core."""
+    rng = random.Random(2300)
+    for n in (1, 2, 3, 4, 5, 40, 255, 256, 257, 511, 512, 513, 1000):
+        core = tuple(rng.choice((1, -1, 2, -2, 3, -3)) for _ in range(n))
+        pd = PowerDecomposition((4, 5), core, (6,), (7,))
+        m = 1 + 512 // n
+        for k in sorted({2, 3, m + 1, m + 2, m + 3, 2 * m + 1, 2 * m + 2, 2 * m + 3}):
+            out = pd.assemble(k)
+            assert type(out) is tuple and out == (4, 5) + core * (k - 2) + (6,), (n, k)
+    for k in (256, 257, 258, 259, 260, 515, 516, 517):
+        assert nf_power(ctx2, SPLICED, k) == (3,) + (1, 2) * k + (-3,), k
+
+
 def _flip(w, i):
     """w with the letter at i inverted."""
     i %= len(w)

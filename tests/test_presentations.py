@@ -422,3 +422,11 @@ def test_load_descriptor_rejects_malformed(tmp_path):
         path.write_text(text)
         with pytest.raises(DomainError):
             load_descriptor(path)
+
+
+def test_load_descriptor_refuses_an_empty_name():
+    """No file has the empty name, so it is refused before any open with
+    a message that says so, as str or as a path-like object."""
+    for name in ("", b""):
+        with pytest.raises(DomainError, match="^descriptor file name is empty$"):
+            load_descriptor(name)
