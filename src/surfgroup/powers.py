@@ -21,8 +21,11 @@ nf(x^2) and nf(x^3) are not normalized from scratch: nf(x) is
 irreducible, so nf(x^2) is nf(x) joined to nf(x), and nf(x^3) is
 nf(x^2) joined to nf(x) once more.  A join (rewrite._nf_join) rewrites
 only near its junction: once the letters there have settled it copies
-the rest of nf(x) unread.  A nf(x) that runs along one (2g-1)-letter
-relator block, as an exceptional core does, is read to the end.
+the rest of nf(x) unread.  A run of one (2g-1)-letter relator block,
+of which exceptional cores and the type A, B and C words are made, is
+copied unread too wherever the join is in step with it, and so is one
+in the core check (is_cyclically_irreducible), which takes no other
+shortcut.
 """
 
 from __future__ import annotations

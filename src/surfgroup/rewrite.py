@@ -55,6 +55,16 @@ letters, and every longer one that can fire runs along a
 (2g-1)-periodic block, so once acc ends with 4g letters of v that are
 not (2g-1)-periodic, no later letter of v fires a rule and the rest is
 appended unread.
+A (2g-1)-periodic run is copied unread too, by _join_pieces, which
+_nf_join and is_cyclically_irreducible share: while acc ends with 2g
+letters of v that are (2g-1)-periodic and hold no inverse pair, and v
+goes on with that period, the letter appended is the letter 2g-1
+places back, so the last 2g letters begin and end with one letter.  A
+chain of 2g letters along a relator row has 2g distinct letters, so
+the successor probes of _extend fail, and the letter before it is no
+inverse of it: the letter is pushed.  Copying such a run leaves acc as
+the letter loop leaves it, for any acc, so a rule that fires where the
+run ends, S3(t) or S4b(t) over all of it, counts the same t.
 enumerate_ball lists the normal forms up to a radius by the same
 one-letter extension, after the growth series has shown that they fit
 under its cap, and checks each sphere against that series.
@@ -130,10 +140,24 @@ def is_cyclically_irreducible(ctx: GroupContext, w: Word) -> bool:
     and _extend fires on the last letter of the first such left side,
     since its probes and _append_step read only the letters that end acc.
     w is taken as a tuple, so a list reads as a tuple does.
+
+    A w longer than 4C (C as in _nf_join) goes through _join_pieces
+    without its settle test, since w need not be irreducible.  It copies
+    the (2g-1)-periodic runs of w that acc is in step with unread, as
+    the letter loop would push them, so the verdict is still exact for
+    every w.  Its windows are tested every 4C letters, and a w with no
+    run goes to _extend in one call.
     """
     ctx.check_word(w)
     w = tuple(w)
-    return _nf_concat(ctx, w, w) == w + w
+    K = 2 * ctx.n_gens
+    C = 4 * (K if K > 32 else 32)
+    acc = list(w)
+    if len(w) > C:
+        _join_pieces(ctx, acc, w, C, False)
+    else:
+        _extend(ctx, acc, w, None)
+    return tuple(acc) == w + w
 
 
 def _append_step(ctx: GroupContext, acc: list, E: Word):
@@ -269,45 +293,103 @@ def _nf_join(ctx: GroupContext, u: Word, v: Word) -> Word:
     steps that _extend never sees: a count of the rules fired must add
     k to them.
 
-    v goes to _extend in pieces of C letters, so the number m of its
-    letters read runs through C, 2C, 3C, ...  After each piece the rest
-    of v goes in unread once acc ends with the window W = v[m-4g:m] and
-    W is not (2g-1)-periodic.  So the test is tried at most C letters
-    after the first window that would pass it.
+    v goes in through _join_pieces in pieces of C letters, with its
+    settle test: after a piece, once m letters of v have been read, the
+    rest of v goes in unread when acc ends with the window
+    W = v[m-4g:m] and W is not (2g-1)-periodic.  So the test is tried at
+    most C letters after the first window that would pass it.  When W is
+    (2g-1)-periodic instead, the run of v that goes on with that period
+    is copied unread (see _join_pieces), so a fully periodic v, such as
+    a power of an exceptional core, costs one piece and one run.
 
-    Why no later letter can fire a rule then: write acc = Q.W.  Until a
-    rule fires, acc is Q.v[m-4g:m'] when v[m'] is appended, and v has no
-    left side, so the left side that v[m'] would complete starts in Q
-    and contains W.v[m'].  That rules out the left sides of at most
-    2g+1 letters (S1, S2(2g+1), S4(1)), and no longer S2 fires on an
-    irreducible acc.  Each other left side, S3(t) and S4(t) for t >= 2,
-    is a run of one (2g-1)-letter block, (b_2...b_2g)^t or
-    (b_1...b_2g-1)^t, with one letter before it, after it or both.  W
-    follows the first letter of the left side and precedes v[m'], its
-    last, so W would lie in the run and be (2g-1)-periodic.  A window
-    of 2g letters would do; 4g keeps a margin.  A fully periodic v,
-    such as a power of an exceptional core, is read to the end.
+    Why no later letter can fire a rule once W has settled: write
+    acc = Q.W.  Until a rule fires, acc is Q.v[m-4g:m'] when v[m'] is
+    appended, and v has no left side, so the left side that v[m'] would
+    complete starts in Q and contains W.v[m'].  That rules out the left
+    sides of at most 2g+1 letters (S1, S2(2g+1), S4(1)), and no longer
+    S2 fires on an irreducible acc.  Each other left side, S3(t) and
+    S4(t) for t >= 2, is a run of one (2g-1)-letter block,
+    (b_2...b_2g)^t or (b_1...b_2g-1)^t, with one letter before it, after
+    it or both.  W follows the first letter of the left side and
+    precedes v[m'], its last, so W would lie in the run and be
+    (2g-1)-periodic.  A window of 2g letters would do; 4g keeps a
+    margin.
     """
     if not u or not v:
         return tuple(u or v)
     K = 2 * ctx.n_gens
-    L = ctx.n_gens - 1
     C = K if K > 32 else 32
     if len(v) > C and u[-1] == -v[0]:
         k = common_prefix_len(invert_word(u[-len(v):]), v)
         u, v = u[:len(u) - k], v[k:]
     acc = list(u)
-    _extend(ctx, acc, v[:C], None)
-    m = C
-    while m < len(v):
-        # the periodicity test first: on a periodic v it fails on two
-        # tuple slices, without building a list
-        if v[m - K:m - L] != v[m - K + L:m] and acc[-K:] == list(v[m - K:m]):
-            acc += v[m:]
-            break
-        _extend(ctx, acc, v[m:m + C], None)
-        m += C
+    if len(v) > C:
+        _join_pieces(ctx, acc, v, C, True)
+    else:
+        _extend(ctx, acc, v, None)
     return tuple(acc)
+
+
+def _join_pieces(ctx: GroupContext, acc: list, v: Word, C: int, settle: bool) -> None:
+    """Append v to acc as _extend does, in pieces of C >= 4g letters,
+    copying the (2g-1)-periodic runs of v that acc is in step with unread.
+
+    After a piece, with m letters of v read, the window W = v[m-4g:m] is
+    tested.  If W is (2g-1)-periodic, holds no inverse pair and acc ends
+    with it (acc is in step), v[m:e] is appended unread, where
+    e = _run_end(v, m, 2g-1) ends the run, and the next piece starts at
+    e.  No letter of the run fires a rule (the module docstring has the
+    argument), so acc is what the letter loop makes of it, for any acc
+    and v.  With settle, a W that is not (2g-1)-periodic and that acc is
+    in step with lets the rest of v go in unread; that is exact only for
+    irreducible acc and v (_nf_join).  Without it, a window that is not
+    periodic ends no piece: the pieces up to the next periodic window go
+    to _extend as one, so a v with no run is read in one call, as
+    _nf_concat reads it.
+    """
+    K = 2 * ctx.n_gens
+    L = ctx.n_gens - 1
+    n = len(v)
+    m, b = 0, C
+    while True:
+        if not settle:
+            while b < n and v[b - K:b - L] != v[b - K + L:b]:
+                b += C
+        _extend(ctx, acc, v[m:b], None)
+        if b >= n:
+            return
+        m = b
+        # the periodicity test first: it needs no list, and on a window
+        # that is not periodic only the settle test reads acc
+        if v[m - K:m - L] == v[m - K + L:m]:
+            # the window's adjacent pairs are those of its last 2g letters
+            if (acc[-K:] == list(v[m - K:m])
+                    and all(x != -y for x, y in zip(v[m - L - 1:m - 1], v[m - L:m]))):
+                m = _run_end(v, b, L)
+                acc += v[b:m]
+        elif settle and acc[-K:] == list(v[m - K:m]):
+            acc += v[m:]
+            return
+        b = m + C
+
+
+def _run_end(v: Word, m: int, L: int) -> int:
+    """The least e >= m with v[e] != v[e-L], or len(v): where the
+    L-periodic run through v[m-L:m] ends.
+
+    Galloping on bounded slices: each round compares the next `step`
+    letters with those L places back by common_prefix_len and doubles
+    step, so the cost is O(e - m) and the rest of v is never copied.
+    """
+    n = len(v)
+    step = 32
+    while m < n:
+        k = common_prefix_len(v[m:m + step], v[m - L:m - L + step])
+        m += k
+        if k < step:
+            break
+        step += step
+    return m
 
 
 def sphere_sizes(ctx: GroupContext, radius: int, cap: int) -> list:

@@ -3,8 +3,10 @@ the linear library code is held against, the free-reduction loop the
 one-pass test is held against, the candidate searches the
 direct splice and conjugator constructions are held against, the
 certificate check by normalizing all of z.x.z^-1 the appended one is
-held against, the conjugate-power decision that tried both orientations
-of x's root with no exponent-sum test, the regex
+held against, the cyclic check that appends w to itself letter by
+letter, which the one that copies periodic runs is held against, the
+conjugate-power decision that tried both orientations of x's root with
+no exponent-sum test, the regex
 word parser the token table is held against, the per-token parse loop
 and the per-letter format the one-pass parse and format are held
 against, the letter-by-letter
@@ -70,7 +72,6 @@ from surfgroup.rewrite import (
     _extend,
     _nf_concat,
     _rev,
-    is_cyclically_irreducible,
     is_irreducible,
     nf,
 )
@@ -453,6 +454,13 @@ def dehn_reduce_cyclic_reference(ctx, w):
 
 # --- the candidate searches the direct splice and conjugator replaced
 
+def is_cyclically_irreducible_reference(ctx: GroupContext, w: Word) -> bool:
+    """True when w + w is irreducible, decided by appending the second
+    copy of w to the first one letter at a time, with no run copied."""
+    w = tuple(w)
+    return _nf_concat(ctx, w, w) == w + w
+
+
 def power_decompose_reference(ctx: GroupContext, x: Word) -> PowerDecomposition:
     """Splice decomposition of x from nf(x), nf(x^2), nf(x^3).
 
@@ -484,7 +492,7 @@ def power_decompose_reference(ctx: GroupContext, x: Word) -> PowerDecomposition:
             core = mid3[q:q + tau]
             if mid3[q + tau:] != mid2[q:]:
                 continue
-            if not is_cyclically_irreducible(ctx, core):
+            if not is_cyclically_irreducible_reference(ctx, core):
                 continue
             return PowerDecomposition(
                 prefix=n1[:p] + mid2[:q],

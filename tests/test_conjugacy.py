@@ -325,6 +325,70 @@ def test_root_bounds_the_letters_appended(genus, monkeypatch):
     assert appended[0] <= 1.8 * given, (appended, given)
 
 
+
+def special_shape_corpus(ctx, rng):
+    """shape -> words: four exceptional cores (b_i+1...b_2g-1 b_1...b_i)^t
+    of about 600 letters, and three each of the type A, B and C words of
+    special_instances with t1 = t2 = 40."""
+    L = ctx.n_gens - 1
+    corpus = {"exceptional": []}
+    for E in rng.sample(ctx.relator_table, 4):
+        i = rng.randrange(1, L + 1)
+        corpus["exceptional"].append((E[i:L] + E[:i]) * (600 // L))
+    for tag, w in special_instances(ctx, t_sums=(40,)):
+        corpus.setdefault(tag.tag, []).append(w)
+    return {shape: words if shape == "exceptional" else rng.sample(words, min(3, len(words)))
+            for shape, words in corpus.items()}
+
+
+# the most letters through _extend per input letter on each shape
+SPECIAL_SHAPE_BUDGETS = {
+    "exceptional": {"power_decompose": 1.5, "class_nf": 2.6, "root": 1.3},
+    "TypeA": {"power_decompose": 3.5, "class_nf": 4.6},
+    "TypeB": {"power_decompose": 3.5, "class_nf": 4.6},
+    "TypeC": {"power_decompose": 3.5, "class_nf": 4.6},
+}
+
+
+@pytest.mark.parametrize("genus", [2, 3, 8])
+def test_special_shapes_bound_the_letters_appended(genus, monkeypatch):
+    """On the special shapes, whose runs of one (2g-1)-letter block joins
+    and the core check copy unread, the letters sent through _extend per
+    input letter stay within SPECIAL_SHAPE_BUDGETS: power_decompose and
+    class_nf of each word, and root of the square of each exceptional
+    core.  This corpus measured, at g = 2, 3 and 8: exceptional cores
+    1.32 (power_decompose), 1.65 to 1.88 (class_nf) and 1.16 (root);
+    type A, B and C words 2.27 to 3.30 (power_decompose) and 2.87 to 4.34
+    (class_nf), the most at g = 2.  Reading the runs letter by letter
+    took 4.0, 5.51 to 5.52 and 4.0 on the exceptional cores, and 3.94 to
+    4.0 and 5.93 to 6.50 on the type A, B and C words."""
+    ctx = GroupContext(genus)
+    rng = random.Random(3530 + genus)
+    real = rewrite._extend
+    appended = [0]
+
+    def counting(ctx, acc, letters, steps):
+        appended[0] += len(letters)
+        return real(ctx, acc, letters, steps)
+
+    monkeypatch.setattr(rewrite, "_extend", counting)
+    calls = {"power_decompose": lambda w: power_decompose(ctx, w),
+             "class_nf": lambda w: class_nf(ctx, w),
+             "root": lambda w: root(ctx, w * 2)}
+    read = {}
+    for shape, words in special_shape_corpus(ctx, rng).items():
+        for name, budget in SPECIAL_SHAPE_BUDGETS[shape].items():
+            appended[0] = 0
+            given = 0
+            for w in words:
+                calls[name](w)
+                given += 2 * len(w) if name == "root" else len(w)
+            read[shape, name] = round(appended[0] / given, 2)
+    assert set(shape for shape, _ in read) == set(SPECIAL_SHAPE_BUDGETS), read
+    for (shape, name), ratio in read.items():
+        assert ratio <= SPECIAL_SHAPE_BUDGETS[shape][name], read
+
+
 def change_first_result(ctx, monkeypatch, name, rng, changed, caller=None):
     """Patch conjugacy.<name> so that its first result, the conjugator
     under test, comes back with one letter changed; record that word.

@@ -15,10 +15,12 @@ from helpers import (
     append_letter_nf,
     apply_step,
     append_step_reference,
+    build_type_a,
     chain_backward,
     entry_at,
     find_all_steps,
     find_reducible_reference,
+    is_cyclically_irreducible_reference,
     normalize_leftmost,
     normalize_random,
     pair_ambient,
@@ -854,3 +856,257 @@ def test_nf_join_with_an_empty_side_reads_nothing(genus, monkeypatch):
             out = _nf_join(ctx, u, v)
             assert type(out) is tuple and out == w, (u, v)
     assert read == []
+
+
+# --- periodic runs copied unread ---------------------------------------------
+
+RUN_GENERA = [2, 3, 8, 64]
+
+
+def exceptional_blocks(ctx):
+    """Every rotation of b_1...b_2g-1 over every row of the relator
+    table: the blocks whose powers are the exceptional cores."""
+    L = ctx.n_gens - 1
+    return sorted({E[i:L] + E[:i] for E in ctx.relator_table for i in range(L)})
+
+
+def random_blocks(ctx, rng, count, inverse_pair=False):
+    """count random (2g-1)-letter blocks: freely reduced ones whose cube
+    is irreducible, or, with inverse_pair, ones that open with a.a^-1."""
+    L = ctx.n_gens - 1
+    out = []
+    while len(out) < count:
+        if inverse_pair:
+            a = rng.choice(ctx.letters)
+            out.append((a, -a) + random_freely_reduced(ctx, L - 2, rng))
+            continue
+        blk = random_freely_reduced(ctx, L, rng)
+        if is_irreducible(ctx, blk * 3):
+            out.append(blk)
+    return out
+
+
+def record_extend(monkeypatch):
+    """Patch rewrite._extend to record the letters each call is handed."""
+    real = rewrite._extend
+    read = []
+
+    def recording(ctx, acc, letters, steps):
+        read.append(tuple(letters))
+        return real(ctx, acc, letters, steps)
+
+    monkeypatch.setattr(rewrite, "_extend", recording)
+    return read
+
+
+def letter_loop(ctx, acc, v):
+    """acc with the letters of v appended one at a time by _extend."""
+    acc = list(acc)
+    rewrite._extend(ctx, acc, v, None)
+    return acc
+
+
+def pieces(ctx, acc, v, C, settle):
+    """acc with v appended by _join_pieces."""
+    acc = list(acc)
+    rewrite._join_pieces(ctx, acc, v, C, settle)
+    return acc
+
+
+@pytest.mark.parametrize("genus", RUN_GENERA)
+def test_nf_join_of_block_powers_matches_nf_concat(genus, monkeypatch):
+    """_nf_join(u, v) is _nf_concat(u, v) for v = block^t, for every
+    exceptional block (a sample of 48 at g = 64) and for random
+    (2g-1)-letter blocks, with u the same power, the power of the next
+    rotation of the block, or a random normal form.  Where u is v, the
+    first piece is all that _extend is handed: the rest is one run."""
+    ctx = GroupContext(genus)
+    rng = random.Random(3500 + genus)
+    C = max(2 * ctx.n_gens, 32)
+    L = ctx.n_gens - 1
+    blocks = exceptional_blocks(ctx)
+    if genus == 64:
+        blocks = rng.sample(blocks, 48)
+    blocks += random_blocks(ctx, rng, 24)
+    read = record_extend(monkeypatch)
+    t = 4 * C // L + 1
+    for blk in blocks:
+        v = blk * t
+        for u in (v, (blk[1:] + blk[:1]) * t, nf(ctx, random_freely_reduced(ctx, 2 * C, rng))):
+            assert is_irreducible(ctx, u) and is_irreducible(ctx, v), (u, v)
+            expected = _nf_concat(ctx, u, v)
+            read.clear()
+            assert _nf_join(ctx, u, v) == expected, (blk, u)
+            if u == v:
+                assert sum(map(len, read)) == C, (blk, read)
+
+
+def s3_run(ctx, rng, t):
+    """(u, v): u irreducible and ending with b_1, v = (b_2...b_2g)^t b_2g+1
+    irreducible, so that joining them fires S3(t) at the last letter."""
+    g2 = ctx.n_gens
+    C = max(2 * g2, 32)
+    for E in rng.sample(ctx.relator_table, len(ctx.relator_table)):
+        v = E[1:g2] * t + E[g2:g2 + 1]
+        u = nf(ctx, random_freely_reduced(ctx, C, rng) + E[:1])
+        if u[-1:] == E[:1] and is_irreducible(ctx, v):
+            return u, v
+    raise AssertionError("no S3 run found")
+
+
+def end_of_run_cases(ctx, rng):
+    """(family, param, acc, v): appending v to acc copies a run of one
+    (2g-1)-letter block and then fires a rule at the run's end.  S3(t)
+    and S4b(t) take in the whole run; S2(2g+1) takes its last block.  u
+    is irreducible; v is too for S3, and holds the left side for S4b
+    and S2."""
+    g2 = ctx.n_gens
+    L = g2 - 1
+    C = max(2 * g2, 32)
+    out = []
+    for t in (C // L + 1, 3 * C // L + 2):
+        out.append(("S3", t, *s3_run(ctx, rng, t)))
+        for E in ctx.relator_table:
+            if ctx.greater(E[0], E[L]):
+                out.append(("S4b", t, (), E[:L] * t + E[L:L + 1]))
+                break
+        for E in ctx.relator_table:
+            v = E[:L] * t + E[L:L + 2]
+            steps = normalize(ctx, v)[1]
+            if steps and steps[0].rule.family == "S2":
+                out.append(("S2", g2 + 1, (), v))
+                break
+    return out
+
+
+@pytest.mark.parametrize("genus", RUN_GENERA)
+def test_a_rule_at_the_end_of_a_run_sees_the_copied_run(genus, monkeypatch):
+    """A run copied unread ends acc as the letter loop ends it: the
+    letter after the run fires S3(t) or S4b(t) over the whole run, or
+    S2(2g+1) on its last block, as the traced letter loop records, and
+    _join_pieces and _nf_join give what the letter loop gives.  Fewer
+    letters than v holds reach _extend, so the run was copied."""
+    ctx = GroupContext(genus)
+    rng = random.Random(3600 + genus)
+    C = max(2 * ctx.n_gens, 32)
+    cases = end_of_run_cases(ctx, rng)
+    assert {family for family, *_ in cases} == {"S3", "S4b", "S2"}
+    read = record_extend(monkeypatch)
+    for family, param, u, v in cases:
+        steps = normalize(ctx, u + v)[1]
+        assert steps[-1].rule == rewrite.RuleId(family, param), (family, steps[-1])
+        expected = letter_loop(ctx, u, v)
+        read.clear()
+        assert pieces(ctx, u, v, C, False) == expected, family
+        assert sum(map(len, read)) < len(v), family
+        if family == "S3":
+            assert _nf_join(ctx, u, v) == tuple(expected)
+
+
+@pytest.mark.parametrize("genus", RUN_GENERA)
+def test_a_run_entered_out_of_step_is_read(genus):
+    """In the square of a type A word the junction fires S4b(t2+1), and
+    then one S4b(1) per block of the (b_2...b_2g)^t1 run that follows:
+    acc is never in step with that run, though its windows are
+    periodic, so it is read letter by letter, and _nf_join(x, x) is
+    _nf_concat(x, x)."""
+    ctx = GroupContext(genus)
+    rng = random.Random(3700 + genus)
+    g2 = ctx.n_gens
+    C = max(2 * g2, 32)
+    t1 = 3 * C // (g2 - 1) + 1
+    entries = [i for i, E in enumerate(ctx.relator_table) if ctx.greater(E[0], E[g2 - 1])]
+    for entry in rng.sample(entries, 3):
+        x = build_type_a(ctx, entry, rng.randrange(1, g2), t1, 2)
+        assert is_irreducible(ctx, x)
+        steps = normalize(ctx, x + x)[1]
+        cascade = [s for s in steps if s.start >= len(x)]
+        assert len(cascade) == t1 and {s.rule for s in cascade} == {rewrite.RuleId("S4b", 1)}
+        assert _nf_join(ctx, x, x) == _nf_concat(ctx, x, x)
+
+
+@pytest.mark.parametrize("genus", RUN_GENERA)
+def test_join_pieces_matches_the_letter_loop_at_every_alignment(genus):
+    """v = head.block^t.tail with the head one to C+1 letters long, so
+    that the run starts and ends at every offset from a piece boundary,
+    for runs shorter than one piece and runs of several.  _join_pieces
+    gives what the letter loop gives, with pieces of C and of 4g
+    letters: without the settle test for any acc and v, and with it
+    where acc and v are irreducible, as _nf_join is.  Also for an acc
+    that the first piece cancels down to a tail that is in step with a
+    window holding an inverse pair, which the next letters cancel."""
+    ctx = GroupContext(genus)
+    rng = random.Random(3800 + genus)
+    K = 2 * ctx.n_gens
+    C = max(K, 32)
+    L = ctx.n_gens - 1
+    blocks = rng.sample(exceptional_blocks(ctx), 2) + random_blocks(ctx, rng, 1)
+    heads = range(1, C + 2) if genus < 64 else sorted({1, 2, C - 1, C, C + 1}
+                                                      | set(rng.sample(range(3, C - 1), 16)))
+    irreducible = 0
+    for blk in blocks:
+        for t in (C // (2 * L) + 1, 2 * C // L + 1):
+            for h in heads:
+                v = (random_freely_reduced(ctx, h, rng) + blk * t
+                     + random_freely_reduced(ctx, C, rng))
+                u = nf(ctx, random_freely_reduced(ctx, C, rng))
+                expected = letter_loop(ctx, u, v)
+                for size in (C, K):
+                    assert pieces(ctx, u, v, size, False) == expected, (blk, t, h, size)
+                if is_irreducible(ctx, v):
+                    irreducible += 1
+                    assert pieces(ctx, u, v, C, True) == expected, (blk, t, h)
+                    assert _nf_join(ctx, u, v) == tuple(expected)
+    assert irreducible > 0
+    for blk in random_blocks(ctx, rng, 3, inverse_pair=True):
+        v = blk * (4 * C // L + 1)
+        for size in (C, K):
+            acc = nf(ctx, random_freely_reduced(ctx, C, rng)) + v[size - K:size]
+            acc += invert_word(v[:size])
+            expected = letter_loop(ctx, acc, v)
+            assert pieces(ctx, acc, v, size, False) == expected, (blk, size)
+
+
+@pytest.mark.parametrize("genus", RUN_GENERA)
+def test_cyclic_check_on_periodic_words_matches_the_reference(genus):
+    """is_cyclically_irreducible agrees with appending w to itself one
+    letter at a time on words longer than its pieces that are powers of
+    one (2g-1)-letter block, or nearly: blocks that hold an inverse pair,
+    exceptional blocks, random blocks, a power cut inside a block, and
+    the left sides S3(t) and S4b(t) around a run."""
+    ctx = GroupContext(genus)
+    rng = random.Random(3900 + genus)
+    g2 = ctx.n_gens
+    L = g2 - 1
+    C = 4 * max(2 * g2, 32)
+    t = 2 * C // L + 1
+    words = []
+    for blk in (random_blocks(ctx, rng, 4, inverse_pair=True)
+                + rng.sample(exceptional_blocks(ctx), 4) + random_blocks(ctx, rng, 4)):
+        words += [blk * t, blk * t + blk[:rng.randrange(1, L)], blk[1:] + blk * t]
+    for E in rng.sample(ctx.relator_table, 4):
+        words += [E[:1] + E[1:g2] * t + E[g2:g2 + 1], E[:L] * t + E[L:L + 1]]
+    verdicts = Counter()
+    for w in words:
+        assert len(w) > C
+        verdict = is_cyclically_irreducible(ctx, w)
+        assert verdict == is_cyclically_irreducible_reference(ctx, w), w
+        verdicts[verdict] += 1
+    assert verdicts[True] and verdicts[False], verdicts
+
+
+@pytest.mark.parametrize("L", [3, 5, 15, 127])
+def test_run_end_matches_a_letter_loop(L):
+    """_run_end(v, m, L) is where a letter loop stops, for runs that end
+    0 to 400 letters past m and for runs that reach the end of v."""
+    rng = random.Random(L)
+    block = tuple(rng.sample(range(1, 2 * L + 1), L))
+    for d in range(401):
+        m = L + rng.randrange(0, 2 * L)
+        run = (block * (1 + (m + d) // L))[:m + d]
+        for v in (run, run + (-run[-L],) + block, run + (-run[-L],)):
+            e = m
+            while e < len(v) and v[e] == v[e - L]:
+                e += 1
+            assert e == m + d
+            assert rewrite._run_end(v, m, L) == e, (d, len(v))

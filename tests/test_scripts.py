@@ -1,5 +1,6 @@
 """The experiment scripts in scripts/ run end to end on tiny inputs."""
 
+import hashlib
 import json
 import os
 import runpy
@@ -220,3 +221,42 @@ def test_bench_pairs_smoke(tmp_path):
     summary = json.loads(out.read_text())["summary"]["cli-batch"]
     assert summary["ops_per_s"]["pairs"] == 1
     assert proc.stdout.splitlines()[2].startswith("| cli-batch | ")
+
+
+def test_result_hashes_smoke():
+    """The script prints a line per workload.  The powers-special cycle
+    at seed 27001 hashes to be86fcda3d1bc88c, as it did before joins
+    and the core check copied periodic runs unread."""
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "result_hashes.py"), "--seed", "27001",
+         "--workload", "powers-special"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "powers-special be86fcda3d1bc88c\n"
+
+
+def test_result_hashes_reports_an_operation_that_raises():
+    """An operation that raises is hashed as its exception, named, and
+    the other operations still run."""
+    rh = runpy.run_path(str(ROOT / "scripts" / "result_hashes.py"))
+
+    class Op:
+        kind = "square"
+
+    class Workload:
+        def __init__(self, sg, seed, workdir):
+            self.ops = [Op(), Op(), Op()]
+
+        def setup(self, sg):
+            self.calls = iter([4, ZeroDivisionError("division by zero"), 9])
+
+        def run(self, op):
+            out = next(self.calls)
+            if isinstance(out, Exception):
+                raise out
+            return out
+
+    digest, failures = rh["cycle_hash"]({"w": Workload}, lambda: None, "w", 1)
+    expected = repr([4, ("error", "ZeroDivisionError", "division by zero"), 9])
+    assert digest == hashlib.sha256(expected.encode()).hexdigest()[:16]
+    assert failures == ["w operation 1 (square): ZeroDivisionError: division by zero"]
