@@ -25,7 +25,9 @@ the rest of nf(x) unread.  A run of one (2g-1)-letter relator block,
 of which exceptional cores and the type A, B and C words are made, is
 copied unread too wherever the join is in step with it, and so is one
 in the core check (is_cyclically_irreducible), which takes no other
-shortcut.
+shortcut.  Where the join is in the cascade of S4b(1) steps that the
+square of a type A, B or C word starts at its junction, one per block
+of the run after it, the run is appended as one S4(T) step.
 """
 
 from __future__ import annotations

@@ -65,6 +65,15 @@ the successor probes of _extend fail, and the letter before it is no
 inverse of it: the letter is pushed.  Copying such a run leaves acc as
 the letter loop leaves it, for any acc, so a rule that fires where the
 run ends, S3(t) or S4b(t) over all of it, counts the same t.
+_join_pieces also applies in one step the cascade that the squares of
+the type A, B and C words start at their junction.  With B =
+b_2...b_2g and a = b_1 above b_2g, once acc ends with rev(B).a,
+appending B fires S4b(1): the chain a.B starts at a, since the letter
+before a is b_2 and not b_4g, so neither S2(2g+1) nor S3 fires, and
+t = 1, since the 2g-1 letters before a are rev(B); the rule rewrites
+a.B to rev(B).a, so acc ends as it did.  T blocks B thus append
+rev(B)^T before the last a: the rule S4(T), b_1 (b_2...b_2g)^T ->
+(b_2g...b_2)^T b_1, which is appended in one step.
 enumerate_ball lists the normal forms up to a radius by the same
 one-letter extension, after the growth series has shown that they fit
 under its cap, and checks each sphere against that series.
@@ -300,7 +309,9 @@ def _nf_join(ctx: GroupContext, u: Word, v: Word) -> Word:
     most C letters after the first window that would pass it.  When W is
     (2g-1)-periodic instead, the run of v that goes on with that period
     is copied unread (see _join_pieces), so a fully periodic v, such as
-    a power of an exceptional core, costs one piece and one run.
+    a power of an exceptional core, costs one piece and one run; where
+    acc is in an S4(T) cascade along the run instead, the cascade is
+    applied in one step.
 
     Why no later letter can fire a rule once W has settled: write
     acc = Q.W.  Until a rule fires, acc is Q.v[m-4g:m'] when v[m'] is
@@ -332,7 +343,8 @@ def _nf_join(ctx: GroupContext, u: Word, v: Word) -> Word:
 
 def _join_pieces(ctx: GroupContext, acc: list, v: Word, C: int, settle: bool) -> None:
     """Append v to acc as _extend does, in pieces of C >= 4g letters,
-    copying the (2g-1)-periodic runs of v that acc is in step with unread.
+    copying the (2g-1)-periodic runs of v that acc is in step with
+    unread, and applying the S4(T) cascades along them in one step.
 
     After a piece, with m letters of v read, the window W = v[m-4g:m] is
     tested.  If W is (2g-1)-periodic, holds no inverse pair and acc ends
@@ -346,6 +358,28 @@ def _join_pieces(ctx: GroupContext, acc: list, v: Word, C: int, settle: bool) ->
     periodic ends no piece: the pieces up to the next periodic window go
     to _extend as one, so a v with no run is read in one call, as
     _nf_concat reads it.
+
+    A periodic W that acc is not in step with may be a cascade, tested
+    by _cascade.  With L = 2g-1, let p < L be the number of letters acc
+    ends with that v[:m] ends with, j = m + L - p the end of the block
+    that v[m] lies in, B = v[j-L:j] = b_2...b_2g, and a = b_1 the
+    letter before B on the row of its last two letters.  If a is above
+    b_2g and acc ends with rev(B).a.B[:p], the trailing a.B[:p] becomes
+    rev(B)^(1+T).a, where T is the number of whole blocks B after j,
+    and the next piece starts at j + T*L.  The letter loop ends acc the
+    same way, one S4b(1) per block, for any acc:
+      - Within a block, b_2...b_2g-1 are pushed: the letter before a
+        is b_2, not b_4g, so their chain a.B[:i] starts at a and is
+        shorter than 2g letters.
+      - b_2g closes the chain a.B of 2g letters.  The letter before a
+        is b_2, not b_4g, so neither S2(2g+1) nor S3 fires.  t = 1,
+        because the L letters before a are rev(B), not a.B[:-1].  a
+        lies above b_2g, so the rule is S4b(1).  It rewrites a.B to
+        rev(B).a, which leaves the same tail.
+    So the 1+T blocks apply S4(1+T) at once, and a rule that fires
+    where the run ends sees acc as the letter loop leaves it.  Like the
+    pairs that _nf_join cancels, these S4b(1) steps never reach
+    _extend.
     """
     K = 2 * ctx.n_gens
     L = ctx.n_gens - 1
@@ -367,10 +401,39 @@ def _join_pieces(ctx: GroupContext, acc: list, v: Word, C: int, settle: bool) ->
                     and all(x != -y for x, y in zip(v[m - L - 1:m - 1], v[m - L:m]))):
                 m = _run_end(v, b, L)
                 acc += v[b:m]
+            else:
+                m = _cascade(ctx, acc, v, m)
         elif settle and acc[-K:] == list(v[m - K:m]):
             acc += v[m:]
             return
         b = m + C
+
+
+def _cascade(ctx: GroupContext, acc: list, v: Word, m: int) -> int:
+    """The S4(T) step of _join_pieces at the piece boundary m, where
+    v[m-4g:m] is (2g-1)-periodic: applies it to acc and returns the
+    number of letters of v read then, or returns m, with acc as it was,
+    when acc is not in a cascade.  Each test reads at most 4g letters.
+    """
+    g2 = ctx.n_gens
+    L = g2 - 1
+    p = common_prefix_len(acc[:-L - 1:-1], v[m - 1:m - L - 1:-1])
+    j = m + L - p
+    if p == L or j > len(v):
+        return m
+    B = v[j - L:j]
+    E = ctx.follow[B[-2]].get(B[-1])
+    if E is None or E[g2 + 2:] != B[:-1] or not ctx.greater(E[g2 + 1], B[-1]):
+        return m
+    a = E[g2 + 1]
+    rev = _rev(B)
+    if acc[-L - 1 - p:] != list(rev + (a,) + B[:p]):
+        return m
+    T = (_run_end(v, j, L) - j) // L
+    del acc[len(acc) - p - 1:]
+    acc += rev * (1 + T)
+    acc.append(a)
+    return j + T * L
 
 
 def _run_end(v: Word, m: int, L: int) -> int:

@@ -1004,25 +1004,179 @@ def test_a_rule_at_the_end_of_a_run_sees_the_copied_run(genus, monkeypatch):
 
 
 @pytest.mark.parametrize("genus", RUN_GENERA)
-def test_a_run_entered_out_of_step_is_read(genus):
+def test_a_cascade_entered_at_the_junction_is_copied(genus, monkeypatch):
     """In the square of a type A word the junction fires S4b(t2+1), and
-    then one S4b(1) per block of the (b_2...b_2g)^t1 run that follows:
-    acc is never in step with that run, though its windows are
-    periodic, so it is read letter by letter, and _nf_join(x, x) is
-    _nf_concat(x, x)."""
+    then the letter loop fires one S4b(1) per block of the
+    (b_2...b_2g)^t1 run that follows.  acc is never in step with that
+    run, but _join_pieces applies the cascade as one S4(T) step: fewer
+    letters than the run holds reach _extend, and _nf_join(x, x) is
+    still _nf_concat(x, x)."""
     ctx = GroupContext(genus)
     rng = random.Random(3700 + genus)
     g2 = ctx.n_gens
     C = max(2 * g2, 32)
     t1 = 3 * C // (g2 - 1) + 1
     entries = [i for i, E in enumerate(ctx.relator_table) if ctx.greater(E[0], E[g2 - 1])]
+    read = record_extend(monkeypatch)
     for entry in rng.sample(entries, 3):
         x = build_type_a(ctx, entry, rng.randrange(1, g2), t1, 2)
         assert is_irreducible(ctx, x)
         steps = normalize(ctx, x + x)[1]
         cascade = [s for s in steps if s.start >= len(x)]
         assert len(cascade) == t1 and {s.rule for s in cascade} == {rewrite.RuleId("S4b", 1)}
-        assert _nf_join(ctx, x, x) == _nf_concat(ctx, x, x)
+        expected = _nf_concat(ctx, x, x)
+        read.clear()
+        assert _nf_join(ctx, x, x) == expected
+        assert sum(map(len, read)) < t1 * (g2 - 1), (entry, read)
+
+
+def cascade_rows(ctx, rng, count, above=True):
+    """count rows E of the relator table with b_1 = E[0] above
+    b_2g = E[2g-1], or, with above False, not above it."""
+    L = ctx.n_gens - 1
+    rows = [E for E in ctx.relator_table if ctx.greater(E[0], E[L]) == above]
+    return rng.sample(rows, count)
+
+
+def cascade_cases(ctx, rng, E, m):
+    """(kind, s, acc, v, e) for the cascade b_1 (b_2...b_2g)^T ->
+    (b_2g...b_2)^T b_1 of row E, with a = E[0] and B = E[1:2g]: acc is
+    a random word followed by rev(B).a.B[:s], the state s letters into a
+    block, and v goes on with B[s:] and then B until its run ends at e,
+    from a block before the piece boundary m to several blocks past it.
+    Then v ends ("end"), or goes on with random letters ("random"), with b_4g
+    ("S2"), with -a.a after a word that ends with b_2g+1 ("S3"), or with
+    B[:-1] (a.B[:-1])^2 b_2g ("S4b").  Where the run ends on a block
+    end, these fire S2(2g+1) on rev(B).a.b_4g, S3 over all of rev(B)^k
+    once a is popped, and S4b(3) with the cascade's last a as its
+    first letter: the kind names the rule."""
+    g2 = ctx.n_gens
+    L = g2 - 1
+    C = max(2 * g2, 32)
+    a, B = E[0], E[1:g2]
+    phases = range(L) if L < 20 else sorted({0, 1, L - 1} | set(rng.sample(range(2, L - 1), 5)))
+    out = []
+    for s in phases:
+        run = B[s:] + B * (m // L + 12)
+        ends = range(m - L, m + 2 * L + 2) if L < 20 else sorted(
+            {m - 1, m, m + 1, m + L - 1, m + L, m + L + 1, m + 2 * L + 1}
+            | set(rng.sample(range(m - L, m + 2 * L), 6)))
+        ends = list(ends) + [m + 7 * L + rng.randrange(L)]
+        for e in ends:
+            for kind, before, tail in (
+                    ("end", (), ()),
+                    ("random", (), random_freely_reduced(ctx, C, rng)),
+                    ("S2", (), (E[-1],) + random_freely_reduced(ctx, 4, rng)),
+                    ("S3", E[g2:g2 + 1], (-a, a)),
+                    ("S4b", (), B[:-1] + E[:L] * 2 + B[-1:])):
+                if kind in ("S2", "S3", "S4b") and (e - (L - s)) % L:
+                    continue
+                y = nf(ctx, random_freely_reduced(ctx, C, rng)) + before
+                acc = y + rewrite._rev(B) + (a,) + B[:s]
+                out.append((kind, s, acc, run[:e] + tail, e))
+    return out
+
+
+def near_miss_cases(ctx, rng, m):
+    """(kind, acc, v) close to a cascade, where no S4(T) step is exact:
+    b_1 not above b_2g ("below"); acc's tail rev(B).a.B[:s] with one
+    letter changed ("tail"), among them b_4g before a, which makes
+    S2(2g+1) fire, and a.B[:-1] before a, which makes it S4b(2), or
+    that tail ending with a whole block a.B left unrewritten; and a
+    block that holds an inverse pair ("inverse").  acc ends with the
+    inverse of the first letters of v, so that the first piece cancels
+    it down to that tail and reads r < 2g-1-s letters of the block
+    after it: at the piece boundary m acc is in the block, as in a
+    cascade, but the rule at the block's end is not S4b(1)."""
+    g2 = ctx.n_gens
+    L = g2 - 1
+    C = max(2 * g2, 32)
+    rows = [("below", E) for E in cascade_rows(ctx, rng, 2, above=False)]
+    rows += [("tail", E) for E in cascade_rows(ctx, rng, 2)]
+    for E in cascade_rows(ctx, rng, 2):
+        i = rng.randrange(2, L)
+        rows.append(("inverse", E[:i] + (-E[i - 1],) + E[i + 1:]))
+    out = []
+    for kind, E in rows:
+        a, B = E[0], E[1:g2]
+        for s in rng.sample(range(L), min(L, 4)):
+            P = (B * (m // L + 2) + B[:s])[-(m - rng.randrange(L - s)):]
+            v = P + B[s:] + B * (m // L + 4) + random_freely_reduced(ctx, C, rng)
+            y = nf(ctx, random_freely_reduced(ctx, C, rng))
+            tail = rewrite._rev(B) + (a,) + B[:s]
+            tails = [tail]
+            if kind == "tail":
+                tails = [tail[:L - 1] + E[-1:] + tail[L:], E[:L] + tail[L:]]
+                for _ in range(4):
+                    j = rng.randrange(L + 1)
+                    x = rng.choice([x for x in ctx.letters if x != tail[j]])
+                    tails.append(tail[:j] + (x,) + tail[j + 1:])
+            out += [(kind, y + t + invert_word(P), v) for t in tails]
+        if kind == "tail":
+            # a whole block a.B that acc holds unrewritten ends at m
+            P = (B * (m // L + 2))[-m:]
+            v = P + B * (m // L + 4) + random_freely_reduced(ctx, C, rng)
+            out.append((kind, y + rewrite._rev(B) + (a,) + B + invert_word(P), v))
+    return out
+
+
+@pytest.mark.parametrize("genus", RUN_GENERA)
+def test_join_pieces_applies_the_cascade_as_the_letter_loop_does(genus, monkeypatch):
+    """_join_pieces gives what the letter loop gives where v carries acc
+    through a cascade of S4b(1) steps, entered at every phase of the
+    block relative to a piece boundary, with pieces of C and of 4g
+    letters, without the settle test for any acc and with it where acc
+    and v are irreducible (and then _nf_join does too).  The run ends a
+    block before the boundary, at every letter of the two blocks past
+    it, or several blocks later (T = 0, 1 and many whole blocks), and v
+    then ends or goes on so that S2(2g+1), S3 or S4b(t) fires at the
+    run's end, as the traced letter loop records.  Where v ends with
+    the run or goes on at random, _extend is handed exactly the letters
+    before the boundary and after the last whole block B: the block in
+    progress and the T blocks after it went in as one step.  Near misses,
+    where no S4(T) step is exact, also agree: b_1 not above b_2g, an
+    acc tail one letter off and a block that holds an inverse pair."""
+    ctx = GroupContext(genus)
+    rng = random.Random(4000 + genus)
+    g2 = ctx.n_gens
+    K = 2 * g2
+    C = max(K, 32)
+    L = g2 - 1
+    read = record_extend(monkeypatch)
+    seen = Counter()
+    for size in sorted({C, K}):
+        for E in cascade_rows(ctx, rng, 2):
+            for kind, s, acc, v, e in cascade_cases(ctx, rng, E, size):
+                expected = letter_loop(ctx, acc, v)
+                if kind not in ("end", "random"):
+                    steps = []
+                    rest = letter_loop(ctx, acc, v[:e])
+                    rewrite._extend(ctx, rest, v[e:], steps)
+                    # S3 fires once S1 has popped a
+                    rule = steps[kind == "S3"].rule
+                    assert rule.family == kind and (kind != "S4b" or rule.param == 3), steps
+                    seen[kind] += 1
+                read.clear()
+                assert pieces(ctx, acc, v, size, False) == expected, (kind, e, size)
+                # the block in progress at the boundary ends at j
+                j = size + L - (s + size) % L
+                if e >= j and kind in ("end", "random"):
+                    while e < len(v) and v[e] == v[e - L]:
+                        e += 1  # a random tail may go on with the run
+                    T = (e - j) // L
+                    assert sum(map(len, read)) == len(v) - (j + T * L - size), (kind, e, size)
+                    seen["copied"] += 1
+                if kind != "S3" and is_irreducible(ctx, acc) and is_irreducible(ctx, v):
+                    seen["irreducible"] += 1
+                    assert pieces(ctx, acc, v, size, True) == expected, (kind, e, size)
+                    if size == C:
+                        assert _nf_join(ctx, acc, v) == tuple(expected), (kind, e)
+        for kind, acc, v in near_miss_cases(ctx, rng, size):
+            expected = letter_loop(ctx, acc, v)
+            assert pieces(ctx, acc, v, size, False) == expected, (kind, acc[-K:], size)
+            seen[kind] += 1
+    assert set(seen) == {"S2", "S3", "S4b", "copied", "irreducible",
+                         "below", "tail", "inverse"}, seen
 
 
 @pytest.mark.parametrize("genus", RUN_GENERA)
