@@ -9,14 +9,8 @@ grammar of parse_word: whitespace- or '*'-separated tokens c1, c2^-1,
 C2, with e for the empty word.  They come from the arguments or from
 --file, never both.  Output is plain text or a JSON document with the
 stable fields {command, genus, input, result, length, trace?,
-certificate?}.  JSON is written by the CLI's own writer, _dumps: byte
-for byte what json.dumps(..., indent=2) gives, without the stdlib's
-pure-Python indenting encoder, and json is imported only once a
-document is written.
-
-Every request, a single one or a line of a batch file, goes through
-_attempt: it checks the word count, builds or reuses the context, runs
-the executor, builds the document and maps the errors to exit codes.
+certificate?}, written by _dumps.  Every request, a single one or a
+line of a batch file, goes through _attempt.
 
 Exit codes: 0 success, 1 domain error (trivial element where one is
 forbidden, genus out of range, power too long, ...), 2 parse error (bad

@@ -3,29 +3,18 @@
 The class normal form of x is the least word among all words conjugate
 to x.  It is computed from the cyclically irreducible core W of x: it is
 the least rotation of W or, when W has the exceptional shape
-(b_{i+1}..b_{2g-1}b_1..b_i)^t for a relator-table entry, the least
-rotation of W or of W reversed.  The shape is read off the first 2g-1
-letters of W: one cyclic pair, the seam before b_1, has no row, and
-the row after it spells the rest of the block; a successor pair lies
-on one row only, so no other entry or i matches.  No rotation but the
-winner is built: the least rotation is found by Duval's Lyndon
-factorisation, once over W and once over W reversed, so a class
-normal form costs O(|x|).  The conjugator is given by a formula, one
-per family.  Every conjugator returned from this module has been
-checked as z.x = c.z for the words x and c it conjugates: x is joined
-to the irreducible conjugator z, z is joined to c, and the two normal
-forms must be equal.  Each join rewrites only near its junction, so
-neither reads most of z.  A failed check raises VerificationError, so
-an index or orientation slip cannot escape.
+(b_{i+1}..b_{2g-1}b_1..b_i)^t for a relator-table entry
+(_exceptional_match), the least rotation of W or of W reversed, found
+in O(|x|) by _least_rotations.  The conjugator is given by a formula,
+one per family.  Every conjugator returned from this module has been
+checked by _verify_conjugation, and a failed check raises
+VerificationError, so an index or orientation slip cannot escape.
 
 x = S^-1.W.S for the splice suffix S, the short end of the splice.
-The root of x is the block of W's least period, which the same Duval
-scan measures, conjugated back through S.  It is checked, without
-building any power of it, as W = block^r letter for letter, as
-root = S^-1.block.S by the conjugation check, and as the joins of
-S^-1, W and S giving nf(x).  The conjugate-power decision
-reduces to conjugacy of primitive roots, and its answer is checked on
-them alone.
+The root of x is the block of W's least period, which _least_rotations
+also measures, conjugated back through S, and _root checks it without
+building any power of it.  The conjugate-power decision reduces to
+conjugacy of primitive roots, and its answer is checked on them alone.
 """
 
 from __future__ import annotations
@@ -80,21 +69,17 @@ def _verify_conjugation(ctx, z: Word, x: Word, target: Word) -> bool:
     """Whether z.x.z^-1 = target, checked as z.x = target.z: x is joined
     to z, z is joined to target, and the two words must be equal.
 
-    Sound for every z, x and target: each rule _extend fires replaces a
-    relator fragment it has read in acc by an equal word, a join drops
-    only a.a^-1 pairs at its junction before it reads, and it appends
-    the letters it does not read as they are, so the two outputs equal
-    z.x and target.z in the group, and equal outputs prove the
-    equation.  When all three are irreducible, as every
+    Sound for every z, x and target: a join returns a word equal to the
+    product of its inputs (rewrite._nf_join), so equal outputs prove the
+    equation, and with any words the check can only fail, never accept
+    a wrong certificate.  When all three are irreducible, as every
     caller passes, the joins are nf(z.x) and nf(target.z), which are
     equal exactly when the equation holds.  The inverse of an
-    irreducible word, which _conjugator joins, is irreducible too:
-    inversion maps each left side of S1, S2(2g+1), S3(t) and S4(1) to a
-    left side of the same rule, read along the inverse row, and it
+    irreducible word, which _conjugator and _root join, is irreducible
+    too: inversion maps each left side of S1, S2(2g+1), S3(t) and S4(1)
+    to a left side of the same rule, read along the inverse row, and it
     reverses the generator order, so S4(1)'s condition b_1 > b_2g
-    carries over.  With any other words the check can only fail, never
-    accept a wrong certificate.  For a true certificate both joins
-    rewrite only near the junction, so most of z is read by neither.
+    carries over.
     """
     return _nf_join(ctx, z, x) == _nf_join(ctx, target, z)
 
@@ -266,8 +251,8 @@ def _root(ctx: GroupContext, pd: PowerDecomposition) -> RootResult:
     Y = nf(S^-1.B.S).  Y^r = x is checked as three facts: W == B * r,
     literally; S^-1.B = Y.S^-1, by _verify_conjugation, which joins S^-1
     to B anew, so a slip in building Y cannot pass; and the joins of
-    S^-1, W and S give nf(x).  Joins only ever replace a word by an
-    equal one (see _verify_conjugation), so then
+    S^-1, W and S give nf(x).  A join returns a word equal to the
+    product of its inputs (rewrite._nf_join), so then
     Y^r = S^-1.B^r.S = S^-1.W.S = x, and the check can fail but can
     never accept a wrong root.  No power of Y is built.
     """

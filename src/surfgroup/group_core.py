@@ -233,9 +233,13 @@ class GroupContext:
 
 
 def compare_words(ctx: GroupContext, u: Word, v: Word) -> int:
-    """-1, 0 or 1 as u is below, equal to, or above v (length, then letters)."""
+    """-1, 0 or 1 as u is below, equal to, or above v (length, then letters).
+
+    Lists are compared as the tuples they spell.
+    """
     ctx.check_word(u)
     ctx.check_word(v)
+    u, v = tuple(u), tuple(v)
     if len(u) != len(v):
         return -1 if len(u) < len(v) else 1
     # the order reverses the integers, so u is below v when u > v as tuples

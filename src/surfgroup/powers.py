@@ -18,16 +18,9 @@ reduces but which admit no two-piece splice; they are the reason the
 decomposition needs nf(x^3) and not just nf(x^2).
 
 nf(x^2) and nf(x^3) are not normalized from scratch: nf(x) is
-irreducible, so nf(x^2) is nf(x) joined to nf(x), and nf(x^3) is
-nf(x^2) joined to nf(x) once more.  A join (rewrite._nf_join) rewrites
-only near its junction: once the letters there have settled it copies
-the rest of nf(x) unread.  A run of one (2g-1)-letter relator block,
-of which exceptional cores and the type A, B and C words are made, is
-copied unread too wherever the join is in step with it, and so is one
-in the core check (is_cyclically_irreducible), which takes no other
-shortcut.  Where the join is in the cascade of S4b(1) steps that the
-square of a type A, B or C word starts at its junction, one per block
-of the run after it, the run is appended as one S4(T) step.
+irreducible, so nf(x^2) is the join of nf(x) to itself and nf(x^3) the
+join of nf(x^2) to nf(x), each nf of its product by rewrite._nf_join's
+contract.
 """
 
 from __future__ import annotations

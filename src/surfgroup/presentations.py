@@ -33,10 +33,11 @@ from .group_core import (
     parse_word,
 )
 from .powers import MAX_POWER_LETTERS
-from .rewrite import _extend
+from .rewrite import _nf_concat
 
 
-# a dataclass: __post_init__ validates, and a NamedTuple cannot override __new__
+# a dataclass: a NamedTuple subclass could validate in __new__, but its
+# _replace builds through tuple.__new__ and would skip the validation
 @dataclass(frozen=True)
 class PresentationDescriptor:
     """A minimal geometric presentation, named by its cyclic order of
@@ -180,11 +181,11 @@ def check_coarse_formulae(
 
     The rotation x^t accumulates is 0 mod 4g by the choice of t, so
     translate(p, x^{tm}) is T^m with T = translate(p, x^t): each next
-    normal form is the last one with T appended, and K = max(k_max, 2)
-    powers cost t*|x|*K letters of normalization.  The power words
-    x^t, .., x^{tK} add up to t*|x|*K(K+1)/2 letters; past
-    powers.MAX_POWER_LETTERS that is refused with DomainError before
-    anything is built.  The formulae are about geometric presentations,
+    normal form is _nf_concat of the last one and T, and K = max(k_max, 2)
+    powers cost t*|x|*K letters of normalization.  Each one is copied
+    whole, and the power words x^t, .., x^{tK} add up to
+    t*|x|*K(K+1)/2 letters; past powers.MAX_POWER_LETTERS that is
+    refused with DomainError before anything is built.  The formulae are about geometric presentations,
     and p is one: PresentationDescriptor refuses an order with more than
     one face.
     """
@@ -199,18 +200,17 @@ def check_coarse_formulae(
             f"checking up to k = {top}: the power words x^{t} .. x^{t * top} add up "
             f"to {letters} letters, more than the limit of {MAX_POWER_LETTERS}")
     T = translate(p, x * t)
-    acc: list = []
-    _extend(ctx, acc, T, None)
+    acc = _nf_concat(ctx, (), T)
     lt = len(acc)
     # surface groups are torsion-free: x^t = e only for x = e
     if not lt:
         raise DomainError("coarse formulae need a nontrivial element")
-    _extend(ctx, acc, T, None)
+    acc = _nf_concat(ctx, acc, T)
     slope = len(acc) - lt
     if slope <= 0 or slope % t:
         return False
     for m in range(3, top + 1):
-        _extend(ctx, acc, T, None)
+        acc = _nf_concat(ctx, acc, T)
         if len(acc) != (m - 1) * slope + lt:
             return False
     return True

@@ -22,61 +22,17 @@ deliberately separate code path so the two engines can cross-check each
 other.  It uses none of the S engine's functions or trace types: a D
 match is a plain (end, replacement), spliced in place.
 
-`normalize` reduces incrementally: it appends one letter at a time to an
-irreducible accumulator, and at most one rule fires per appended letter.
-Words only ever grow on the right; no left-extension matcher is kept
-beside _append_step.
-A rule can fire only when the letter is the inverse of the last one or
-one of its two successors in a relator; one dict lookup per letter rules
-that out, and such a letter is appended inline.  The inverse pops the
-last letter (S1).  Every other rule needs a chain of at least 2g >= 4
-letters, so a successor is appended inline too unless the letters 2
-and 2g-1 places back both lie on its chain: two probes, without a
-call, and the chain is never walked back.  Only when both match is the
-slice between them compared with the relator table, so only a
-successor on a chain of 2g or more letters goes through _append_step,
-which reads the one rule it fires, if any, off the table and returns
-it as plain values.  Every caller takes these same decisions; a trace,
-built only on request, records them as genuine S-rule applications
-(RuleId, ReductionStep) on the evolving word, so replaying them by
-splicing reproduces the normal form.  Without a trace no rule record
-is built.
-Because an irreducible word passes through unchanged, nf(u v) for an
-irreducible u starts from u and costs only the letters of v.  When v is
-irreducible too, _nf_join reads only the letters of v near the
-junction.  From a v longer than one piece it first drops the a.a^-1
-pairs that meet there, if any, found by slice comparison: appending
-them one at a time would only pop them (S1), and the words left are a
-prefix of u and a suffix of v, so they are irreducible too.  Then v
-contains no left side, so a rule fired past the junction has a left
-side that starts in u's part of acc and covers every letter of v read
-since.  The left sides of S1, S2(2g+1) and S4(1) have at most 2g+1
-letters, and every longer one that can fire runs along a
-(2g-1)-periodic block, so once acc ends with 4g letters of v that are
-not (2g-1)-periodic, no later letter of v fires a rule and the rest is
-appended unread.
-A (2g-1)-periodic run is copied unread too, by _join_pieces, which
-_nf_join and is_cyclically_irreducible share: while acc ends with 2g
-letters of v that are (2g-1)-periodic and hold no inverse pair, and v
-goes on with that period, the letter appended is the letter 2g-1
-places back, so the last 2g letters begin and end with one letter.  A
-chain of 2g letters along a relator row has 2g distinct letters, so
-the successor probes of _extend fail, and the letter before it is no
-inverse of it: the letter is pushed.  Copying such a run leaves acc as
-the letter loop leaves it, for any acc, so a rule that fires where the
-run ends, S3(t) or S4b(t) over all of it, counts the same t.
-_join_pieces also applies in one step the cascade that the squares of
-the type A, B and C words start at their junction.  With B =
-b_2...b_2g and a = b_1 above b_2g, once acc ends with rev(B).a,
-appending B fires S4b(1): the chain a.B starts at a, since the letter
-before a is b_2 and not b_4g, so neither S2(2g+1) nor S3 fires, and
-t = 1, since the 2g-1 letters before a are rev(B); the rule rewrites
-a.B to rev(B).a, so acc ends as it did.  T blocks B thus append
-rev(B)^T before the last a: the rule S4(T), b_1 (b_2...b_2g)^T ->
-(b_2g...b_2)^T b_1, which is appended in one step.
-enumerate_ball lists the normal forms up to a radius by the same
-one-letter extension, after the growth series has shown that they fit
-under its cap, and checks each sphere against that series.
+The S entry points, each argued at its own function:
+  normalize, nf     nf(w), with or without a trace of the rules fired
+  _nf_concat        nf(u.v) for an irreducible u, reading only v
+  _nf_join          a word equal to u.v for any u and v, and nf(u.v)
+                    when both are irreducible, rewritten near the junction
+  is_irreducible    whether w is a normal form
+  is_cyclically_irreducible   whether w.w is one
+  enumerate_ball    the normal forms up to a radius, sphere by sphere
+Every one of them appends letters through _extend, one at a time, or
+through _join_pieces, which copies the letters it can prove unchanged.
+No other module calls these two or their helpers.
 """
 
 from __future__ import annotations
@@ -150,12 +106,9 @@ def is_cyclically_irreducible(ctx: GroupContext, w: Word) -> bool:
     since its probes and _append_step read only the letters that end acc.
     w is taken as a tuple, so a list reads as a tuple does.
 
-    A w longer than 4C (C as in _nf_join) goes through _join_pieces
-    without its settle test, since w need not be irreducible.  It copies
-    the (2g-1)-periodic runs of w that acc is in step with unread, as
-    the letter loop would push them, so the verdict is still exact for
-    every w.  Its windows are tested every 4C letters, and a w with no
-    run goes to _extend in one call.
+    A w longer than 4C (C as in _nf_join) goes through _join_pieces in
+    pieces of 4C letters, without its settle test, since w need not be
+    irreducible; that leaves acc as _extend leaves it, for every w.
     """
     ctx.check_word(w)
     w = tuple(w)
@@ -285,7 +238,15 @@ def _nf_concat(ctx: GroupContext, u: Word, v: Word) -> Word:
 
 
 def _nf_join(ctx: GroupContext, u: Word, v: Word) -> Word:
-    """nf(u + v) for u and v both irreducible, rewriting only near the junction.
+    """A word equal to u.v for any u and v, and nf(u.v) when u and v are
+    both irreducible.  Other modules rely on this contract alone.
+
+    For any inputs the output equals u.v in the group: each rule that
+    _extend fires replaces a relator fragment it has read by an equal
+    word, the junction cancellation below drops only a.a^-1 pairs, and
+    _join_pieces leaves acc as _extend leaves it.  The settle test is
+    the one step that needs irreducible inputs; it only appends the
+    letters it does not read, as they are, so it keeps the equality.
 
     An empty u or v returns the other word as it is, unread.  A v no
     longer than C = max(4g, 32) letters goes to _extend whole, as
@@ -297,34 +258,26 @@ def _nf_join(ctx: GroupContext, u: Word, v: Word) -> Word:
     is exact: while the appended letter is the inverse of acc[-1],
     _extend only pops it (S1), and no other rule can fire in between;
     and a prefix or a suffix of an irreducible word is irreducible, so
-    the argument below holds for the shortened pair.  It is sound for
-    any u and v, as it removes only a.a^-1 pairs.  Those k pops are S1
-    steps that _extend never sees: a count of the rules fired must add
-    k to them.
+    the argument below holds for the shortened pair.  Those k pops are
+    S1 steps that _extend never sees: a count of the rules fired must
+    add k to them.
 
     v goes in through _join_pieces in pieces of C letters, with its
     settle test: after a piece, once m letters of v have been read, the
     rest of v goes in unread when acc ends with the window
     W = v[m-4g:m] and W is not (2g-1)-periodic.  So the test is tried at
-    most C letters after the first window that would pass it.  When W is
-    (2g-1)-periodic instead, the run of v that goes on with that period
-    is copied unread (see _join_pieces), so a fully periodic v, such as
-    a power of an exceptional core, costs one piece and one run; where
-    acc is in an S4(T) cascade along the run instead, the cascade is
-    applied in one step.
-
-    Why no later letter can fire a rule once W has settled: write
-    acc = Q.W.  Until a rule fires, acc is Q.v[m-4g:m'] when v[m'] is
-    appended, and v has no left side, so the left side that v[m'] would
-    complete starts in Q and contains W.v[m'].  That rules out the left
-    sides of at most 2g+1 letters (S1, S2(2g+1), S4(1)), and no longer
-    S2 fires on an irreducible acc.  Each other left side, S3(t) and
-    S4(t) for t >= 2, is a run of one (2g-1)-letter block,
-    (b_2...b_2g)^t or (b_1...b_2g-1)^t, with one letter before it, after
-    it or both.  W follows the first letter of the left side and
-    precedes v[m'], its last, so W would lie in the run and be
-    (2g-1)-periodic.  A window of 2g letters would do; 4g keeps a
-    margin.
+    most C letters after the first window that would pass it.  Why no
+    later letter can fire a rule once W has settled: write acc = Q.W.
+    Until a rule fires, acc is Q.v[m-4g:m'] when v[m'] is appended, and
+    v has no left side, so the left side that v[m'] would complete
+    starts in Q and contains W.v[m'].  That rules out the left sides of
+    at most 2g+1 letters (S1, S2(2g+1), S4(1)), and no longer S2 fires
+    on an irreducible acc.  Each other left side, S3(t) and S4(t) for
+    t >= 2, is a run of one (2g-1)-letter block, (b_2...b_2g)^t or
+    (b_1...b_2g-1)^t, with one letter before it, after it or both.  W
+    follows the first letter of the left side and precedes v[m'], its
+    last, so W would lie in the run and be (2g-1)-periodic.  A window of
+    2g letters would do; 4g keeps a margin.
     """
     if not u or not v:
         return tuple(u or v)
@@ -342,44 +295,32 @@ def _nf_join(ctx: GroupContext, u: Word, v: Word) -> Word:
 
 
 def _join_pieces(ctx: GroupContext, acc: list, v: Word, C: int, settle: bool) -> None:
-    """Append v to acc as _extend does, in pieces of C >= 4g letters,
-    copying the (2g-1)-periodic runs of v that acc is in step with
-    unread, and applying the S4(T) cascades along them in one step.
+    """Append v to acc as _extend does, for any acc and v, in pieces of
+    C >= 4g letters, copying the (2g-1)-periodic runs of v that acc is
+    in step with unread, and applying the S4(T) cascades along them in
+    one step (_cascade).  With settle it also stops reading once acc has
+    settled, which is exact only for irreducible acc and v (_nf_join).
 
     After a piece, with m letters of v read, the window W = v[m-4g:m] is
     tested.  If W is (2g-1)-periodic, holds no inverse pair and acc ends
     with it (acc is in step), v[m:e] is appended unread, where
     e = _run_end(v, m, 2g-1) ends the run, and the next piece starts at
-    e.  No letter of the run fires a rule (the module docstring has the
-    argument), so acc is what the letter loop makes of it, for any acc
-    and v.  With settle, a W that is not (2g-1)-periodic and that acc is
-    in step with lets the rest of v go in unread; that is exact only for
-    irreducible acc and v (_nf_join).  Without it, a window that is not
+    e.  The letter loop would push every letter of the run: while acc
+    ends with such 2g letters of v and v goes on with their period, the
+    letter appended is the one 2g-1 places back, so the last 2g letters
+    begin and end with one letter.  A chain of 2g letters along a
+    relator row has 2g distinct letters, so the successor probes of
+    _extend fail, and the pair the letter closes repeats one in W, so it
+    is no inverse pair.  Copying the run leaves acc as the letter loop
+    leaves it, so a rule that fires where the run ends, S3(t) or S4b(t)
+    over all of it, counts the same t.
+
+    A periodic W that acc is not in step with goes to _cascade.  With
+    settle, a W that is not periodic and that acc is in step with lets
+    the rest of v go in unread.  Without it, a window that is not
     periodic ends no piece: the pieces up to the next periodic window go
     to _extend as one, so a v with no run is read in one call, as
     _nf_concat reads it.
-
-    A periodic W that acc is not in step with may be a cascade, tested
-    by _cascade.  With L = 2g-1, let p < L be the number of letters acc
-    ends with that v[:m] ends with, j = m + L - p the end of the block
-    that v[m] lies in, B = v[j-L:j] = b_2...b_2g, and a = b_1 the
-    letter before B on the row of its last two letters.  If a is above
-    b_2g and acc ends with rev(B).a.B[:p], the trailing a.B[:p] becomes
-    rev(B)^(1+T).a, where T is the number of whole blocks B after j,
-    and the next piece starts at j + T*L.  The letter loop ends acc the
-    same way, one S4b(1) per block, for any acc:
-      - Within a block, b_2...b_2g-1 are pushed: the letter before a
-        is b_2, not b_4g, so their chain a.B[:i] starts at a and is
-        shorter than 2g letters.
-      - b_2g closes the chain a.B of 2g letters.  The letter before a
-        is b_2, not b_4g, so neither S2(2g+1) nor S3 fires.  t = 1,
-        because the L letters before a are rev(B), not a.B[:-1].  a
-        lies above b_2g, so the rule is S4b(1).  It rewrites a.B to
-        rev(B).a, which leaves the same tail.
-    So the 1+T blocks apply S4(1+T) at once, and a rule that fires
-    where the run ends sees acc as the letter loop leaves it.  Like the
-    pairs that _nf_join cancels, these S4b(1) steps never reach
-    _extend.
     """
     K = 2 * ctx.n_gens
     L = ctx.n_gens - 1
@@ -414,6 +355,27 @@ def _cascade(ctx: GroupContext, acc: list, v: Word, m: int) -> int:
     v[m-4g:m] is (2g-1)-periodic: applies it to acc and returns the
     number of letters of v read then, or returns m, with acc as it was,
     when acc is not in a cascade.  Each test reads at most 4g letters.
+
+    With L = 2g-1, let p < L be the number of letters acc ends with that
+    v[:m] ends with, j = m + L - p the end of the block that v[m] lies
+    in, B = v[j-L:j] = b_2...b_2g, and a = b_1 the letter before B on
+    the row of its last two letters.  If a is above b_2g and acc ends
+    with rev(B).a.B[:p], the trailing a.B[:p] becomes rev(B)^(1+T).a,
+    where T is the number of whole blocks B after j, and j + T*L is
+    returned.  The letter loop ends acc the same way, one S4b(1) per
+    block, for any acc:
+      - Within a block, b_2...b_2g-1 are pushed: the letter before a
+        is b_2, not b_4g, so their chain a.B[:i] starts at a and is
+        shorter than 2g letters.
+      - b_2g closes the chain a.B of 2g letters.  The letter before a
+        is b_2, not b_4g, so neither S2(2g+1) nor S3 fires.  t = 1,
+        because the L letters before a are rev(B), not a.B[:-1].  a
+        lies above b_2g, so the rule is S4b(1).  It rewrites a.B to
+        rev(B).a, which leaves the same tail.
+    So the 1+T blocks apply S4(1+T) at once, and a rule that fires
+    where the run ends sees acc as the letter loop leaves it.  Like the
+    pairs that _nf_join cancels, these S4b(1) steps never reach
+    _extend.
     """
     g2 = ctx.n_gens
     L = g2 - 1
@@ -570,9 +532,10 @@ def d_basis_normalize(ctx: GroupContext, w: Word) -> Word:
     """Normal form computed with the explicit D basis only.
 
     Kept independent of the S engine on purpose; used as a cross-check.
+    A list is read as the tuple it spells.
     """
     ctx.check_word(w)
-    cur = w
+    cur = tuple(w)
     while True:
         for p in range(len(cur)):
             match = _d_match(ctx, cur, p)

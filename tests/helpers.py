@@ -13,7 +13,8 @@ against, the letter-by-letter
 presentation translation and the chain-walking append step the table
 and probe versions are held against, the per-power coarse-formula check
 the linear one is held against, and the
-tools that only the tests use: word and chain utilities, the generator
+tools that only the tests use: a recorder of the letters each
+rewrite._extend call is handed, word and chain utilities, the generator
 order spelled out and the word sort key over it, the one-letter
 extension tables on both sides with their case tags, the position gaps
 O(x), the canonical relator, lengths and face
@@ -50,7 +51,7 @@ from surfgroup.group_core import (
     free_reduce,
     invert_word,
 )
-from surfgroup import conjugacy
+from surfgroup import conjugacy, rewrite
 from surfgroup.conjugacy import _least_rotations
 from surfgroup.powers import (
     MAX_POWER_LETTERS,
@@ -748,6 +749,20 @@ def append_step_reference(ctx: GroupContext, acc: list, letter: int):
         if ctx.greater(E[0], E[g2 - 1]):
             return RuleId("S4b", t), m, (letter,) + _rev(E[:g2 - 1]) * t
     return None, 0, (letter,)
+
+
+def record_extend(monkeypatch) -> list:
+    """Patch rewrite._extend to record the letters each call is handed,
+    as a tuple per call, in the list returned."""
+    real = rewrite._extend
+    read = []
+
+    def recording(ctx, acc, letters, steps):
+        read.append(tuple(letters))
+        return real(ctx, acc, letters, steps)
+
+    monkeypatch.setattr(rewrite, "_extend", recording)
+    return read
 
 
 # --- the one-letter extension tables

@@ -1,5 +1,6 @@
 """Class normal forms, roots, conjugate powers, reducing pairs."""
 
+import inspect
 import itertools
 import math
 import random
@@ -21,12 +22,14 @@ from helpers import (
     random_nontrivial,
     random_relator_heavy,
     rank_list,
+    record_extend,
     reversed_conjugators_reference,
     special_instances,
     verify_conjugation_reference,
     word_sort_key,
 )
 from helpers import reversed_conjugators_reference as _reversed_conjugators
+import surfgroup
 from surfgroup import conjugacy, powers, rewrite
 from surfgroup.conjugacy import (
     ConjPowerResult,
@@ -273,25 +276,21 @@ def test_joins_bound_the_letters_appended(genus, monkeypatch):
     6.81 at g = 3."""
     ctx = GroupContext(genus)
     rng = random.Random(2700 + genus)
-    real = rewrite._extend
+    read = record_extend(monkeypatch)
     appended = Counter()
-
-    def counting(ctx, acc, letters, steps):
-        appended[phase] += len(letters)
-        return real(ctx, acc, letters, steps)
-
-    monkeypatch.setattr(rewrite, "_extend", counting)
     given = 0
     for _ in range(4):
         x = random_freely_reduced(ctx, 600, rng)
         z = random_freely_reduced(ctx, 600, rng)
         y = z + x + invert_word(z)
         given += len(x) + len(y)
-        phase = "power_decompose"
+        read.clear()
         power_decompose(ctx, x)
         power_decompose(ctx, y)
-        phase = "are_conjugate"
+        appended["power_decompose"] += sum(map(len, read))
+        read.clear()
         assert are_conjugate(ctx, x, y) is not None
+        appended["are_conjugate"] += sum(map(len, read))
     assert appended["power_decompose"] <= 1.7 * given, appended
     assert appended["are_conjugate"] <= 1.8 * given, appended
 
@@ -306,14 +305,7 @@ def test_root_bounds_the_letters_appended(genus, monkeypatch):
     at a time took 3.52 to 4.22."""
     ctx = GroupContext(genus)
     rng = random.Random(3300 + genus)
-    real = rewrite._extend
-    appended = [0]
-
-    def counting(ctx, acc, letters, steps):
-        appended[0] += len(letters)
-        return real(ctx, acc, letters, steps)
-
-    monkeypatch.setattr(rewrite, "_extend", counting)
+    read = record_extend(monkeypatch)
     given = 0
     for r in (2, 3):
         for _ in range(3):
@@ -322,7 +314,8 @@ def test_root_bounds_the_letters_appended(genus, monkeypatch):
             w = z + x * r + invert_word(z)
             given += len(w)
             assert root(ctx, w).exponent == r
-    assert appended[0] <= 1.8 * given, (appended, given)
+    appended = sum(map(len, read))
+    assert appended <= 1.8 * given, (appended, given)
 
 
 
@@ -370,29 +363,22 @@ def test_special_shapes_bound_the_letters_appended(genus, monkeypatch):
     and 3.94 to 4.0 and 5.93 to 6.50 on the type A, B and C words."""
     ctx = GroupContext(genus)
     rng = random.Random(3530 + genus)
-    real = rewrite._extend
-    appended = [0]
-
-    def counting(ctx, acc, letters, steps):
-        appended[0] += len(letters)
-        return real(ctx, acc, letters, steps)
-
-    monkeypatch.setattr(rewrite, "_extend", counting)
+    read = record_extend(monkeypatch)
     calls = {"power_decompose": lambda w: power_decompose(ctx, w),
              "class_nf": lambda w: class_nf(ctx, w),
              "root": lambda w: root(ctx, w * 2)}
-    read = {}
+    ratios = {}
     for shape, words in special_shape_corpus(ctx, rng).items():
         for name, budget in SPECIAL_SHAPE_BUDGETS[shape].items():
-            appended[0] = 0
+            read.clear()
             given = 0
             for w in words:
                 calls[name](w)
                 given += 2 * len(w) if name == "root" else len(w)
-            read[shape, name] = round(appended[0] / given, 2)
-    assert set(shape for shape, _ in read) == set(SPECIAL_SHAPE_BUDGETS), read
-    for (shape, name), ratio in read.items():
-        assert ratio <= SPECIAL_SHAPE_BUDGETS[shape][name], read
+            ratios[shape, name] = round(sum(map(len, read)) / given, 2)
+    assert set(shape for shape, _ in ratios) == set(SPECIAL_SHAPE_BUDGETS), ratios
+    for (shape, name), ratio in ratios.items():
+        assert ratio <= SPECIAL_SHAPE_BUDGETS[shape][name], ratios
 
 
 def change_first_result(ctx, monkeypatch, name, rng, changed, caller=None):
@@ -1135,36 +1121,84 @@ def test_reducing_pair_domain(ctx2):
         reducing_pair(ctx2, (1,), (-1,))  # junction cancels
 
 
+def word_calls(ctx):
+    """(one, two): name -> call for each function of surfgroup.__all__
+    that takes one word, and for each that takes two."""
+    sg = surfgroup
+    p = sg.canonical_descriptor(ctx.genus)
+    one = {
+        "abelianize": lambda w: sg.abelianize(ctx, w),
+        "format_word": sg.format_word,
+        "free_reduce": sg.free_reduce,
+        "invert_word": sg.invert_word,
+        "d_basis_normalize": lambda w: sg.d_basis_normalize(ctx, w),
+        "is_cyclically_irreducible": lambda w: sg.is_cyclically_irreducible(ctx, w),
+        "is_irreducible": lambda w: sg.is_irreducible(ctx, w),
+        "nf": lambda w: sg.nf(ctx, w),
+        "normalize": lambda w: sg.normalize(ctx, w),
+        "nf_power": lambda w: sg.nf_power(ctx, w, 3),
+        "power_decompose": lambda w: sg.power_decompose(ctx, w),
+        "translation_number": lambda w: sg.translation_number(ctx, w),
+        "class_nf": lambda w: sg.class_nf(ctx, w),
+        "root": lambda w: sg.root(ctx, w),
+        "dehn_reduce": lambda w: sg.dehn_reduce(ctx, w),
+        "translate": lambda w: sg.translate(p, w),
+        "untranslate": lambda w: sg.untranslate(p, w),
+    }
+    two = {
+        "compare_words": lambda u, v: sg.compare_words(ctx, u, v),
+        "are_conjugate": lambda u, v: sg.are_conjugate(ctx, u, v),
+        "conj_power": lambda u, v: sg.conj_power(ctx, u, v),
+        "reducing_pair": lambda u, v: sg.reducing_pair(ctx, u, v),
+        "dehn_conjugate": lambda u, v: sg.dehn_conjugate(ctx, u, v),
+        "dehn_equal": lambda u, v: sg.dehn_equal(ctx, u, v),
+    }
+    return one, two
+
+
+def call_outcome(call, *words):
+    """(type, result) of call(*words), or (type, message) of what it raises."""
+    try:
+        result = call(*words)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return type(result), result
+
+
 @pytest.mark.parametrize("genus", [2, 3, 8])
 def test_lists_and_tuples_get_the_same_verdicts(genus):
-    """is_irreducible, is_cyclically_irreducible and reducing_pair read a
-    list word as the tuple of its letters: irreducible words, reducible
-    ones and the empty word, and pairs that reducing_pair accepts and
-    refuses."""
+    """Every function of surfgroup.__all__ that takes a word, one with a
+    parameter annotated Word, reads a list as the tuple of its letters: a
+    list and a tuple give equal results of one type, or exceptions of one
+    type and message.  The words are irreducible, reducible and empty,
+    and the pairs include ones that reducing_pair accepts and refuses."""
     ctx = GroupContext(genus)
     rng = random.Random(genus)
-    words = [(), (1, 2), (1, -1), (ctx.n_gens,) * 3]
+    one, two = word_calls(ctx)
+    takes_a_word = set()
+    for name in surfgroup.__all__:
+        obj = getattr(surfgroup, name)
+        if inspect.isfunction(obj):
+            params = {k: v for k, v in inspect.get_annotations(obj).items() if k != "return"}
+            if "Word" in params.values():
+                takes_a_word.add(name)
+    assert set(one) | set(two) == takes_a_word
+    words = [(), (1, 2), (1, -1), (1, 2, -2), (ctx.n_gens,) * 3]
     for _ in range(60):
         w = random_relator_heavy(ctx, rng.randrange(1, 20), rng)
         words += [w, nf(ctx, w)]
     assert is_irreducible(ctx, [1, 2]) and rewrite.is_cyclically_irreducible(ctx, [1, 2])
-    for w in words:
-        assert is_irreducible(ctx, list(w)) == is_irreducible(ctx, w)
-        assert (rewrite.is_cyclically_irreducible(ctx, list(w))
-                == rewrite.is_cyclically_irreducible(ctx, w))
-
-    def outcome(w1, w2):
-        try:
-            return reducing_pair(ctx, w1, w2)
-        except DomainError as exc:
-            return str(exc)
-
+    for name, call in one.items():
+        for w in words:
+            assert call_outcome(call, list(w)) == call_outcome(call, w), (name, w)
     accepted = 0
     for _ in range(150):
         w1, w2 = rng.choice(words), rng.choice(words)
-        expected = outcome(w1, w2)
-        accepted += not isinstance(expected, str)
-        assert outcome(list(w1), list(w2)) == outcome(list(w1), w2) == expected
+        for name, call in two.items():
+            expected = call_outcome(call, w1, w2)
+            accepted += name == "reducing_pair" and expected[0] is tuple
+            assert (call_outcome(call, list(w1), list(w2)) == call_outcome(call, list(w1), w2)
+                    == call_outcome(call, w1, list(w2)) == expected), (name, w1, w2)
     assert reducing_pair(ctx, [1, 2], [3]) == reducing_pair(ctx, (1, 2), (3,))
     assert accepted >= 30
 

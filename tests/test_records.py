@@ -110,7 +110,8 @@ def test_only_two_classes_are_dataclasses():
     records are named tuples.  Two classes stay dataclasses.
     ConjugacyCertificate: bench/test_bench.py builds its wrong
     certificate with dataclasses.replace.  PresentationDescriptor: it
-    validates in __post_init__, which a NamedTuple cannot override."""
+    validates in __post_init__.  A NamedTuple subclass could validate in
+    __new__, but _replace builds through tuple.__new__ and skips it."""
     found = set()
     for path in sorted(SRC.glob("*.py")):
         found |= _dataclasses(ast.parse(path.read_text(encoding="utf-8")))

@@ -28,6 +28,7 @@ from helpers import (
     random_cyclic_core,
     random_freely_reduced,
     random_relator_heavy,
+    record_extend,
     replay,
     special_instances,
 )
@@ -553,6 +554,28 @@ def test_the_d_engine_uses_no_s_engine_name():
         assert used & s_engine == set(), name
 
 
+def test_only_rewrite_names_the_append_protocol():
+    """How letters are appended stays inside rewrite: no other module of
+    the package names _extend, _append_step, _join_pieces, _cascade or
+    _run_end, so a change to the append protocol touches rewrite alone.
+    The others join words through _nf_concat and _nf_join."""
+    protocol = {"_extend", "_append_step", "_join_pieces", "_cascade", "_run_end"}
+    others = [path for path in Path(rewrite.__file__).parent.glob("*.py")
+              if path.name != "rewrite.py"]
+    assert {"powers.py", "conjugacy.py", "presentations.py", "cli.py"} <= {p.name for p in others}
+    for path in others:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        named = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named |= {node.name, node.asname}
+        assert named & protocol == set(), path.name
+
+
 @pytest.mark.parametrize("genus", [2, 3, 64])
 def test_untraced_paths_build_no_rule_record(genus, monkeypatch):
     """nf and _nf_concat fire S2, S3 and S4 rules without building a
@@ -713,14 +736,7 @@ def test_nf_join_reads_at_most_one_piece_past_the_settle_point(genus, monkeypatc
                 break
         else:
             pytest.fail(f"no join settles at {s} letters at genus {genus}")
-    real = rewrite._extend
-    read = []
-
-    def counting(ctx, acc, letters, steps):
-        read.append(tuple(letters))
-        return real(ctx, acc, letters, steps)
-
-    monkeypatch.setattr(rewrite, "_extend", counting)
+    read = record_extend(monkeypatch)
     for s, u, v, expected in cases:
         read.clear()
         assert _nf_join(ctx, u, v) == expected
@@ -810,21 +826,13 @@ def test_nf_join_cancels_the_junction_before_extend(genus, monkeypatch):
     assert {what for what, *_ in cases} == {
         "k=1", f"k={C - 1}", f"k={C}", f"k={C + 1}", "all of u", "all of v", "both",
         "S2", "S3", "S4b"}, [what for what, *_ in cases]
-    real = rewrite._extend
-    read = []
-
-    def counting(ctx, acc, letters, steps):
-        read.append(tuple(letters))
-        return real(ctx, acc, letters, steps)
-
+    read = record_extend(monkeypatch)
     for what, u, v, k in cases:
         assert nf(ctx, u) == u and nf(ctx, v) == v and len(v) > C, what
         assert cancelled_len(u, v) == k, what
         expected = _nf_concat(ctx, u, v)
         read.clear()
-        monkeypatch.setattr(rewrite, "_extend", counting)
         assert _nf_join(ctx, u, v) == expected, what
-        monkeypatch.setattr(rewrite, "_extend", real)
         handed = sum(read, ())
         assert handed == v[k:k + len(handed)], what
 
@@ -843,14 +851,7 @@ def test_nf_join_with_an_empty_side_reads_nothing(genus, monkeypatch):
     E = rng.choice(ctx.relator_table)
     words = [nf(ctx, random_freely_reduced(ctx, n, rng)) for n in (0, 1, C, 3 * C)]
     words.append((E[1:blk] + E[:1]) * (3 * C // blk + 1))
-    real = rewrite._extend
-    read = []
-
-    def counting(ctx, acc, letters, steps):
-        read.append(tuple(letters))
-        return real(ctx, acc, letters, steps)
-
-    monkeypatch.setattr(rewrite, "_extend", counting)
+    read = record_extend(monkeypatch)
     for w in words:
         for u, v in ((w, ()), ((), w), (list(w), []), ([], list(w))):
             out = _nf_join(ctx, u, v)
@@ -884,19 +885,6 @@ def random_blocks(ctx, rng, count, inverse_pair=False):
         if is_irreducible(ctx, blk * 3):
             out.append(blk)
     return out
-
-
-def record_extend(monkeypatch):
-    """Patch rewrite._extend to record the letters each call is handed."""
-    real = rewrite._extend
-    read = []
-
-    def recording(ctx, acc, letters, steps):
-        read.append(tuple(letters))
-        return real(ctx, acc, letters, steps)
-
-    monkeypatch.setattr(rewrite, "_extend", recording)
-    return read
 
 
 def letter_loop(ctx, acc, v):
