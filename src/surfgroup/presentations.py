@@ -33,7 +33,7 @@ from .group_core import (
     parse_word,
 )
 from .powers import MAX_POWER_LETTERS
-from .rewrite import _nf_concat
+from .rewrite import _power_lengths
 
 
 # a dataclass: a NamedTuple subclass could validate in __new__, but its
@@ -181,13 +181,13 @@ def check_coarse_formulae(
 
     The rotation x^t accumulates is 0 mod 4g by the choice of t, so
     translate(p, x^{tm}) is T^m with T = translate(p, x^t): each next
-    normal form is _nf_concat of the last one and T, and K = max(k_max, 2)
-    powers cost t*|x|*K letters of normalization.  Each one is copied
-    whole, and the power words x^t, .., x^{tK} add up to
-    t*|x|*K(K+1)/2 letters; past powers.MAX_POWER_LETTERS that is
-    refused with DomainError before anything is built.  The formulae are about geometric presentations,
-    and p is one: PresentationDescriptor refuses an order with more than
-    one face.
+    normal form is the last one with T appended (rewrite._power_lengths),
+    and K = max(k_max, 2) powers cost t*|x|*K letters of normalization.
+    The power words x^t, .., x^{tK} add up to t*|x|*K(K+1)/2 letters;
+    past powers.MAX_POWER_LETTERS that is refused with DomainError
+    before anything is built.  The formulae are about geometric
+    presentations, and p is one: PresentationDescriptor refuses an
+    order with more than one face.
     """
     if k_max < 1:
         raise DomainError(f"k_max must be >= 1, got {k_max}")
@@ -200,20 +200,15 @@ def check_coarse_formulae(
             f"checking up to k = {top}: the power words x^{t} .. x^{t * top} add up "
             f"to {letters} letters, more than the limit of {MAX_POWER_LETTERS}")
     T = translate(p, x * t)
-    acc = _nf_concat(ctx, (), T)
-    lt = len(acc)
+    lengths = _power_lengths(ctx, T, top)
+    lt = next(lengths)
     # surface groups are torsion-free: x^t = e only for x = e
     if not lt:
         raise DomainError("coarse formulae need a nontrivial element")
-    acc = _nf_concat(ctx, acc, T)
-    slope = len(acc) - lt
+    slope = next(lengths) - lt
     if slope <= 0 or slope % t:
         return False
-    for m in range(3, top + 1):
-        acc = _nf_concat(ctx, acc, T)
-        if len(acc) != (m - 1) * slope + lt:
-            return False
-    return True
+    return all(n == (m - 1) * slope + lt for m, n in enumerate(lengths, 3))
 
 
 def _parse_named(text: str, genus: int) -> Word:

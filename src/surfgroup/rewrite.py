@@ -25,6 +25,7 @@ match is a plain (end, replacement), spliced in place.
 The S entry points, each argued at its own function:
   normalize, nf     nf(w), with or without a trace of the rules fired
   _nf_concat        nf(u.v) for an irreducible u, reading only v
+  _power_lengths    |nf(T^m)| for m = 1, 2, .., from one accumulator
   _nf_join          a word equal to u.v for any u and v, and nf(u.v)
                     when both are irreducible, rewritten near the junction
   is_irreducible    whether w is a normal form
@@ -83,10 +84,9 @@ def is_irreducible(ctx: GroupContext, w: Word) -> bool:
     """True when no S rule applies anywhere in w.
 
     The S system is complete: each element has exactly one irreducible
-    word, its normal form, so w is irreducible exactly when nf(w) == w.
-    The tests hold this against a leftmost scan that matches every rule
-    family at every position.  nf returns a tuple, so w is compared as
-    one: a list reads as a tuple does.
+    word, its normal form, so w is irreducible exactly when nf(w) == w,
+    a list read as the tuple it spells.  The tests hold this against a
+    leftmost scan that matches every rule family at every position.
     """
     return nf(ctx, w) == tuple(w)
 
@@ -235,6 +235,15 @@ def _nf_concat(ctx: GroupContext, u: Word, v: Word) -> Word:
     acc = list(u)
     _extend(ctx, acc, v, None)
     return tuple(acc)
+
+
+def _power_lengths(ctx: GroupContext, T: Word, K: int):
+    """Yield len(nf(T^m)) for m = 1 .. K: T is appended to one list K
+    times, as _nf_concat would append it, and no power is copied."""
+    acc: list = []
+    for _ in range(K):
+        _extend(ctx, acc, T, None)
+        yield len(acc)
 
 
 def _nf_join(ctx: GroupContext, u: Word, v: Word) -> Word:

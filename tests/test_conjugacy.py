@@ -1157,10 +1157,12 @@ def word_calls(ctx):
 
 
 def call_outcome(call, *words):
-    """(type, result) of call(*words), or (type, message) of what it raises."""
+    """(type, result) of call(*words), or (type, message) of the refusal
+    it raises: a ValueError, as DomainError and WordParseError are.  Any
+    other exception, a VerificationError or a crash, fails the test."""
     try:
         result = call(*words)
-    except Exception as exc:
+    except ValueError as exc:
         return type(exc), str(exc)
     return type(result), result
 

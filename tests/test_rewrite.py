@@ -40,6 +40,7 @@ from surfgroup.rewrite import (
     ReductionStep,
     _nf_concat,
     _nf_join,
+    _power_lengths,
     d_basis_normalize,
     is_cyclically_irreducible,
     is_irreducible,
@@ -407,6 +408,18 @@ def test_untraced_normalize_and_prefix_extension_at_high_genus(genus):
         assert _nf_concat(ctx, final, final) == nf(ctx, w + w)
 
 
+@pytest.mark.parametrize("genus", [2, 3, 8])
+def test_power_lengths_are_the_lengths_of_the_powers(genus):
+    """_power_lengths yields len(nf(T^m)) for m = 1 .. K and no more,
+    for T irreducible or not, special shapes included."""
+    ctx = GroupContext(genus)
+    rng = random.Random(950 + genus)
+    words = list(high_genus_words(ctx, rng, 60, 6 * genus)) + [(), (1, -1)]
+    words += [w for _tag, w in special_instances(ctx, entries=(0,))][:20]
+    for T in words:
+        assert list(_power_lengths(ctx, T, 5)) == [len(nf(ctx, T * m)) for m in range(1, 6)], T
+
+
 @pytest.mark.parametrize("genus", [2, 3, 5, 16, 64])
 def test_chain_probe_matches_the_chain_walk(genus):
     """Appending a successor gives what the chain walk that the probes
@@ -558,7 +571,8 @@ def test_only_rewrite_names_the_append_protocol():
     """How letters are appended stays inside rewrite: no other module of
     the package names _extend, _append_step, _join_pieces, _cascade or
     _run_end, so a change to the append protocol touches rewrite alone.
-    The others join words through _nf_concat and _nf_join."""
+    The others join words through _nf_concat, _nf_join and
+    _power_lengths."""
     protocol = {"_extend", "_append_step", "_join_pieces", "_cascade", "_run_end"}
     others = [path for path in Path(rewrite.__file__).parent.glob("*.py")
               if path.name != "rewrite.py"]
